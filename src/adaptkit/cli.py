@@ -119,7 +119,8 @@ def _run(args) -> tuple[int, str]:
         scenario = _parse(args.scenario, parse_scenario)
     except _InputError:
         return EXIT_INPUT_ERROR, ""
-    if _report_diagnostics(args, validate(rules, scene, workflow)):
+    diags = validate(rules, scene, workflow)
+    if _report_diagnostics(args, diags):
         return EXIT_INPUT_ERROR, ""
     store = ContextStore()
     try:
@@ -134,6 +135,7 @@ def _run(args) -> tuple[int, str]:
             workflow=workflow,
             store=store,
             max_cascade_depth=getattr(args, "max_cascade", DEFAULT_MAX_CASCADE_DEPTH),
+            diagnostics=diags,
         )
         code, text = EXIT_OK, trace.render()
     except AdaptError as e:

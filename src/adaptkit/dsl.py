@@ -267,7 +267,7 @@ def _parse_primary(cur: _Cursor) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# static typing (partial: feature types are unknown until runtime)
+# static typing (partial: feature types are unknown until runtime) and read sets
 
 def _static_type(expr: Expr, lineno: int) -> str | None:
     if isinstance(expr, Lit):
@@ -306,17 +306,22 @@ def _static_type(expr: Expr, lineno: int) -> str | None:
     raise AssertionError(f"unhandled expr node {expr!r}")
 
 
-def _scene_refs(expr: Expr):
-    if isinstance(expr, SceneRef):
-        yield expr
+def expr_inputs(expr: Expr):
+    """Yield every input an expression reads, in reading order and with
+    repeats: a FeatureId per feature reference and an (element, property)
+    pair per scene reference."""
+    if isinstance(expr, FeatureRef):
+        yield expr.feature
+    elif isinstance(expr, SceneRef):
+        yield (expr.element, expr.prop)
     elif isinstance(expr, (Compare, BoolOp)):
-        yield from _scene_refs(expr.left)
-        yield from _scene_refs(expr.right)
+        yield from expr_inputs(expr.left)
+        yield from expr_inputs(expr.right)
     elif isinstance(expr, Not):
-        yield from _scene_refs(expr.operand)
+        yield from expr_inputs(expr.operand)
     elif isinstance(expr, Dist):
-        yield from _scene_refs(expr.a)
-        yield from _scene_refs(expr.b)
+        yield from expr_inputs(expr.a)
+        yield from expr_inputs(expr.b)
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +687,12 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
 
     if scene is not None:
         for cond in rules.conditions:
-            for ref in _scene_refs(cond.expr):
-                if not scene.has_element(ref.element):
+            for ref in expr_inputs(cond.expr):
+                if isinstance(ref, tuple) and not scene.has_element(ref[0]):
                     diags.append(
                         Diagnostic(
                             "error",
-                            f"condition {cond.id!r} references unknown element {ref.element!r}",
+                            f"condition {cond.id!r} references unknown element {ref[0]!r}",
                             cond.line,
                         )
                     )

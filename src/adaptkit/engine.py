@@ -3,7 +3,7 @@
 Each incoming event (a batch of context writes) is processed in numbered
 cascade cycles until the system is quiet. A cycle, in order:
 
-1. evaluate every condition in definition order (a trace line is emitted
+1. evaluate the conditions in definition order (a trace line is emitted
    only when a condition's value changed, including its first evaluation);
 2. from those values, pick rules to deactivate (active, some condition
    false) and rules to activate (inactive, all conditions true);
@@ -24,6 +24,22 @@ Feature writes made through set_feature are traced but never reverted.
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
 
+Evaluation is dependency-driven. Each condition's inputs (features and
+scene properties) are indexed once, at construction. A cycle re-evaluates
+only the conditions that read an input written since their last
+evaluation -- context writes as the store's dirty set reports them, scene
+writes as SceneModel.write_property logs them -- and checks only the rules
+that list a condition whose value changed. Features are never unset and
+never change type, elements are never removed, and evaluation is pure and
+evaluates both sides of ``&&``/``||``, so every other condition would
+evaluate to the value it already has and every other rule would keep its
+state: the trace is the one a loop over all conditions and rules writes.
+The first cycle after construction, after an exception escaped
+process_event, or after evaluate_condition, execute_rule or unexecute_rule
+was called from outside process_event evaluates every condition and checks
+every rule. Scene state must change through SceneModel.write_property: an
+attribute assigned directly on a SceneElement is not seen.
+
 Trace lines are byte-stable: ``E<event> C<cycle> S<seq> <body>`` with the
 sequence number restarting at 0 in each cycle.
 """
@@ -33,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .context import ChangeFlag, ContextCategory, ContextStore, FeatureId
-from .dsl import EFFECTOR_PROPERTY, RuleDef, RuleSet, eval_expr, validate
+from .dsl import EFFECTOR_PROPERTY, Diagnostic, RuleDef, RuleSet, eval_expr, expr_inputs, validate
 from .errors import (
     ActionError,
     AdaptError,
@@ -118,9 +134,13 @@ class Engine:
         store: ContextStore,
         workflow: Workflow | None = None,
         max_cascade_depth: int = DEFAULT_MAX_CASCADE_DEPTH,
+        diagnostics: list[Diagnostic] | None = None,
     ):
-        diags = validate(rules, scene, workflow)
-        errors = [d for d in diags if d.severity == "error"]
+        """``diagnostics`` are ``validate(rules, scene, workflow)``'s, when the
+        caller has them already; without them the engine validates."""
+        if diagnostics is None:
+            diagnostics = validate(rules, scene, workflow)
+        errors = [d for d in diagnostics if d.severity == "error"]
         if errors:
             raise ValidationFailed("; ".join(d.message for d in errors))
         self.rules = rules
@@ -132,6 +152,16 @@ class Engine:
         self.cond_last: dict[str, bool | None] = {c.id: None for c in rules.conditions}
         self._rule_states: dict[str, _RuleState] = {r.id: _RuleState() for r in rules.rules}
         self._rule_index = {r.id: i for i, r in enumerate(rules.rules)}
+        # input (FeatureId or (element, property)) -> indices of the conditions
+        # reading it; condition id -> indices of the rules listing it
+        self._readers = _index(
+            (key, i) for i, c in enumerate(rules.conditions) for key in expr_inputs(c.expr)
+        )
+        self._listed_by = _index(
+            (cid, j) for j, r in enumerate(rules.rules) for cid in r.conditions
+        )
+        self._full_cycle = True  # the next cycle evaluates everything
+        self._busy = False  # inside process_event
         self._next_event = 0
         self._event = 0
         self._cycle = 0
@@ -164,6 +194,8 @@ class Engine:
         The first evaluation always counts as changed. A COND trace line
         is emitted only on change.
         """
+        if not self._busy:
+            self._full_cycle = True
         cond = self.rules.condition_by_id[cond_id]
         try:
             value = eval_expr(cond.expr, self.store, self.scene)
@@ -181,6 +213,8 @@ class Engine:
 
     def execute_rule(self, rule_id: str) -> list[TraceEvent]:
         """Snapshot, apply actions in order, mark active. RULE then PROP lines."""
+        if not self._busy:
+            self._full_cycle = True
         rule = self.rules.rule_by_id[rule_id]
         state = self._rule_states[rule_id]
         assert not state.active, f"rule {rule_id} is already active"
@@ -241,6 +275,8 @@ class Engine:
 
     def unexecute_rule(self, rule_id: str) -> list[TraceEvent]:
         """Restore snapshotted properties this rule still owns; mark inactive."""
+        if not self._busy:
+            self._full_cycle = True
         state = self._rule_states[rule_id]
         assert state.active, f"rule {rule_id} is not active"
         emitted_from = len(self.trace)
@@ -269,12 +305,16 @@ class Engine:
 
     def process_event(self, sets: list[tuple[FeatureId, Value]]) -> CycleReport:
         """Apply one batch of context writes and run cycles to quiescence."""
+        self._busy = True
         try:
             return self._process_event(sets)
-        except AdaptError as e:
-            if getattr(e, "trace", None) is None:
+        except BaseException as e:
+            self._full_cycle = True  # the failed cycle may have stopped anywhere
+            if isinstance(e, AdaptError) and getattr(e, "trace", None) is None:
                 e.trace = self.trace
             raise
+        finally:
+            self._busy = False
 
     def _process_event(self, sets) -> CycleReport:
         e = self._next_event
@@ -285,23 +325,39 @@ class Engine:
         for feature, value in sets:
             self.store.set_feature(feature, value)
             self._emit(KIND_EVENT, f"EVENT set {feature} = {render_value(value)}")
-        self.store.drain_dirty()  # event writes are inputs, not cycle activity
+        # event writes (and any made since the last event) are inputs, not cycle activity
+        features = self.store.drain_dirty()
 
+        conditions = self.rules.conditions
+        rules = self.rules.rules
         for k in range(1, self.max_cascade_depth + 1):
             self._begin_cycle(k)
-            activity = False
+            full, self._full_cycle = self._full_cycle, False
+            props = self.scene.drain_dirty()
 
-            cond_values: dict[str, bool] = {}
-            for cond in self.rules.conditions:
-                value, changed = self.evaluate_condition(cond.id)
-                cond_values[cond.id] = value
-                activity = activity or changed
+            if full:
+                cond_ids = range(len(conditions))
+            else:
+                readers = self._readers
+                cond_ids = sorted({i for key in (*features, *props) for i in readers.get(key, ())})
+            flipped = []
+            for i in cond_ids:
+                cond_id = conditions[i].id
+                if self.evaluate_condition(cond_id)[1]:
+                    flipped.append(cond_id)
+            activity = bool(flipped)
 
+            if full:
+                rule_ids = range(len(rules))
+            else:
+                listed_by = self._listed_by
+                rule_ids = sorted({j for cid in flipped for j in listed_by.get(cid, ())})
             deactivate = []
             activate = []
-            for rule in self.rules.rules:
+            for j in rule_ids:
+                rule = rules[j]
                 state = self._rule_states[rule.id]
-                all_true = all(cond_values[c] for c in rule.conditions)
+                all_true = all(self.cond_last[c] for c in rule.conditions)
                 if state.active and not all_true:
                     deactivate.append(rule)
                 elif not state.active and all_true:
@@ -314,9 +370,7 @@ class Engine:
                 self.execute_rule(rule.id)
                 activity = True
 
-            if any(el.billboard for el in self.scene.elements()) and self.store.has_feature(
-                USER_POSITION
-            ):
+            if self.store.has_feature(USER_POSITION):
                 user_pos = self.store.get_feature(USER_POSITION)
                 if isinstance(user_pos, Vec3):  # a non-vec position cannot aim anything
                     for write in self.scene.refresh_billboards(user_pos):
@@ -324,9 +378,10 @@ class Engine:
                         activity = True
 
             if self.workflow is not None:
-                activity = self._workflow_phase(cond_values) or activity
+                activity = self._workflow_phase(self.cond_last) or activity
 
-            if self.store.drain_dirty():
+            features = self.store.drain_dirty()
+            if features:
                 activity = True  # rules wrote context features this cycle
 
             if not activity:
@@ -352,18 +407,29 @@ class Engine:
         return True
 
 
+def _index(pairs) -> dict:
+    """(key, index) pairs, indices ascending -> key: tuple of distinct indices."""
+    out: dict = {}
+    for key, i in pairs:
+        found = out.setdefault(key, [])
+        if not found or found[-1] != i:
+            found.append(i)
+    return {key: tuple(found) for key, found in out.items()}
+
+
 def init_engine(
     rules: RuleSet,
     scene: SceneModel,
     store: ContextStore,
     workflow: Workflow | None = None,
     max_cascade_depth: int = DEFAULT_MAX_CASCADE_DEPTH,
+    diagnostics: list[Diagnostic] | None = None,
 ) -> Engine:
     """Build an engine and immediately process the initialization event (E0).
 
     Rules whose conditions already hold execute during initialization,
-    before the first scenario event.
+    before the first scenario event. ``diagnostics`` are passed to Engine.
     """
-    engine = Engine(rules, scene, store, workflow, max_cascade_depth)
+    engine = Engine(rules, scene, store, workflow, max_cascade_depth, diagnostics)
     engine.process_event([])
     return engine

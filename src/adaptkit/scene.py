@@ -186,10 +186,16 @@ def prop_values_equal(a, b) -> bool:
 
 
 class SceneModel:
-    """Elements keyed by id; iteration is always lexicographic by id."""
+    """Elements keyed by id; iteration is always lexicographic by id.
+
+    Every applied write_property is logged as an (element, property) pair
+    until the next drain_dirty; assigning to a SceneElement's attributes
+    directly bypasses the log.
+    """
 
     def __init__(self, elements: list[SceneElement] | None = None):
         self._elements: dict[str, SceneElement] = {}
+        self._dirty: set[tuple[str, str]] = set()
         for e in elements or []:
             self.add_element(e)
 
@@ -228,7 +234,15 @@ class SceneModel:
         if prop_values_equal(old, value):
             return None
         setattr(el, _PROP_ATTR[prop], value)
+        self._dirty.add((element_id, prop))
         return PropertyWrite(element_id, prop, old, value, writer)
+
+    def drain_dirty(self) -> list[tuple[str, str]]:
+        """Return the (element, property) pairs written since the last drain
+        and clear the log; lexicographic order, like ContextStore.drain_dirty."""
+        out = sorted(self._dirty)
+        self._dirty.clear()
+        return out
 
     def refresh_billboards(self, user_pos: Vec3) -> list[PropertyWrite]:
         """Re-aim every billboard element at the user; skips singular cases."""

@@ -17,6 +17,26 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def test_run_validates_once(monkeypatch, capsys):
+    import adaptkit.cli
+    import adaptkit.engine
+
+    calls = []
+    validate = adaptkit.cli.validate
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(adaptkit.cli, "validate", counting)
+    monkeypatch.setattr(adaptkit.engine, "validate", counting)
+    code = run_cli(
+        "run", "--rules", PRINTER / "printer.rules", "--scene", PRINTER / "printer.scene",
+        "--scenario", PRINTER / "dark_switch.scenario",
+    )
+    assert code == 0 and len(calls) == 1
+
+
 class TestCheck:
     def test_clean_printer_fixture(self, capsys):
         code = run_cli(

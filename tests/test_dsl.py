@@ -32,7 +32,7 @@ from adaptkit import (
     pretty_print,
     validate,
 )
-from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef
+from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef, expr_inputs
 
 from conftest import store_from
 
@@ -202,6 +202,21 @@ class TestEvalExpr:
         store.drain_dirty()
         eval_expr(rs.conditions[0].expr, store, SceneModel())
         assert store.drain_dirty() == []
+
+
+def test_expr_inputs_in_reading_order():
+    rs = parse_rules(
+        "condition c: !(env.x > 1) && dist(user.position, scene.panel.position) < 2.0"
+        " || scene.panel.visible == env.flag && env.x < 3\n"
+    )
+    assert list(expr_inputs(rs.conditions[0].expr)) == [
+        FeatureId.parse("env.x"),
+        FeatureId.parse("user.position"),
+        ("panel", "position"),
+        ("panel", "visible"),
+        FeatureId.parse("env.flag"),
+        FeatureId.parse("env.x"),
+    ]
 
 
 class TestValidate:

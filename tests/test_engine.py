@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from adaptkit import (
+    ActionError,
     ContextStore,
     Engine,
     EvaluationError,
@@ -17,6 +18,7 @@ from adaptkit import (
     init_engine,
     parse_rules,
     parse_scene,
+    validate,
 )
 
 from conftest import engine_from_texts, scene_state, scene_states_equal, store_from
@@ -377,6 +379,96 @@ class TestBillboards:
         report = engine.process_event([])
         assert report.cycles == 1
         assert [ev.kind for ev in engine.trace.events[before:]] == ["quiescent"]
+
+
+class TestDependencyDriven:
+    RULES = (
+        "condition a: env.x > 1.0\n"
+        "condition b: env.y > 1.0\n"
+        "condition c: env.x < 5.0 && env.y < 5.0\n"
+        "condition d: scene.panel.visible\n"
+        "rule R when b do set_visible(panel, false) category Style\n"
+    )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(cycle, condition id) of every evaluate_condition call."""
+        seen = []
+        evaluate = Engine.evaluate_condition
+
+        def spy(self, cond_id):
+            seen.append((self._cycle, cond_id))
+            return evaluate(self, cond_id)
+
+        monkeypatch.setattr(Engine, "evaluate_condition", spy)
+        return seen
+
+    def test_e0_evaluates_every_condition(self, calls):
+        basic_engine({"env.x": 2.0, "env.y": 0.5}, self.RULES)
+        assert calls == [(1, "a"), (1, "b"), (1, "c"), (1, "d")]
+
+    def test_feature_write_evaluates_only_its_readers(self, calls):
+        engine = basic_engine({"env.x": 2.0, "env.y": 0.5}, self.RULES)
+        calls.clear()
+        report = engine.process_event([(FeatureId.parse("env.y"), 0.7)])
+        assert report.cycles == 1
+        assert calls == [(1, "b"), (1, "c")]
+
+    def test_rule_scene_write_evaluates_its_readers_next_cycle(self, calls):
+        engine = basic_engine({"env.x": 2.0, "env.y": 0.5}, self.RULES)
+        calls.clear()
+        report = engine.process_event([(FeatureId.parse("env.y"), 2.0)])
+        assert engine.rule_active("R") and engine.cond_last["d"] is False
+        assert report.cycles == 3
+        assert calls == [(1, "b"), (1, "c"), (2, "d")]
+
+    def test_call_outside_the_loop_makes_the_next_cycle_full(self, calls):
+        engine = basic_engine({"env.x": 2.0, "env.y": 0.5}, self.RULES)
+        engine.store.set_feature(FeatureId.parse("env.y"), 2.0)
+        engine.evaluate_condition("b")  # flips b, so no later evaluation sees it change
+        calls.clear()
+        engine.process_event([])
+        assert engine.rule_active("R")
+        assert [cid for cycle, cid in calls if cycle == 1] == ["a", "b", "c", "d"]
+
+    def test_error_makes_the_next_cycle_full(self, calls):
+        engine = basic_engine(
+            {"env.x": 2.0, "env.y": 0.5},
+            self.RULES + "rule Bad when a, b do set_feature(env.x, true) category Style\n",
+        )
+        with pytest.raises(ActionError):
+            engine.process_event([(FeatureId.parse("env.y"), 2.0)])
+        calls.clear()
+        with pytest.raises(ActionError):  # Bad is still inactive with a and b true
+            engine.process_event([])
+        assert [cid for cycle, cid in calls if cycle == 1] == ["a", "b", "c", "d"]
+
+    def test_one_element_sort_per_cycle(self, monkeypatch):
+        engine = basic_engine(
+            {"env.y": 0.5, "user.position": Vec3(0.0, 0.0, 5.0)},
+            "condition b: env.y > 1.0\n"
+            "rule R when b do set_billboard(panel, true) category Style\n",
+        )
+        sorts = []
+        elements = SceneModel.elements
+        monkeypatch.setattr(SceneModel, "elements", lambda self: sorts.append(1) or elements(self))
+        report = engine.process_event([(FeatureId.parse("env.y"), 2.0)])
+        assert len(sorts) == report.cycles
+
+
+class TestDiagnostics:
+    RULES = "condition c: env.x == true\nrule R when c do set_visible(ghost, true) category Style\n"
+
+    def test_given_diagnostics_skip_validation(self, monkeypatch):
+        rules, scene = parse_rules("condition c: env.x == true\n"), parse_scene(BASIC_SCENE)
+        diags = validate(rules, scene)
+        monkeypatch.setattr("adaptkit.engine.validate", lambda *a: pytest.fail("validated again"))
+        init_engine(rules, scene, store_from({"env.x": True}), diagnostics=diags)
+
+    def test_given_errors_still_block_init(self):
+        rules, scene = parse_rules(self.RULES), parse_scene(BASIC_SCENE)
+        with pytest.raises(ValidationFailed):
+            Engine(rules, scene, store_from({"env.x": True}), diagnostics=validate(rules, scene))
 
 
 def test_trace_indices_strictly_increase():

@@ -1,0 +1,220 @@
+"""Differential tests: the dependency-driven Engine against NaiveEngine, the
+loop that evaluates every condition and checks every rule in each cycle.
+
+Random rule sets, scenes and workflows are generated as text, in the
+manner of the benchmark's generators, and parsed twice so that each engine
+owns its scene and store. Both then see the same events and the same
+writes and calls between events, and must agree on every outcome, on the
+whole rendered trace, and on conditions, rule activity, scene, store and
+workflow after every step -- including after NonQuiescent and ActionError.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adaptkit import AdaptError, ContextStore, Engine, FeatureId, Vec3, parse_rules, parse_scene, parse_workflow
+from adaptkit.values import render_value
+
+from conftest import scene_state, scene_states_equal
+from naive_engine import NaiveEngine
+
+FLOATS = ("env.f0", "env.f1", "env.f2")
+BOOLS = ("env.b0", "env.b1", "env.b2")
+FEATURES = FLOATS + BOOLS + ("env.t0", "user.position")
+ELEMENTS = ("e0", "e1", "e2", "e3")
+WORDS = ("a", "b")
+OPS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def _value(rng: random.Random, feature: str):
+    if feature in FLOATS:
+        return rng.randrange(6) + 0.5
+    if feature in BOOLS:
+        return rng.random() < 0.5
+    if feature == "env.t0":
+        return rng.choice(WORDS)
+    return Vec3(float(rng.randint(-3, 3)), 1.6, float(rng.randint(-3, 3)))
+
+
+def _atom(rng: random.Random, elements) -> str:
+    el = rng.choice(elements)
+    kind = rng.randrange(9)
+    if kind == 0:
+        return f"{rng.choice(FLOATS)} {rng.choice(OPS)} {rng.randint(0, 6)}.0"
+    if kind == 1:
+        return rng.choice(BOOLS)
+    if kind == 2:
+        return f"{rng.choice(BOOLS)} == {rng.choice(('true', 'false'))}"
+    if kind == 3:
+        return f"scene.{el}.visible"
+    if kind == 4:
+        return f"scene.{el}.billboard == true"
+    if kind == 5:
+        return f'scene.{el}.text == "{rng.choice(WORDS)}"'
+    if kind == 6:
+        return f"scene.{el}.yaw {rng.choice(('<', '>'))} {rng.choice(('1.0', '3.0', '5.0'))}"
+    if kind == 7:
+        return f"dist(user.position, scene.{el}.position) < {rng.randint(1, 5)}.0"
+    return f'env.t0 == "{rng.choice(WORDS)}"'
+
+
+def _expr(rng: random.Random, elements, depth: int = 2) -> str:
+    if depth == 0 or rng.random() < 0.4:
+        return _atom(rng, elements)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return f"!({_expr(rng, elements, depth - 1)})"
+    op = "&&" if kind == 1 else "||"
+    return f"({_expr(rng, elements, depth - 1)}) {op} ({_expr(rng, elements, depth - 1)})"
+
+
+def _action(rng: random.Random, elements) -> str:
+    el = rng.choice(elements)
+    kind = rng.randrange(9)
+    if kind == 0:
+        return f"set_visible({el}, {rng.choice(('true', 'false'))})"
+    if kind == 1:
+        return f'set_text({el}, "{rng.choice(WORDS)}")'
+    if kind == 2:
+        return f"set_billboard({el}, {rng.choice(('true', 'false'))})"
+    if kind == 3:
+        return f"set_text_size({el}, {rng.choice((10, 20))})"
+    if kind == 4:
+        return f"highlight({el}, (255,{rng.randrange(2)},0))"
+    if kind == 5:
+        return f"clear_highlight({el})"
+    if kind in (6, 7):
+        return f"set_feature({rng.choice(BOOLS)}, {rng.choice(('true', 'false'))})"
+    return f"set_feature({rng.choice(FLOATS)}, {rng.randrange(6) + 0.5})"
+
+
+def gen_texts(rng: random.Random) -> tuple[str, str, str | None]:
+    """Rules, scene and (half of the time) workflow text."""
+    with_workflow = rng.random() < 0.5
+    elements = ELEMENTS + (("instruction_panel",) if with_workflow else ())
+    n_conds = rng.randint(2, 10)
+    lines = [f"condition c{i}: {_expr(rng, elements)}" for i in range(n_conds)]
+    for j in range(rng.randint(1, 10)):
+        conds = rng.sample(range(n_conds), min(n_conds, rng.randint(1, 2)))
+        actions = [_action(rng, elements) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.05:
+            # a feature write of the wrong type fails in the middle of the rule
+            actions.append(f"set_feature({rng.choice(BOOLS)}, 2.5)")
+        lines.append(
+            f"rule R{j} priority {rng.randint(0, 2)} when {', '.join(f'c{i}' for i in conds)} "
+            f"do {'; '.join(actions)} category Style"
+        )
+    rules_text = "\n".join(lines) + "\n"
+
+    scene_lines = []
+    for el in ELEMENTS:
+        scene_lines.append(
+            f"element {el} at ({rng.randint(-3, 3)}.0,0.0,{rng.randint(-3, 3)}.0)"
+            f" yaw {rng.choice(('0.0', '2.0', '4.0'))} visible {rng.choice(('true', 'false'))}"
+            f' text "{rng.choice(WORDS)}" billboard {rng.choice(("true", "false"))}'
+        )
+    workflow_text = None
+    if with_workflow:
+        scene_lines.append('element instruction_panel at (0.0,1.5,0.0) text ""')
+        n_steps = rng.randint(2, 4)
+        wf = ["workflow wf"]
+        for k in range(n_steps - 1):
+            guard = ""
+            if rng.random() < 0.4:
+                guard = f" on c{rng.randrange(n_conds)} goto w{rng.randrange(n_steps)}"
+            wf.append(
+                f'step w{k} "{rng.choice(WORDS)}" target {rng.choice(ELEMENTS)}'
+                f" until c{rng.randrange(n_conds)}{guard} goto w{k + 1}"
+            )
+        wf.append(f'step w{n_steps - 1} "{rng.choice(WORDS)}" terminal')
+        workflow_text = "\n".join(wf) + "\n"
+    return rules_text, "\n".join(scene_lines) + "\n", workflow_text
+
+
+def _outcome(fn):
+    try:
+        result = fn()
+    except AdaptError as e:
+        return type(e).__name__, str(e)
+    if isinstance(result, list):  # trace events of a rule transition
+        return "ok", [ev.render() for ev in result]
+    return "ok", result
+
+
+def _state(engine: Engine):
+    return (
+        engine.trace.render(),
+        dict(engine.cond_last),
+        {r.id: engine.rule_active(r.id) for r in engine.rules.rules},
+        [(str(k), render_value(engine.store.get_feature(k))) for k in engine.store.keys()],
+        engine.workflow.current_id if engine.workflow is not None else None,
+    )
+
+
+def _assert_same(fast: Engine, naive: Engine) -> None:
+    assert _state(fast) == _state(naive)
+    assert scene_states_equal(scene_state(fast.scene), scene_state(naive.scene))
+
+
+def _build(cls, texts, initial, depth):
+    rules_text, scene_text, workflow_text = texts
+    store = ContextStore()
+    for key, value in initial:
+        store.set_feature(FeatureId.parse(key), value)
+    wf = parse_workflow(workflow_text) if workflow_text else None
+    return cls(parse_rules(rules_text), parse_scene(scene_text), store, wf, depth)
+
+
+def _between_events(rng: random.Random, engines) -> None:
+    """Writes and calls a library user may make between two events."""
+    rules = engines[0].rules
+    kind = rng.randrange(4)
+    feature = rng.choice(FEATURES)
+    value = _value(rng, feature)
+    if kind == 0:
+        step = lambda e: e.store.set_feature(FeatureId.parse(feature), value)
+    elif kind == 1:
+        el = rng.choice(ELEMENTS)
+        prop, value = rng.choice(
+            (("visible", rng.random() < 0.5), ("text", rng.choice(WORDS)),
+             ("billboard", rng.random() < 0.5), ("yaw", rng.choice((0.5, 2.5, 4.5))))
+        )
+        step = lambda e: e.scene.write_property(el, prop, value, writer="caller")
+    elif kind == 2:  # a feature write that only a poll of every condition sees
+        step = lambda e: (
+            e.store.set_feature(FeatureId.parse(feature), value),
+            [e.evaluate_condition(c.id) for c in rules.conditions],
+        )
+    else:
+        rid = rng.choice(rules.rules).id
+        step = lambda e: (e.unexecute_rule if e.rule_active(rid) else e.execute_rule)(rid)
+    outcomes = [_outcome(lambda: step(e)) for e in engines]
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_engine_matches_naive_loop(rng):
+    texts = gen_texts(rng)
+    features = list(FEATURES)
+    if rng.random() < 0.2:
+        features.remove(rng.choice(features))  # E0 fails until an event sets it
+    initial = [(f, _value(rng, f)) for f in features]
+    depth = rng.randint(3, 8)
+    engines = [_build(cls, texts, initial, depth) for cls in (Engine, NaiveEngine)]
+
+    outcomes = [_outcome(lambda: e.process_event([])) for e in engines]
+    assert outcomes[0] == outcomes[1]
+    _assert_same(*engines)
+    for _ in range(rng.randint(2, 8)):
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            _between_events(rng, engines)
+            _assert_same(*engines)
+        sets = [(FeatureId.parse(f), _value(rng, f)) for f in rng.sample(FEATURES, rng.randint(1, 3))]
+        outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
+        assert outcomes[0] == outcomes[1]
+        _assert_same(*engines)

@@ -174,6 +174,15 @@ class TestWriteProperty:
         for w_elem, w_prop, w_new in writes:
             assert scene.get_property(w_elem, w_prop) == w_new
 
+    def test_applied_writes_are_logged_until_drained(self):
+        scene = small_scene()
+        scene.write_property("panel", "text", "a", writer="r")
+        scene.write_property("marker", "visible", True, writer="r")
+        scene.write_property("panel", "visible", True, writer="r")  # no-op
+        scene.write_property("panel", "text", "b", writer="r")
+        assert scene.drain_dirty() == [("marker", "visible"), ("panel", "text")]
+        assert scene.drain_dirty() == []
+
 
 class TestRefreshBillboards:
     def test_no_billboards_no_writes(self):
