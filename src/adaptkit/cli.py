@@ -171,6 +171,17 @@ def cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
+def _cascade_depth(text: str) -> int:
+    """argparse type of --max-cascade: an integer of at least 1."""
+    try:
+        depth = int(text)
+    except ValueError:
+        depth = 0
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return depth
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaptkit", description="Context adaptation engine: check, run, and verify scenarios."
@@ -190,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workflow")
     run.add_argument("--trace", help="write the trace here instead of stdout")
     run.add_argument("--state-file", help="persist features (and the use counter) across runs")
-    run.add_argument("--max-cascade", type=int, default=DEFAULT_MAX_CASCADE_DEPTH)
+    run.add_argument("--max-cascade", type=_cascade_depth, default=DEFAULT_MAX_CASCADE_DEPTH)
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="replay a scenario and compare against a golden trace")

@@ -15,7 +15,6 @@ are immutable, so reads handed to other threads stay safe.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 
 from .errors import MalformedStateFile, TypeMismatch, UnknownFeature
@@ -33,7 +32,12 @@ class ChangeFlag(enum.Enum):
     UNCHANGED = "unchanged"
 
 
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*$")
+def _is_name(s: str) -> bool:
+    """``[a-z][a-z0-9_]*``: an ASCII identifier that starts with a lowercase
+    letter and holds no uppercase one."""
+    return s.isascii() and s.isidentifier() and s.islower() and s[0] != "_"
+
+
 _PREFIXES = {c.value: c for c in ContextCategory}
 
 
@@ -45,7 +49,7 @@ class FeatureId:
     name: str
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not _is_name(self.name):
             raise ValueError(f"invalid feature name: {self.name!r}")
 
     def __str__(self) -> str:
@@ -55,7 +59,7 @@ class FeatureId:
     def parse(text: str) -> "FeatureId":
         """Parse ``env.name`` / ``user.name`` / ``platform.name``."""
         prefix, dot, name = text.partition(".")
-        if not dot or prefix not in _PREFIXES or not _NAME_RE.match(name):
+        if not dot or prefix not in _PREFIXES or not _is_name(name):
             raise ValueError(f"invalid feature id: {text!r}")
         return FeatureId(_PREFIXES[prefix], name)
 

@@ -20,10 +20,9 @@ context feature and is what lets one rule's effects trigger another rule.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 
-from ._lines import logical_lines
+from ._lexer import OP, REF, Cursor, lines, text_of
 from .context import ContextStore, FeatureId
 from .errors import (
     DslSyntaxError,
@@ -35,7 +34,7 @@ from .errors import (
     UnknownEffector,
 )
 from .scene import READABLE_PROPS, DetailLevel, Modality, SceneModel, distance
-from .values import Value, Vec3, quote_text, type_name, unquote_text, values_equal
+from .values import Value, Vec3, quote_text, type_name, values_equal
 
 
 class AdaptationCategory(enum.Enum):
@@ -45,85 +44,6 @@ class AdaptationCategory(enum.Enum):
     CONTENT_PRESENTATION = "ContentPresentation"
     REAL_WORLD = "RealWorld"
     VIRTUAL_WORLD = "VirtualWorld"
-
-
-# ---------------------------------------------------------------------------
-# lexer
-
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<ref>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
-    | (?P<str>"(?:\\.|[^"\\])*")
-    | (?P<op><=|>=|==|!=|&&|\|\||[<>!(),:;])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # num | ref | str | op
-    text: str
-    value: object = None
-
-
-def _lex(line: str, lineno: int) -> list[_Tok]:
-    tokens = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if not m:
-            raise DslSyntaxError(lineno, f"unexpected character {line[pos]!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "ws":
-            continue
-        if kind == "num":
-            is_float = "." in text or "e" in text or "E" in text
-            tokens.append(_Tok("num", text, float(text) if is_float else int(text)))
-        elif kind == "str":
-            s = unquote_text(text)
-            if s is None:
-                raise DslSyntaxError(lineno, f"malformed string literal {text}")
-            tokens.append(_Tok("str", text, s))
-        else:
-            tokens.append(_Tok(kind, text))
-    return tokens
-
-
-class _Cursor:
-    """Token stream with 1-token lookahead."""
-
-    def __init__(self, tokens: list[_Tok], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.i = 0
-
-    def peek(self) -> _Tok | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise DslSyntaxError(self.lineno, "unexpected end of line")
-        self.i += 1
-        return tok
-
-    def expect_op(self, text: str) -> None:
-        tok = self.next()
-        if tok.kind != "op" or tok.text != text:
-            raise DslSyntaxError(self.lineno, f"expected {text!r}, got {tok.text!r}")
-
-    def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.text == text
-
-    def at_ref(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "ref" and tok.text == text
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +96,11 @@ _ORDERING_OPS = ("<", "<=", ">", ">=")
 _COMPARE_OPS = _ORDERING_OPS + ("==", "!=")
 
 
-def _parse_expr(cur: _Cursor) -> Expr:
+def _parse_expr(cur: Cursor) -> Expr:
     return _parse_or(cur)
 
 
-def _parse_or(cur: _Cursor) -> Expr:
+def _parse_or(cur: Cursor) -> Expr:
     left = _parse_and(cur)
     while cur.at_op("||"):
         cur.next()
@@ -188,7 +108,7 @@ def _parse_or(cur: _Cursor) -> Expr:
     return left
 
 
-def _parse_and(cur: _Cursor) -> Expr:
+def _parse_and(cur: Cursor) -> Expr:
     left = _parse_cmp(cur)
     while cur.at_op("&&"):
         cur.next()
@@ -196,55 +116,36 @@ def _parse_and(cur: _Cursor) -> Expr:
     return left
 
 
-def _parse_cmp(cur: _Cursor) -> Expr:
+def _parse_cmp(cur: Cursor) -> Expr:
     left = _parse_unary(cur)
     tok = cur.peek()
-    if tok is not None and tok.kind == "op" and tok.text in _COMPARE_OPS:
+    if tok is not None and tok[OP] in _COMPARE_OPS:
         cur.next()
         right = _parse_unary(cur)
-        return Compare(tok.text, left, right)
+        return Compare(tok[OP], left, right)
     return left
 
 
-def _parse_unary(cur: _Cursor) -> Expr:
+def _parse_unary(cur: Cursor) -> Expr:
     if cur.at_op("!"):
         cur.next()
         return Not(_parse_unary(cur))
     return _parse_primary(cur)
 
 
-def _parse_primary(cur: _Cursor) -> Expr:
+def _parse_primary(cur: Cursor) -> Expr:
+    value = cur.literal()
+    if value is not None:
+        return Lit(Vec3(*value) if isinstance(value, tuple) else value)
     tok = cur.next()
-    if tok.kind == "num":
-        return Lit(tok.value)
-    if tok.kind == "str":
-        return Lit(tok.value)
-    if tok.kind == "op" and tok.text == "(":
-        # lookahead: (num, num, num) is a vector literal
-        save = cur.i
-        first = cur.peek()
-        if first is not None and first.kind == "num":
-            cur.next()
-            if cur.at_op(","):
-                cur.next()
-                second = cur.next()
-                cur.expect_op(",")
-                third = cur.next()
-                cur.expect_op(")")
-                if second.kind != "num" or third.kind != "num":
-                    raise DslSyntaxError(cur.lineno, "vector literal needs three numbers")
-                return Lit(Vec3(float(first.value), float(second.value), float(third.value)))
-            cur.i = save
+    if tok[OP] == "(":
         inner = _parse_expr(cur)
         cur.expect_op(")")
         return inner
-    if tok.kind == "ref":
-        parts = tok.text.split(".")
-        if tok.text == "true":
-            return Lit(True)
-        if tok.text == "false":
-            return Lit(False)
-        if tok.text == "dist":
+    text = tok[REF]
+    if text:
+        parts = text.split(".")
+        if text == "dist":
             cur.expect_op("(")
             a = _parse_expr(cur)
             cur.expect_op(",")
@@ -253,7 +154,7 @@ def _parse_primary(cur: _Cursor) -> Expr:
             return Dist(a, b)
         if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
             try:
-                return FeatureRef(FeatureId.parse(tok.text))
+                return FeatureRef(FeatureId.parse(text))
             except ValueError as e:
                 raise DslSyntaxError(cur.lineno, str(e)) from None
         if len(parts) == 3 and parts[0] == "scene":
@@ -262,8 +163,8 @@ def _parse_primary(cur: _Cursor) -> Expr:
                     cur.lineno, f"scene property {parts[2]!r} is not readable in expressions"
                 )
             return SceneRef(parts[1], parts[2])
-        raise DslSyntaxError(cur.lineno, f"unexpected identifier {tok.text!r} in expression")
-    raise DslSyntaxError(cur.lineno, f"unexpected token {tok.text!r}")
+        raise DslSyntaxError(cur.lineno, f"unexpected identifier {text!r} in expression")
+    raise DslSyntaxError(cur.lineno, f"unexpected token {text_of(tok)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -362,44 +263,24 @@ class _Bare:
     name: str
 
 
-@dataclass(frozen=True)
-class _Triple:
-    """A (a,b,c) argument; components keep their written int/float type."""
-
-    components: tuple[int | float, ...]
-
-
-def _parse_action_arg(cur: _Cursor):
+def _parse_action_arg(cur: Cursor):
+    """A literal (a vector stays a tuple, so highlight can insist on ints),
+    a feature id, or a bare identifier."""
+    value = cur.literal()
+    if value is not None:
+        return value
     tok = cur.next()
-    if tok.kind == "num":
-        return tok.value
-    if tok.kind == "str":
-        return tok.value
-    if tok.kind == "op" and tok.text == "(":
-        comps = []
-        for i in range(3):
-            t = cur.next()
-            if t.kind != "num":
-                raise DslSyntaxError(cur.lineno, "expected a number in (a,b,c)")
-            comps.append(t.value)
-            if i < 2:
-                cur.expect_op(",")
-        cur.expect_op(")")
-        return _Triple(tuple(comps))
-    if tok.kind == "ref":
-        if tok.text == "true":
-            return True
-        if tok.text == "false":
-            return False
-        parts = tok.text.split(".")
+    text = tok[REF]
+    if text:
+        parts = text.split(".")
         if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
             try:
-                return FeatureId.parse(tok.text)
+                return FeatureId.parse(text)
             except ValueError as e:
                 raise DslSyntaxError(cur.lineno, str(e)) from None
         if len(parts) == 1:
-            return _Bare(tok.text)
-    raise DslSyntaxError(cur.lineno, f"unexpected action argument {tok.text!r}")
+            return _Bare(text)
+    raise DslSyntaxError(cur.lineno, f"unexpected action argument {text_of(tok)!r}")
 
 
 def _need_element(arg, lineno: int) -> str:
@@ -461,11 +342,9 @@ def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
         arity(2)
         elem = _need_element(args[0], lineno)
         t = args[1]
-        if not isinstance(t, _Triple) or not all(
-            isinstance(c, int) and 0 <= c <= 255 for c in t.components
-        ):
+        if not isinstance(t, tuple) or not all(isinstance(c, int) and 0 <= c <= 255 for c in t):
             raise ExprTypeError(lineno, "highlight needs an (r,g,b) color with 0..255 components")
-        return ActionCall(effector, element=elem, value=tuple(t.components))
+        return ActionCall(effector, element=elem, value=t)
     if effector == "clear_highlight":
         arity(1)
         elem = _need_element(args[0], lineno)
@@ -475,8 +354,8 @@ def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
         if not isinstance(args[0], FeatureId):
             raise ExprTypeError(lineno, "set_feature needs a feature id")
         v = args[1]
-        if isinstance(v, _Triple):
-            v = Vec3(*(float(c) for c in v.components))
+        if isinstance(v, tuple):
+            v = Vec3(*v)
         if isinstance(v, (_Bare, FeatureId)):
             raise ExprTypeError(lineno, "set_feature needs a literal value")
         return ActionCall(effector, feature=args[0], value=v)
@@ -514,16 +393,6 @@ class RuleSet:
         self.rule_by_id = {r.id: r for r in self.rules}
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-
-
-def _ident_token(cur: _Cursor, what: str) -> str:
-    tok = cur.next()
-    if tok.kind != "ref" or not _IDENT_RE.match(tok.text):
-        raise DslSyntaxError(cur.lineno, f"expected {what}, got {tok.text!r}")
-    return tok.text
-
-
 def parse_rules(text: str) -> RuleSet:
     """Parse a rules file; definition order is preserved."""
     conditions: list[ConditionDef] = []
@@ -532,37 +401,35 @@ def parse_rules(text: str) -> RuleSet:
     rule_ids: dict[str, int] = {}
     pending_refs: list[tuple[str, int]] = []  # (condition id, rule line)
 
-    for lineno, line in logical_lines(text):
-        cur = _Cursor(_lex(line, lineno), lineno)
+    for lineno, tokens in lines(text):
+        cur = Cursor(tokens, lineno)
         head = cur.next()
-        if head.kind == "ref" and head.text == "condition":
-            cid = _ident_token(cur, "a condition id")
+        if head[REF] == "condition":
+            cid = cur.ident("a condition id")
             cur.expect_op(":")
             expr = _parse_expr(cur)
-            if cur.peek() is not None:
-                raise DslSyntaxError(lineno, f"trailing input after expression: {cur.peek().text!r}")
+            cur.expect_end("after expression")
             if _static_type(expr, lineno) not in (None, "bool"):
                 raise ExprTypeError(lineno, f"condition {cid!r} must evaluate to bool")
             if cid in cond_ids:
                 raise DuplicateId(lineno, f"duplicate condition id {cid!r}")
             cond_ids[cid] = lineno
             conditions.append(ConditionDef(cid, expr, line=lineno))
-        elif head.kind == "ref" and head.text == "rule":
-            rid = _ident_token(cur, "a rule id")
+        elif head[REF] == "rule":
+            rid = cur.ident("a rule id")
             priority = 0
             if cur.at_ref("priority"):
                 cur.next()
-                tok = cur.next()
-                if tok.kind != "num" or not isinstance(tok.value, int):
+                priority = cur.literal()
+                if type(priority) is not int:
                     raise DslSyntaxError(lineno, "priority needs an integer")
-                priority = tok.value
             if not cur.at_ref("when"):
                 raise DslSyntaxError(lineno, "expected 'when'")
             cur.next()
-            cond_refs = [_ident_token(cur, "a condition id")]
+            cond_refs = [cur.ident("a condition id")]
             while cur.at_op(","):
                 cur.next()
-                cond_refs.append(_ident_token(cur, "a condition id"))
+                cond_refs.append(cur.ident("a condition id"))
             if not cur.at_ref("do"):
                 raise DslSyntaxError(lineno, "expected 'do'")
             cur.next()
@@ -573,15 +440,14 @@ def parse_rules(text: str) -> RuleSet:
             if not cur.at_ref("category"):
                 raise DslSyntaxError(lineno, "expected 'category'")
             cur.next()
-            cat_tok = cur.next()
-            if cat_tok.kind != "ref":
+            name = cur.next()[REF]
+            if not name:
                 raise DslSyntaxError(lineno, "expected a category name")
             try:
-                category = AdaptationCategory(cat_tok.text)
+                category = AdaptationCategory(name)
             except ValueError:
-                raise UnknownCategory(lineno, f"unknown category {cat_tok.text!r}") from None
-            if cur.peek() is not None:
-                raise DslSyntaxError(lineno, f"trailing input after category: {cur.peek().text!r}")
+                raise UnknownCategory(lineno, f"unknown category {name!r}") from None
+            cur.expect_end("after category")
             if rid in rule_ids:
                 raise DuplicateId(lineno, f"duplicate rule id {rid!r}")
             rule_ids[rid] = lineno
@@ -591,7 +457,7 @@ def parse_rules(text: str) -> RuleSet:
                 RuleDef(rid, priority, tuple(cond_refs), tuple(actions), category, line=lineno)
             )
         else:
-            raise DslSyntaxError(lineno, f"expected 'condition' or 'rule', got {head.text!r}")
+            raise DslSyntaxError(lineno, f"expected 'condition' or 'rule', got {text_of(head)!r}")
 
     for ref, rline in pending_refs:
         if ref not in cond_ids:
@@ -599,12 +465,10 @@ def parse_rules(text: str) -> RuleSet:
     return RuleSet(conditions, rules)
 
 
-def _parse_one_action(cur: _Cursor) -> ActionCall:
-    name_tok = cur.next()
-    if name_tok.kind != "ref" or "." in name_tok.text:
-        raise DslSyntaxError(cur.lineno, f"expected an effector name, got {name_tok.text!r}")
-    if name_tok.text not in EFFECTOR_PROPERTY:
-        raise UnknownEffector(cur.lineno, f"unknown effector {name_tok.text!r}")
+def _parse_one_action(cur: Cursor) -> ActionCall:
+    name = cur.ident("an effector name")
+    if name not in EFFECTOR_PROPERTY:
+        raise UnknownEffector(cur.lineno, f"unknown effector {name!r}")
     cur.expect_op("(")
     args = []
     if not cur.at_op(")"):
@@ -613,7 +477,7 @@ def _parse_one_action(cur: _Cursor) -> ActionCall:
             cur.next()
             args.append(_parse_action_arg(cur))
     cur.expect_op(")")
-    return _bind_action(name_tok.text, args, cur.lineno)
+    return _bind_action(name, args, cur.lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -716,18 +580,12 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
                 targets.add((action.element, prop))
         for key in sorted(targets):
             writers.setdefault(key, []).append(rule)
+    # one warning per property: its writers in the order they execute
+    # (ascending priority, then definition order), at the last definition
     for (elem, prop), rlist in sorted(writers.items()):
-        for i in range(len(rlist)):
-            for j in range(i + 1, len(rlist)):
-                a, b = rlist[i], rlist[j]
-                diags.append(
-                    Diagnostic(
-                        "warning",
-                        f"write-write conflict on {elem}.{prop}: "
-                        f"{a.id} (priority {a.priority}) and {b.id} (priority {b.priority})",
-                        b.line,
-                    )
-                )
+        if len(rlist) > 1:
+            names = ", ".join(f"{r.id} (priority {r.priority})" for r in sorted(rlist, key=lambda r: r.priority))
+            diags.append(Diagnostic("warning", f"write-write conflict on {elem}.{prop}: {names}", rlist[-1].line))
 
     if workflow is not None:
         diags.extend(_validate_workflow(rules, scene, workflow))

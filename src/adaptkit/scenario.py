@@ -13,11 +13,10 @@ in traces, so runs are wall-clock independent.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from ._lines import logical_lines
+from ._lexer import NUM, OP, REF, Cursor, lines, literal, text_of
 from .context import ContextStore, FeatureId
 from .dsl import Diagnostic, RuleSet
 from .engine import DEFAULT_MAX_CASCADE_DEPTH, Trace, init_engine
@@ -25,10 +24,9 @@ from .errors import (
     DecreasingTimestamp,
     DslSyntaxError,
     DuplicateFeatureInEvent,
-    TypeMismatch,
 )
 from .scene import SceneModel
-from .values import Value, parse_value
+from .values import Value, Vec3
 from .workflow import Workflow
 
 
@@ -45,50 +43,59 @@ class Scenario:
     events: tuple[ScenarioEvent, ...]
 
 
-_HEADER_RE = re.compile(r"scenario\s+([A-Za-z_][A-Za-z0-9_]*)$")
-_SET_RE = re.compile(r"at\s+(\d+)\s+set\s+(\S+)\s*=\s*(.+)$")
+_SET_SYNTAX = "expected 'at <ms> set <feature> = <value>'"
 
 
 def parse_scenario(text: str) -> Scenario:
     scenario_id: str | None = None
-    blocks: list[list] = []  # [t, [(feature, value), ...], {features seen}]
+    blocks: list[tuple[int, list]] = []  # (t, [(feature, value), ...])
     last_t = -1
+    seen: set[str] = set()  # the feature ids of the last block, as written
+    features: dict[str, FeatureId] = {}  # each distinct feature id is parsed once
 
-    for lineno, line in logical_lines(text):
+    for lineno, tokens in lines(text):
         if scenario_id is None:
-            m = _HEADER_RE.match(line)
-            if not m:
+            cur = Cursor(tokens, lineno)
+            if not cur.at_ref("scenario"):
                 raise DslSyntaxError(lineno, "expected 'scenario <id>' header")
-            scenario_id = m.group(1)
+            cur.next()
+            scenario_id = cur.ident("a scenario id")
+            cur.expect_end("after the scenario id")
             continue
-        m = _SET_RE.match(line)
-        if not m:
-            raise DslSyntaxError(lineno, "expected 'at <ms> set <feature> = <value>'")
-        t = int(m.group(1))
-        try:
-            feature = FeatureId.parse(m.group(2))
-        except ValueError as e:
-            raise DslSyntaxError(lineno, str(e)) from None
-        try:
-            value = parse_value(m.group(3).strip())
-        except (ValueError, TypeMismatch) as e:
-            raise DslSyntaxError(lineno, str(e)) from None
-        if t < last_t:
-            raise DecreasingTimestamp(lineno, f"timestamp {t} after {last_t}")
-        if t > last_t:
-            blocks.append([t, [], set()])
+        if len(tokens) != 6:
+            raise DslSyntaxError(lineno, _SET_SYNTAX)
+        at, ms, set_, ref, eq, val = tokens
+        name = ref[REF]
+        if not (at[REF] == "at" and ms[NUM].isdecimal() and set_[REF] == "set" and name and eq[OP] == "="):
+            raise DslSyntaxError(lineno, _SET_SYNTAX)
+        t = int(ms[NUM])
+        feature = features.get(name)
+        if feature is None:
+            try:
+                feature = features[name] = FeatureId.parse(name)
+            except ValueError as e:
+                raise DslSyntaxError(lineno, str(e)) from None
+        value = literal(val, lineno)
+        if value is None:
+            raise DslSyntaxError(lineno, f"expected a value, got {text_of(val)!r}")
+        if isinstance(value, tuple):
+            value = Vec3(*value)
+        if t != last_t:
+            if t < last_t:
+                raise DecreasingTimestamp(lineno, f"timestamp {t} after {last_t}")
+            sets, seen = [], set()
+            blocks.append((t, sets))
             last_t = t
-        _, sets, seen = blocks[-1]
-        if feature in seen:
+        if name in seen:
             raise DuplicateFeatureInEvent(lineno, f"{feature} set twice at t={t}")
-        seen.add(feature)
+        seen.add(name)
         sets.append((feature, value))
 
     if scenario_id is None:
         raise DslSyntaxError(1, "expected 'scenario <id>' header")
     initial: tuple = ()
     events = []
-    for t, sets, _ in blocks:
+    for t, sets in blocks:
         if t == 0:
             initial = tuple(sets)
         else:

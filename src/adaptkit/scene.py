@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import enum
 import math
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from ._lines import logical_lines
+from ._lexer import REF, Cursor, lines, text_of
 from .errors import DslSyntaxError, DuplicateId, TypeMismatch, UnknownElement, UnknownProperty
-from .values import Vec3, format_float, normalize_yaw, quote_text, unquote_text, values_equal
+from .values import Vec3, format_float, normalize_yaw, quote_text, values_equal
 
 HORIZONTAL_EPS = 1e-9  # below this horizontal distance, facing is undefined
 
@@ -53,9 +52,6 @@ def face_user_yaw(element_pos: Vec3, user_pos: Vec3) -> float | None:
     if math.sqrt(dx * dx + dz * dz) < HORIZONTAL_EPS:
         return None
     return normalize_yaw(math.atan2(dx, dz))
-
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
 @dataclass
@@ -258,68 +254,6 @@ class SceneModel:
                 writes.append(w)
         return writes
 
-    def snapshot(self) -> dict[str, SceneElement]:
-        """Deep-enough copy of element state for before/after comparisons."""
-        return {eid: replace(el) for eid, el in self._elements.items()}
-
-
-def _parse_bool_token(tok: str, lineno: int) -> bool:
-    if tok == "true":
-        return True
-    if tok == "false":
-        return False
-    raise DslSyntaxError(lineno, f"expected true/false, got {tok!r}")
-
-
-_NUM = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-
-
-def _parse_number_token(tok: str, lineno: int) -> float:
-    if re.match(rf"{_NUM}$", tok):
-        return float(tok)
-    raise DslSyntaxError(lineno, f"expected a number, got {tok!r}")
-
-
-_VEC_TOKEN_RE = re.compile(rf"\(({_NUM}),({_NUM}),({_NUM})\)$")
-
-
-def _tokenize_scene_line(line: str, lineno: int) -> list[str]:
-    """Split on whitespace but keep quoted strings and (x,y,z) groups whole."""
-    tokens = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n:
-                if line[j] == "\\":
-                    j += 2
-                    continue
-                if line[j] == '"':
-                    break
-                j += 1
-            if j >= n:
-                raise DslSyntaxError(lineno, "unterminated string")
-            tokens.append(line[i : j + 1])
-            i = j + 1
-        elif c == "(":
-            j = line.find(")", i)
-            if j < 0:
-                raise DslSyntaxError(lineno, "unterminated '('")
-            tokens.append(line[i : j + 1].replace(" ", ""))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not line[j].isspace() and line[j] not in '("':
-                j += 1
-            tokens.append(line[i:j])
-            i = j
-    return tokens
-
 
 def parse_scene(text: str) -> SceneModel:
     """Parse the line-oriented scene format.
@@ -328,64 +262,69 @@ def parse_scene(text: str) -> SceneModel:
 
         element <id> at (x,y,z) [yaw <rad>] [visible <bool>] [text "<...>"]
             [text_size <pt>] [detail full|reduced]
-            [modality visual|audio|voice_input[,...]] [billboard <bool>]
+            [modality visual|audio|voice_input[, ...]] [billboard <bool>]
 
     Attributes may appear in any order after ``at``; '#' starts a comment.
     """
     scene = SceneModel()
-    for lineno, line in logical_lines(text):
-        tokens = _tokenize_scene_line(line, lineno)
-        if tokens[0] != "element":
-            raise DslSyntaxError(lineno, f"expected 'element', got {tokens[0]!r}")
-        if len(tokens) < 4 or tokens[2] != "at":
+    for lineno, tokens in lines(text):
+        cur = Cursor(tokens, lineno)
+        head = cur.next()
+        if head[REF] != "element":
+            raise DslSyntaxError(lineno, f"expected 'element', got {text_of(head)!r}")
+        elem_id = cur.ident("an element id")
+        if not cur.at_ref("at"):
             raise DslSyntaxError(lineno, "expected: element <id> at (x,y,z) ...")
-        elem_id = tokens[1]
-        if not _IDENT_RE.match(elem_id):
-            raise DslSyntaxError(lineno, f"invalid element id: {elem_id!r}")
-        m = _VEC_TOKEN_RE.match(tokens[3])
-        if not m:
-            raise DslSyntaxError(lineno, f"expected position (x,y,z), got {tokens[3]!r}")
-        kwargs = {"position": Vec3(float(m.group(1)), float(m.group(2)), float(m.group(3)))}
-        i = 4
+        cur.next()
+        position = cur.literal()
+        if not isinstance(position, tuple):
+            raise DslSyntaxError(lineno, "expected position (x,y,z)")
+        kwargs = {"position": Vec3(*position)}
         seen = set()
-        while i < len(tokens):
-            attr = tokens[i]
+        while cur.peek() is not None:
+            attr = text_of(cur.next())
             if attr in seen:
                 raise DslSyntaxError(lineno, f"duplicate attribute {attr!r}")
             seen.add(attr)
-            if i + 1 >= len(tokens):
+            if cur.peek() is None:
                 raise DslSyntaxError(lineno, f"attribute {attr!r} needs a value")
-            val = tokens[i + 1]
-            if attr == "yaw":
-                kwargs["yaw"] = normalize_yaw(_parse_number_token(val, lineno))
-            elif attr == "visible":
-                kwargs["visible"] = _parse_bool_token(val, lineno)
-            elif attr == "billboard":
-                kwargs["billboard"] = _parse_bool_token(val, lineno)
-            elif attr == "text":
-                s = unquote_text(val)
-                if s is None:
-                    raise DslSyntaxError(lineno, "text attribute needs a quoted string")
-                kwargs["text"] = s
-            elif attr == "text_size":
-                size = _parse_number_token(val, lineno)
-                if size <= 0:
-                    raise DslSyntaxError(lineno, "text_size must be positive")
-                kwargs["text_size"] = size
-            elif attr == "detail":
+            if attr == "detail":
+                level = text_of(cur.next())
                 try:
-                    kwargs["detail"] = DetailLevel(val)
+                    kwargs["detail"] = DetailLevel(level)
                 except ValueError:
-                    raise DslSyntaxError(lineno, f"unknown detail level {val!r}") from None
+                    raise DslSyntaxError(lineno, f"unknown detail level {level!r}") from None
             elif attr == "modality":
+                names = [text_of(cur.next())]
+                while cur.at_op(","):
+                    cur.next()
+                    names.append(text_of(cur.next()))
                 try:
-                    mods = frozenset(Modality(p) for p in val.split(","))
+                    kwargs["modalities"] = frozenset(Modality(n) for n in names)
                 except ValueError:
-                    raise DslSyntaxError(lineno, f"unknown modality in {val!r}") from None
-                kwargs["modalities"] = mods
+                    raise DslSyntaxError(lineno, f"unknown modality in {','.join(names)!r}") from None
+            elif attr in ("visible", "billboard"):
+                value = cur.literal()
+                if not isinstance(value, bool):
+                    raise DslSyntaxError(lineno, f"attribute {attr!r} needs true or false")
+                kwargs[attr] = value
+            elif attr == "text":
+                value = cur.literal()
+                if not isinstance(value, str):
+                    raise DslSyntaxError(lineno, "text attribute needs a quoted string")
+                kwargs["text"] = value
+            elif attr in ("yaw", "text_size"):
+                value = cur.literal()
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise DslSyntaxError(lineno, f"attribute {attr!r} needs a number")
+                if attr == "yaw":
+                    kwargs["yaw"] = normalize_yaw(float(value))
+                elif value > 0:
+                    kwargs["text_size"] = float(value)
+                else:
+                    raise DslSyntaxError(lineno, "text_size must be positive")
             else:
                 raise DslSyntaxError(lineno, f"unknown attribute {attr!r}")
-            i += 2
         if scene.has_element(elem_id):
             raise DuplicateId(lineno, f"duplicate element id {elem_id!r}")
         scene.add_element(SceneElement(id=elem_id, **kwargs))

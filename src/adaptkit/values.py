@@ -15,11 +15,11 @@ Equality used for change detection is bitwise on floats, so ``0.0`` and
 from __future__ import annotations
 
 import math
-import re
 import struct
 from dataclasses import dataclass
 
-from .errors import TypeMismatch
+from ._lexer import literal, tokenize
+from .errors import DslSyntaxError, TypeMismatch
 
 TAU = 2.0 * math.pi
 
@@ -116,53 +116,18 @@ def render_value(value: Value) -> str:
     raise TypeMismatch(f"unsupported value type: {type(value).__name__}")
 
 
-_INT_RE = re.compile(r"-?\d+$")
-_FLOAT_RE = re.compile(r"-?\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+)$")
-_NUM = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-_VEC_RE = re.compile(rf"\(\s*({_NUM})\s*,\s*({_NUM})\s*,\s*({_NUM})\s*\)$")
-
-
-def unquote_text(s: str) -> str | None:
-    """Inverse of quote_text; None if s is not a well-formed quoted string."""
-    if len(s) < 2 or s[0] != '"' or s[-1] != '"':
-        return None
-    out = []
-    i = 1
-    while i < len(s) - 1:
-        c = s[i]
-        if c == "\\":
-            if i + 1 >= len(s) - 1 or s[i + 1] not in ('"', "\\"):
-                return None
-            out.append(s[i + 1])
-            i += 2
-        elif c == '"':
-            return None  # unescaped quote before the closing one
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
 def parse_value(text: str) -> Value:
     """Parse the fixed rendering back into a typed value.
 
-    Raises ValueError when the text is not a recognizable literal.
+    Raises ValueError when the text is not exactly one literal.
     """
-    t = text.strip()
-    if t == "true":
-        return True
-    if t == "false":
-        return False
-    if _INT_RE.match(t):
-        return int(t)
-    if _FLOAT_RE.match(t):
-        return float(t)
-    m = _VEC_RE.match(t)
-    if m:
-        return Vec3(float(m.group(1)), float(m.group(2)), float(m.group(3)))
-    if t.startswith('"'):
-        s = unquote_text(t)
-        if s is None:
-            raise ValueError(f"malformed string literal: {text!r}")
-        return check_value(s)
-    raise ValueError(f"unparsable value: {text!r}")
+    try:
+        tokens = tokenize(text, 1)
+        value = literal(tokens[0], 1) if len(tokens) == 1 else None
+    except DslSyntaxError as e:
+        raise ValueError(e.message) from None
+    if value is None:
+        raise ValueError(f"unparsable value: {text!r}")
+    if isinstance(value, tuple):
+        return Vec3(*value)
+    return check_value(value)

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._lines import logical_lines
-from .dsl import _Cursor, _ident_token, _lex
+from ._lexer import REF, Cursor, lines, text_of
 from .errors import DslSyntaxError, DuplicateStep, EvaluationError, UnknownStepRef
 from .scene import PropertyWrite, SceneModel
 
@@ -139,52 +138,50 @@ def parse_workflow(text: str) -> Workflow:
     step_lines: dict[str, int] = {}
     pending_refs: list[tuple[str, int]] = []
 
-    for lineno, line in logical_lines(text):
-        cur = _Cursor(_lex(line, lineno), lineno)
+    for lineno, tokens in lines(text):
+        cur = Cursor(tokens, lineno)
         head = cur.next()
-        if head.kind == "ref" and head.text == "workflow":
+        if head[REF] == "workflow":
             if wf_id is not None:
                 raise DslSyntaxError(lineno, "duplicate 'workflow' header")
-            wf_id = _ident_token(cur, "a workflow id")
+            wf_id = cur.ident("a workflow id")
             wf_line = lineno
-            if cur.peek() is not None:
-                raise DslSyntaxError(lineno, "trailing input after workflow id")
+            cur.expect_end("after workflow id")
             continue
-        if not (head.kind == "ref" and head.text == "step"):
-            raise DslSyntaxError(lineno, f"expected 'workflow' or 'step', got {head.text!r}")
+        if head[REF] != "step":
+            raise DslSyntaxError(lineno, f"expected 'workflow' or 'step', got {text_of(head)!r}")
         if wf_id is None:
             raise DslSyntaxError(lineno, "'workflow <id>' header must come first")
 
-        sid = _ident_token(cur, "a step id")
-        instr_tok = cur.next()
-        if instr_tok.kind != "str":
+        sid = cur.ident("a step id")
+        instruction = cur.literal()
+        if not isinstance(instruction, str):
             raise DslSyntaxError(lineno, "step needs a quoted instruction")
         target = None
         if cur.at_ref("target"):
             cur.next()
-            target = _ident_token(cur, "an element id")
+            target = cur.ident("an element id")
         completion = None
         if cur.at_ref("until"):
             cur.next()
-            completion = _ident_token(cur, "a condition id")
+            completion = cur.ident("a condition id")
         transitions: list[tuple[str | None, str]] = []
         while cur.at_ref("on"):
             cur.next()
-            guard = _ident_token(cur, "a condition id")
+            guard = cur.ident("a condition id")
             if not cur.at_ref("goto"):
                 raise DslSyntaxError(lineno, "expected 'goto' after the guard")
             cur.next()
-            transitions.append((guard, _ident_token(cur, "a step id")))
+            transitions.append((guard, cur.ident("a step id")))
         # the unguarded default branch, if any, comes last by construction
         if cur.at_ref("goto"):
             cur.next()
-            transitions.append((None, _ident_token(cur, "a step id")))
+            transitions.append((None, cur.ident("a step id")))
         terminal = False
         if cur.at_ref("terminal"):
             cur.next()
             terminal = True
-        if cur.peek() is not None:
-            raise DslSyntaxError(lineno, f"trailing input: {cur.peek().text!r}")
+        cur.expect_end("after the step")
 
         if terminal and transitions:
             raise DslSyntaxError(lineno, "terminal steps cannot declare transitions")
@@ -198,7 +195,7 @@ def parse_workflow(text: str) -> Workflow:
         for _, nxt in transitions:
             pending_refs.append((nxt, lineno))
         steps.append(
-            WorkflowStep(sid, instr_tok.value, target, completion, tuple(transitions), terminal, line=lineno)
+            WorkflowStep(sid, instruction, target, completion, tuple(transitions), terminal, line=lineno)
         )
 
     if wf_id is None or not steps:

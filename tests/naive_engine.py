@@ -26,7 +26,6 @@ class NaiveEngine(Engine):
         self._next_event += 1
         self._event = e
         self._begin_cycle(0)
-        emitted_from = len(self.trace)
         for feature, value in sets:
             self.store.set_feature(feature, value)
             self._emit(KIND_EVENT, f"EVENT set {feature} = {render_value(value)}")
@@ -76,7 +75,7 @@ class NaiveEngine(Engine):
 
             if not activity:
                 self._emit(KIND_QUIESCENT, f"QUIESCENT cycles={k}")
-                return CycleReport(cycles=k, events_emitted=len(self.trace) - emitted_from)
+                return CycleReport(cycles=k)
 
         self._emit(KIND_NONQUIESCENT, f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 
+import pytest
+
 from adaptkit.cli import main
 
 from conftest import FIXTURES
@@ -134,6 +136,20 @@ class TestRun:
         assert code == 3
         assert capsys.readouterr().out.strip().endswith("NONQUIESCENT depth=5")
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_max_cascade_below_one_is_a_usage_error(self, depth, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "run",
+                "--rules", CASCADE / "oscillator.rules",
+                "--scene", CASCADE / "oscillator.scene",
+                "--scenario", CASCADE / "oscillator.scenario",
+                "--max-cascade", depth,
+            )
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-cascade" in captured.err
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"
         bad.write_text("scenario s\nat 10 set env.a = 1\nat 5 set env.a = 2\n")
@@ -199,6 +215,19 @@ class TestStateFile:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_non_finite_state_value_exits_two(self, tmp_path, capsys):
+        state = tmp_path / "app.state"
+        state.write_text("env.x=1e400\n")
+        code = run_cli(
+            "run",
+            "--rules", PRINTER / "printer.rules",
+            "--scene", PRINTER / "printer.scene",
+            "--scenario", PRINTER / "first_uses.scenario",
+            "--state-file", state,
+        )
+        assert code == 2
+        assert f"{state}: error: line 1:" in capsys.readouterr().err
 
 
 class TestVerify:

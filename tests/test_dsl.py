@@ -168,6 +168,20 @@ class TestParseRules:
         assert action.feature == FeatureId.parse("user.spawn")
         assert action.value == Vec3(1.0, 0.0, 2.5)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "condition c: env.x < 1e400\n",
+            "condition c: dist(user.position, (0.0,-1e400,0.0)) > 1.0\n",
+            "condition c: env.x == true\n"
+            "rule R when c do set_text_size(a, 1e999) category Style\n",
+        ],
+    )
+    def test_non_finite_number_is_a_syntax_error(self, text):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_rules(text)
+        assert exc.value.line == text.count("\n")
+
 
 class TestEvalExpr:
     def test_count_at_threshold(self):
@@ -254,6 +268,20 @@ class TestValidate:
         msg = diags[0].message
         assert "panel.text_size" in msg and "A" in msg and "B" in msg
         assert "priority 1" in msg and "priority 5" in msg
+
+    def test_three_writers_give_one_warning_in_execution_order(self):
+        rs = parse_rules(
+            "condition c: env.x == true\n"
+            "rule A priority 5 when c do set_text_size(panel, 24) category Style\n"
+            "rule B priority 1 when c do set_text_size(panel, 30) category Style\n"
+            "rule C priority 5 when c do set_text_size(panel, 36) category Style\n"
+        )
+        diags = validate(rs, parse_scene(self.SCENE))
+        assert [(d.severity, d.line) for d in diags] == [("warning", 4)]
+        assert diags[0].message == (
+            "write-write conflict on panel.text_size: "
+            "B (priority 1), A (priority 5), C (priority 5)"
+        )
 
     def test_without_scene_skips_element_checks(self):
         rs = parse_rules(

@@ -58,6 +58,12 @@ class TestParseScenario:
             parse_scenario("scenario s\nat 0 env.a = 1\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "(0.0,1e400,0.0)"])
+    def test_non_finite_value_is_a_syntax_error(self, value):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_scenario(f"scenario s\nat 0 set env.y = 1\nat 5 set env.x = {value}\n")
+        assert exc.value.line == 3
+
     def test_vec3_value(self):
         sc = parse_scenario("scenario s\nat 0 set user.position = (0.0,0.0,2.0)\n")
         assert sc.initial[0][1] == Vec3(0.0, 0.0, 2.0)

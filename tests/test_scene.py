@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,13 +41,20 @@ def facing_error(yaw: float, element_pos: Vec3, user_pos: Vec3) -> float:
 
 
 def brute_force_best_yaw(element_pos: Vec3, user_pos: Vec3, step: float = 1e-4) -> float:
-    """Grid-search the yaw minimizing the facing error (the oracle)."""
+    """Grid-search the yaw minimizing the facing error (the oracle): the best
+    point of a coarse grid, then the best of a ``step`` grid around it. The
+    facing error has one minimum on the circle, so the coarse point lies
+    within one coarse step of it."""
     dx = user_pos.x - element_pos.x
     dz = user_pos.z - element_pos.z
-    norm = math.sqrt(dx * dx + dz * dz)
-    grid = np.arange(0.0, TAU, step)
-    dots = (np.sin(grid) * dx + np.cos(grid) * dz) / norm
-    return float(grid[np.argmax(dots)])
+
+    def dot(yaw: float) -> float:
+        return math.sin(yaw) * dx + math.cos(yaw) * dz
+
+    coarse = TAU / 720
+    best = max((coarse * k for k in range(720)), key=dot)
+    n = int(coarse / step) + 1
+    return max((best + step * k for k in range(-n, n + 1)), key=dot) % TAU
 
 
 class TestDistance:
@@ -257,6 +263,18 @@ class TestParseScene:
     def test_unknown_attribute(self):
         with pytest.raises(DslSyntaxError):
             parse_scene("element a at (0.0,0.0,0.0) glow true\n")
+
+    def test_modality_list_allows_spaces_after_commas(self):
+        scene = parse_scene("element a at (0.0,0.0,0.0) modality visual, audio\n")
+        assert scene.element("a").modalities == frozenset({Modality.VISUAL, Modality.AUDIO})
+
+    @pytest.mark.parametrize(
+        "attrs", ["at (1e400,0.0,0.0)", "at (0.0,0.0,0.0) yaw -1e400", "at (0.0,0.0,0.0) text_size 1e999"]
+    )
+    def test_non_finite_number_is_a_syntax_error(self, attrs):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_scene(f"element a at (0.0,0.0,0.0)\nelement b {attrs}\n")
+        assert exc.value.line == 2
 
     def test_duplicate_attribute(self):
         with pytest.raises(DslSyntaxError):

@@ -55,7 +55,7 @@ class TestRenderParse:
         assert parse_value("3.000000") == 3.0 and type(parse_value("3.000000")) is float
 
     def test_garbage_rejected(self):
-        for bad in ("maybe", '"unterminated', "(1,2)", "1.2.3"):
+        for bad in ("maybe", '"unterminated', "(1,2)", "1.2.3", "1 # x", "1e400", "(0,-1e400,0)", ""):
             with pytest.raises(ValueError):
                 parse_value(bad)
 
