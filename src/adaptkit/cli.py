@@ -9,6 +9,7 @@ nothing but trace lines; all diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .engine import DEFAULT_MAX_CASCADE_DEPTH
 from .errors import AdaptError, MalformedStateFile, ParseError
 from .scenario import compare_traces, parse_scenario, run_scenario
 from .scene import SceneModel, parse_scene
+from .values import type_name
 from .workflow import Workflow, parse_workflow
 
 EXIT_OK = 0
@@ -85,23 +87,39 @@ def _prepare_state(args, store: ContextStore):
         return None
     path = Path(args.state_file)
     loaded = ContextStore()
-    if path.exists():
-        try:
+    try:
+        if path.exists():
             loaded = load_state(path.read_text(encoding="utf-8"))
-        except (OSError, MalformedStateFile) as e:
-            print(f"{args.state_file}: error: {e}", file=sys.stderr)
-            raise _InputError() from e
+        count = loaded.get_feature(USE_COUNT) if loaded.has_feature(USE_COUNT) else 0
+        if type(count) is not int:  # bool is an int subclass
+            raise MalformedStateFile(f"{USE_COUNT} must be an int, not {type_name(count)}")
+    except (OSError, MalformedStateFile) as e:
+        print(f"{args.state_file}: error: {e}", file=sys.stderr)
+        raise _InputError() from e
     for key in loaded.keys():
         store.set_feature(key, loaded.get_feature(key))
-    count = loaded.get_feature(USE_COUNT) if loaded.has_feature(USE_COUNT) else 0
     store.set_feature(USE_COUNT, count + 1)
     return set(loaded.keys()) | {USE_COUNT}
 
 
 def _save_state(args, store: ContextStore, persist_keys) -> None:
+    """Write the state file whole or not at all: the text goes to a temporary
+    file beside it, which then replaces it."""
     if persist_keys is None:
         return
-    Path(args.state_file).write_text(save_state(store, sorted(persist_keys, key=str)), encoding="utf-8")
+    path = Path(args.state_file)
+    text = save_state(store, sorted(persist_keys, key=str))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    f = open(tmp, "w", encoding="utf-8")
+    try:
+        with f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_trace(args, trace_text: str) -> None:
@@ -142,7 +160,11 @@ def _run(args) -> tuple[int, str]:
         partial = getattr(e, "trace", None)
         print(f"runtime error: {e}", file=sys.stderr)
         code, text = EXIT_RUNTIME_ERROR, partial.render() if partial is not None else ""
-    _save_state(args, store, persist_keys)
+    try:
+        _save_state(args, store, persist_keys)
+    except OSError as e:
+        print(f"{args.state_file}: error: {e.strerror or e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR, ""
     return code, text
 
 
@@ -216,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return e.code
     return args.func(args)
 
 

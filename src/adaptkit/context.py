@@ -51,6 +51,16 @@ class FeatureId:
     def __post_init__(self):
         if not _is_name(self.name):
             raise ValueError(f"invalid feature name: {self.name!r}")
+        # computed once: the generated hash would hash the enum member, in
+        # Python code, on every store, dirty-set and read-set lookup
+        object.__setattr__(self, "_hash", hash((self.category.value, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a copy hashes anew
+        return FeatureId, (self.category, self.name)
 
     def __str__(self) -> str:
         return f"{self.category.value}.{self.name}"

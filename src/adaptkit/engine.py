@@ -21,6 +21,17 @@ property still holds the value this rule wrote (otherwise the restore is
 skipped and noted on the trace line — another writer owns it now).
 Feature writes made through set_feature are traced but never reverted.
 
+Rules run from plans. The first time a rule executes, its actions are
+resolved into a plan: each scene property it writes, as the SceneElement
+and attribute that hold it, in first-write order and in restore order
+(sorted by ``element.property``), and the trace text of every constant it
+writes. Executing and unexecuting then snapshot and compare by reading
+those attributes and render only the value each write replaced (and, on a
+restore, the value restored). Every write still goes through
+SceneModel.write_property or ContextStore.set_feature, whose change logs
+drive the evaluation below. Elements are never removed or replaced, so a
+plan's element objects stay the scene's.
+
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
 
@@ -46,10 +57,11 @@ sequence number restarting at 0 in each cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .context import ChangeFlag, ContextCategory, ContextStore, FeatureId
-from .dsl import EFFECTOR_PROPERTY, Diagnostic, RuleDef, RuleSet, eval_expr, expr_inputs, validate
+from .dsl import EFFECTOR_PROPERTY, Diagnostic, RuleSet, eval_expr, expr_inputs, validate
 from .errors import (
     ActionError,
     AdaptError,
@@ -61,8 +73,8 @@ from .errors import (
     UnknownProperty,
     ValidationFailed,
 )
-from .scene import SceneModel, prop_values_equal, render_prop_value
-from .values import Value, Vec3, render_value
+from .scene import WRITABLE, SceneElement, SceneModel, prop_values_equal, render_prop_value
+from .values import Value, Vec3, check_value, render_value
 from .workflow import Workflow, advance as workflow_advance, apply_step
 
 USER_POSITION = FeatureId(ContextCategory.USER, "position")
@@ -79,8 +91,7 @@ KIND_QUIESCENT = "quiescent"
 KIND_NONQUIESCENT = "nonquiescent"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     event: int
     cycle: int
     seq: int
@@ -112,12 +123,48 @@ class CycleReport:
     cycles: int
 
 
-@dataclass
+class _Target(NamedTuple):
+    """A scene property a rule writes, resolved for direct reads."""
+
+    element_id: str
+    prop: str
+    element: SceneElement
+    attr: str  # the property's SceneElement attribute
+    render: Callable[[object], str]
+    label: str  # element.property, as the trace names it
+
+
+class _Step(NamedTuple):
+    """A rule action, ready to run: a scene write (feature None) or a
+    feature write. Its PROP line is ``head + old text + tail``."""
+
+    feature: FeatureId | None
+    element_id: str | None
+    prop: str | None
+    value: object
+    render: Callable[[object], str]  # renders the value the write replaced
+    head: str  # "PROP <target> "
+    tail: str  # " -> <new value>  writer=<rule>"
+
+
+class _Plan(NamedTuple):
+    """How a rule executes and unexecutes, built the first time it executes."""
+
+    steps: tuple[_Step, ...]
+    targets: tuple[_Target, ...]  # in first-write order
+    restore: tuple[int, ...]  # indices into targets, by label
+    executed: str  # the RULE line bodies
+    unexecuted: str
+
+
+@dataclass(slots=True)
 class _RuleState:
     active: bool = False
-    # (element, property) -> value before this rule executed / value it wrote
-    snapshot: dict = field(default_factory=dict)
-    written: dict = field(default_factory=dict)
+    plan: _Plan | None = None
+    # aligned with plan.targets: the values before the rule executed and the
+    # values it left; empty while inactive
+    snapshot: tuple = ()
+    written: tuple = ()
 
 
 class Engine:
@@ -165,11 +212,9 @@ class Engine:
 
     # -- trace plumbing ----------------------------------------------------
 
-    def _emit(self, kind: str, body: str) -> TraceEvent:
-        ev = TraceEvent(self._event, self._cycle, self._seq, kind, body)
+    def _emit(self, kind: str, body: str) -> None:
+        self.trace.events.append(TraceEvent(self._event, self._cycle, self._seq, kind, body))
         self._seq += 1
-        self.trace.events.append(ev)
-        return ev
 
     def _begin_cycle(self, k: int) -> None:
         self._cycle = k
@@ -182,7 +227,10 @@ class Engine:
 
     def rule_snapshot(self, rule_id: str) -> dict:
         """Copy of the (element, property) -> prior value map; empty when inactive."""
-        return dict(self._rule_states[rule_id].snapshot)
+        state = self._rule_states[rule_id]
+        if not state.active:
+            return {}
+        return {(t.element_id, t.prop): v for t, v in zip(state.plan.targets, state.snapshot)}
 
     def evaluate_condition(self, cond_id: str) -> tuple[bool, bool]:
         """Evaluate one condition; returns (value, changed).
@@ -211,55 +259,67 @@ class Engine:
         """Snapshot, apply actions in order, mark active. RULE then PROP lines."""
         if not self._busy:
             self._full_cycle = True
-        rule = self.rules.rule_by_id[rule_id]
         state = self._rule_states[rule_id]
         assert not state.active, f"rule {rule_id} is already active"
-        emitted_from = len(self.trace)
-        snapshot = {}
+        plan = state.plan
+        if plan is None:
+            plan = state.plan = self._plan(rule_id)
+        events = self.trace.events
+        emitted_from = len(events)
+        snapshot = tuple([getattr(t.element, t.attr) for t in plan.targets])
+        self._emit(KIND_RULE_EXEC, plan.executed)
+        scene = self.scene
+        store = self.store
+        for step in plan.steps:
+            if step.feature is None:
+                try:
+                    write = scene.write_property(step.element_id, step.prop, step.value, rule_id)
+                except (UnknownElement, UnknownProperty, TypeMismatch) as e:
+                    raise ActionError(f"rule {rule_id!r}: {e}") from e
+                if write is not None:
+                    self._emit(KIND_PROP, step.head + step.render(write.old) + step.tail)
+                continue
+            old = store._values.get(step.feature)
+            try:
+                flag = store.set_feature(step.feature, step.value)
+            except TypeMismatch as e:
+                raise ActionError(f"rule {rule_id!r}: {e}") from e
+            if flag is ChangeFlag.CHANGED:
+                old_text = "unset" if old is None else step.render(old)
+                self._emit(KIND_PROP, step.head + old_text + step.tail)
+        state.active = True
+        state.snapshot = snapshot
+        state.written = tuple([getattr(t.element, t.attr) for t in plan.targets])
+        return events[emitted_from:]
+
+    def _plan(self, rule_id: str) -> _Plan:
+        """Resolve a rule's targets and render its constant values once."""
+        rule = self.rules.rule_by_id[rule_id]
+        writer = f"  writer={rule_id}"
+        steps = []
+        targets: dict[tuple[str, str], _Target] = {}
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
+                new = _constant_text(check_value, render_value, action.value)
+                steps.append(_Step(action.feature, None, None, action.value, render_value,
+                                   f"PROP {action.feature} ", f" -> {new}{writer}"))
                 continue
-            key = (action.element, prop)
-            if key not in snapshot:
+            spec = WRITABLE[prop]
+            label = f"{action.element}.{prop}"
+            if (action.element, prop) not in targets:
                 try:
-                    snapshot[key] = self.scene.get_property(*key)
-                except (UnknownElement, UnknownProperty) as e:
+                    element = self.scene.element(action.element)
+                except UnknownElement as e:
                     raise ActionError(f"rule {rule_id!r}: {e}") from e
-        self._emit(KIND_RULE_EXEC, f"RULE {rule_id} EXECUTED")
-        for action in rule.actions:
-            self._apply_action(rule, action)
-        state.active = True
-        state.snapshot = snapshot
-        state.written = {key: self.scene.get_property(*key) for key in snapshot}
-        return self.trace.events[emitted_from:]
-
-    def _apply_action(self, rule: RuleDef, action) -> None:
-        if action.effector == "set_feature":
-            old: Value | None = (
-                self.store.get_feature(action.feature)
-                if self.store.has_feature(action.feature)
-                else None
-            )
-            try:
-                flag = self.store.set_feature(action.feature, action.value)
-            except TypeMismatch as e:
-                raise ActionError(f"rule {rule.id!r}: {e}") from e
-            if flag is ChangeFlag.CHANGED:
-                old_text = "unset" if old is None else render_value(old)
-                self._emit(
-                    KIND_PROP,
-                    f"PROP {action.feature} {old_text} -> {render_value(action.value)}"
-                    f"  writer={rule.id}",
-                )
-            return
-        prop = EFFECTOR_PROPERTY[action.effector]
-        try:
-            write = self.scene.write_property(action.element, prop, action.value, writer=rule.id)
-        except (UnknownElement, UnknownProperty, TypeMismatch) as e:
-            raise ActionError(f"rule {rule.id!r}: {e}") from e
-        if write is not None:
-            self._emit_prop(write)
+                targets[action.element, prop] = _Target(action.element, prop, element, spec.attr,
+                                                         spec.render, label)
+            new = _constant_text(spec.check, spec.render, action.value)
+            steps.append(_Step(None, action.element, prop, action.value, spec.render,
+                               f"PROP {label} ", f" -> {new}{writer}"))
+        order = tuple(targets.values())
+        restore = tuple(sorted(range(len(order)), key=lambda i: order[i].label))
+        return _Plan(tuple(steps), order, restore, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
 
     def _emit_prop(self, write) -> None:
         old = render_prop_value(write.prop, write.old)
@@ -275,27 +335,32 @@ class Engine:
             self._full_cycle = True
         state = self._rule_states[rule_id]
         assert state.active, f"rule {rule_id} is not active"
-        emitted_from = len(self.trace)
+        events = self.trace.events
+        emitted_from = len(events)
+        plan, snapshot, written = state.plan, state.snapshot, state.written
+        targets = plan.targets
         restores = []
         skipped = []
-        for key in sorted(state.snapshot, key=lambda k: f"{k[0]}.{k[1]}"):
-            current = self.scene.get_property(*key)
-            if prop_values_equal(current, state.written[key]):
-                restores.append((key, state.snapshot[key]))
+        for i in plan.restore:
+            t = targets[i]
+            current = getattr(t.element, t.attr)
+            if current is written[i] or prop_values_equal(current, written[i]):
+                restores.append(i)
             else:
-                skipped.append(key)
-        suffix = ""
+                skipped.append(t.label)
+        body = plan.unexecuted
         if skipped:
-            suffix = " skipped_restore=" + ",".join(f"{e}.{p}" for e, p in skipped)
-        self._emit(KIND_RULE_UNEXEC, f"RULE {rule_id} UNEXECUTED{suffix}")
-        for (element, prop), old in restores:
-            write = self.scene.write_property(element, prop, old, writer=rule_id)
+            body += " skipped_restore=" + ",".join(skipped)
+        self._emit(KIND_RULE_UNEXEC, body)
+        for i in restores:
+            t = targets[i]
+            write = self.scene.write_property(t.element_id, t.prop, snapshot[i], rule_id)
             if write is not None:
-                self._emit_prop(write)
+                old, new = t.render(write.old), t.render(write.new)
+                self._emit(KIND_PROP, f"PROP {t.label} {old} -> {new}  writer={rule_id}")
         state.active = False
-        state.snapshot = {}
-        state.written = {}
-        return self.trace.events[emitted_from:]
+        state.snapshot = state.written = ()
+        return events[emitted_from:]
 
     # -- the loop --------------------------------------------------------------
 
@@ -400,6 +465,15 @@ class Engine:
         for write in writes:
             self._emit_prop(write)
         return True
+
+
+def _constant_text(check, render, value) -> str:
+    """Trace text of an action's constant value as its write stores it. A
+    value its check refuses gets none: that write raises whenever it runs."""
+    try:
+        return render(check(value))
+    except TypeMismatch:
+        return ""
 
 
 def _index(pairs) -> dict:

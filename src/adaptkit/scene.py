@@ -12,10 +12,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ._lexer import REF, Cursor, lines, text_of
 from .errors import DslSyntaxError, DuplicateId, TypeMismatch, UnknownElement, UnknownProperty
-from .values import Vec3, format_float, normalize_yaw, quote_text, values_equal
+from .values import Vec3, float_bits, format_float, normalize_yaw, quote_text
 
 HORIZONTAL_EPS = 1e-9  # below this horizontal distance, facing is undefined
 
@@ -68,8 +69,7 @@ class SceneElement:
     billboard: bool = False
 
 
-@dataclass(frozen=True)
-class PropertyWrite:
+class PropertyWrite(NamedTuple):
     """An applied (non-no-op) write to an element property."""
 
     element_id: str
@@ -131,19 +131,41 @@ def _check_highlight(v):
     return v
 
 
-_WRITABLE = {
-    "visible": _check_bool,
-    "text": _check_text,
-    "text_size": _check_size,
-    "yaw": _check_yaw,
-    "detail": _check_detail,
-    "modality": _check_modalities,
-    "highlight": _check_highlight,
-    "billboard": _check_bool,
-}
+def _render_bool(value) -> str:
+    return "true" if value else "false"
 
-# property name -> attribute name on SceneElement
-_PROP_ATTR = {p: ("modalities" if p == "modality" else p) for p in _WRITABLE}
+
+def _render_detail(value) -> str:
+    return value.value
+
+
+def _render_modalities(value) -> str:
+    return ",".join(m.value for m in _MODALITY_ORDER if m in value)
+
+
+def _render_highlight(value) -> str:
+    return "none" if value is None else f"({value[0]},{value[1]},{value[2]})"
+
+
+class Property(NamedTuple):
+    """A writable element property."""
+
+    check: Callable  # validates and normalises an incoming value
+    attr: str  # the SceneElement attribute holding it
+    render: Callable[[object], str]  # trace rendering
+
+
+# writable property name -> how it is checked, stored and rendered
+WRITABLE = {
+    "visible": Property(_check_bool, "visible", _render_bool),
+    "text": Property(_check_text, "text", quote_text),
+    "text_size": Property(_check_size, "text_size", format_float),
+    "yaw": Property(_check_yaw, "yaw", format_float),
+    "detail": Property(_check_detail, "detail", _render_detail),
+    "modality": Property(_check_modalities, "modalities", _render_modalities),
+    "highlight": Property(_check_highlight, "highlight", _render_highlight),
+    "billboard": Property(_check_bool, "billboard", _render_bool),
+}
 
 # properties readable from DSL expressions, with their expression type
 READABLE_PROPS = {
@@ -158,26 +180,18 @@ READABLE_PROPS = {
 
 def render_prop_value(prop: str, value) -> str:
     """Trace rendering of a property value."""
-    if prop == "detail":
-        return value.value
-    if prop == "modality":
-        return ",".join(m.value for m in _MODALITY_ORDER if m in value)
-    if prop == "highlight":
-        return "none" if value is None else f"({value[0]},{value[1]},{value[2]})"
-    if prop == "text":
-        return quote_text(value)
-    if prop in ("text_size", "yaw"):
-        return format_float(value)
-    if prop == "visible" or prop == "billboard":
-        return "true" if value else "false"
+    spec = WRITABLE.get(prop)
+    if spec is not None:
+        return spec.render(value)
     if prop == "position":
         return f"({format_float(value.x)},{format_float(value.y)},{format_float(value.z)})"
     raise UnknownProperty(prop)
 
 
 def prop_values_equal(a, b) -> bool:
+    """No-op test of a property write: bitwise for floats, ``==`` otherwise."""
     if isinstance(a, float) and isinstance(b, float):
-        return values_equal(a, b)
+        return float_bits(a) == float_bits(b)
     return a == b
 
 
@@ -216,20 +230,30 @@ class SceneModel:
         el = self.element(element_id)
         if prop == "position":
             return el.position
-        if prop not in _PROP_ATTR:
+        spec = WRITABLE.get(prop)
+        if spec is None:
             raise UnknownProperty(f"{element_id} has no property {prop!r}")
-        return getattr(el, _PROP_ATTR[prop])
+        return getattr(el, spec.attr)
 
     def write_property(self, element_id: str, prop: str, value, writer: str) -> PropertyWrite | None:
-        """Apply a write; returns None (and changes nothing) for no-op writes."""
-        el = self.element(element_id)
-        if prop not in _WRITABLE:
+        """Apply a write; returns None (and changes nothing) for no-op writes,
+        as prop_values_equal tells them."""
+        try:
+            el = self._elements[element_id]
+        except KeyError:
+            raise UnknownElement(f"no element {element_id!r} in scene") from None
+        spec = WRITABLE.get(prop)
+        if spec is None:
             raise UnknownProperty(f"{element_id} has no writable property {prop!r}")
-        value = _WRITABLE[prop](value)
-        old = getattr(el, _PROP_ATTR[prop])
-        if prop_values_equal(old, value):
+        value = spec.check(value)
+        attr = spec.attr
+        old = getattr(el, attr)
+        if isinstance(value, float) and isinstance(old, float):
+            if float_bits(old) == float_bits(value):
+                return None
+        elif old == value:
             return None
-        setattr(el, _PROP_ATTR[prop], value)
+        setattr(el, attr, value)
         self._dirty.add((element_id, prop))
         return PropertyWrite(element_id, prop, old, value, writer)
 

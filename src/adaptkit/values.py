@@ -65,8 +65,8 @@ def check_value(value: Value) -> Value:
     return value
 
 
-def _float_bits(x: float) -> bytes:
-    return struct.pack("<d", x)
+# a float's IEEE 754 bytes: equal bytes are the equality change detection uses
+float_bits = struct.Struct("<d").pack
 
 
 def values_equal(a: Value, b: Value) -> bool:
@@ -74,12 +74,12 @@ def values_equal(a: Value, b: Value) -> bool:
     if type_name(a) != type_name(b):
         return False
     if isinstance(a, float):
-        return _float_bits(a) == _float_bits(b)
+        return float_bits(a) == float_bits(b)
     if isinstance(a, Vec3):
         return (
-            _float_bits(a.x) == _float_bits(b.x)
-            and _float_bits(a.y) == _float_bits(b.y)
-            and _float_bits(a.z) == _float_bits(b.z)
+            float_bits(a.x) == float_bits(b.x)
+            and float_bits(a.y) == float_bits(b.y)
+            and float_bits(a.z) == float_bits(b.z)
         )
     return a == b
 

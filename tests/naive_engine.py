@@ -1,26 +1,131 @@
 """Reference oracle: the engine loop that evaluates every condition and
-checks every rule in every cycle.
+checks every rule in every cycle, and rules that look up and render every
+property they write each time they execute and unexecute.
 
-``Engine`` evaluates only the conditions whose inputs changed and checks
-only the rules of conditions that flipped; the differential tests compare
-the two on whole traces. Everything but the loop is inherited.
+``Engine`` evaluates only the conditions whose inputs changed, checks only
+the rules of conditions that flipped, and runs rules from plans built
+once; the differential tests compare the two on whole traces. Everything
+but the loop and the rule transitions is inherited.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+from adaptkit.context import ChangeFlag
+from adaptkit.dsl import EFFECTOR_PROPERTY
 from adaptkit.engine import (
     KIND_EVENT,
     KIND_NONQUIESCENT,
+    KIND_PROP,
     KIND_QUIESCENT,
+    KIND_RULE_EXEC,
+    KIND_RULE_UNEXEC,
     USER_POSITION,
     CycleReport,
     Engine,
 )
-from adaptkit.errors import NonQuiescent
+from adaptkit.errors import ActionError, NonQuiescent, TypeMismatch, UnknownElement, UnknownProperty
+from adaptkit.scene import prop_values_equal
 from adaptkit.values import Vec3, render_value
 
 
+@dataclass
+class _RuleState:
+    active: bool = False
+    # (element, property) -> value before this rule executed / value it wrote
+    snapshot: dict = field(default_factory=dict)
+    written: dict = field(default_factory=dict)
+
+
 class NaiveEngine(Engine):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rule_states = {r.id: _RuleState() for r in self.rules.rules}
+
+    def rule_snapshot(self, rule_id: str) -> dict:
+        return dict(self._rule_states[rule_id].snapshot)
+
+    def execute_rule(self, rule_id: str):
+        if not self._busy:
+            self._full_cycle = True
+        rule = self.rules.rule_by_id[rule_id]
+        state = self._rule_states[rule_id]
+        assert not state.active, f"rule {rule_id} is already active"
+        emitted_from = len(self.trace)
+        snapshot = {}
+        for action in rule.actions:
+            prop = EFFECTOR_PROPERTY[action.effector]
+            if prop is None:
+                continue
+            key = (action.element, prop)
+            if key not in snapshot:
+                try:
+                    snapshot[key] = self.scene.get_property(*key)
+                except (UnknownElement, UnknownProperty) as e:
+                    raise ActionError(f"rule {rule_id!r}: {e}") from e
+        self._emit(KIND_RULE_EXEC, f"RULE {rule_id} EXECUTED")
+        for action in rule.actions:
+            self._apply_action(rule, action)
+        state.active = True
+        state.snapshot = snapshot
+        state.written = {key: self.scene.get_property(*key) for key in snapshot}
+        return self.trace.events[emitted_from:]
+
+    def _apply_action(self, rule, action) -> None:
+        if action.effector == "set_feature":
+            old = (
+                self.store.get_feature(action.feature)
+                if self.store.has_feature(action.feature)
+                else None
+            )
+            try:
+                flag = self.store.set_feature(action.feature, action.value)
+            except TypeMismatch as e:
+                raise ActionError(f"rule {rule.id!r}: {e}") from e
+            if flag is ChangeFlag.CHANGED:
+                old_text = "unset" if old is None else render_value(old)
+                self._emit(
+                    KIND_PROP,
+                    f"PROP {action.feature} {old_text} -> {render_value(action.value)}"
+                    f"  writer={rule.id}",
+                )
+            return
+        prop = EFFECTOR_PROPERTY[action.effector]
+        try:
+            write = self.scene.write_property(action.element, prop, action.value, writer=rule.id)
+        except (UnknownElement, UnknownProperty, TypeMismatch) as e:
+            raise ActionError(f"rule {rule.id!r}: {e}") from e
+        if write is not None:
+            self._emit_prop(write)
+
+    def unexecute_rule(self, rule_id: str):
+        if not self._busy:
+            self._full_cycle = True
+        state = self._rule_states[rule_id]
+        assert state.active, f"rule {rule_id} is not active"
+        emitted_from = len(self.trace)
+        restores = []
+        skipped = []
+        for key in sorted(state.snapshot, key=lambda k: f"{k[0]}.{k[1]}"):
+            current = self.scene.get_property(*key)
+            if prop_values_equal(current, state.written[key]):
+                restores.append((key, state.snapshot[key]))
+            else:
+                skipped.append(key)
+        suffix = ""
+        if skipped:
+            suffix = " skipped_restore=" + ",".join(f"{e}.{p}" for e, p in skipped)
+        self._emit(KIND_RULE_UNEXEC, f"RULE {rule_id} UNEXECUTED{suffix}")
+        for (element, prop), old in restores:
+            write = self.scene.write_property(element, prop, old, writer=rule_id)
+            if write is not None:
+                self._emit_prop(write)
+        state.active = False
+        state.snapshot = {}
+        state.written = {}
+        return self.trace.events[emitted_from:]
+
     def _process_event(self, sets) -> CycleReport:
         e = self._next_event
         self._next_event += 1

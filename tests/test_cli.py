@@ -138,15 +138,14 @@ class TestRun:
 
     @pytest.mark.parametrize("depth", ["0", "-3"])
     def test_max_cascade_below_one_is_a_usage_error(self, depth, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(
-                "run",
-                "--rules", CASCADE / "oscillator.rules",
-                "--scene", CASCADE / "oscillator.scene",
-                "--scenario", CASCADE / "oscillator.scenario",
-                "--max-cascade", depth,
-            )
-        assert exc.value.code == 2
+        code = run_cli(
+            "run",
+            "--rules", CASCADE / "oscillator.rules",
+            "--scene", CASCADE / "oscillator.scene",
+            "--scenario", CASCADE / "oscillator.scenario",
+            "--max-cascade", depth,
+        )
+        assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--max-cascade" in captured.err
 
@@ -228,6 +227,46 @@ class TestStateFile:
         )
         assert code == 2
         assert f"{state}: error: line 1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ['"x"', "true", "1.5"])
+    def test_non_int_use_count_exits_two(self, tmp_path, capsys, count):
+        state = tmp_path / "app.state"
+        state.write_text(f"user.app_use_count={count}\n")
+        code = run_cli(
+            "run",
+            "--rules", PRINTER / "printer.rules",
+            "--scene", PRINTER / "printer.scene",
+            "--scenario", PRINTER / "first_uses.scenario",
+            "--state-file", state,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{state}: error: user.app_use_count must be an int" in captured.err
+        assert state.read_text() == f"user.app_use_count={count}\n"
+
+    @pytest.mark.parametrize("failing", ["fsync", "replace"])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, failing):
+        import adaptkit.cli
+
+        state = tmp_path / "app.state"
+        state.write_text("env.calibration=1.250000\nuser.app_use_count=7\n")
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(adaptkit.cli.os, failing, fail)
+        code = run_cli(
+            "run",
+            "--rules", PRINTER / "printer.rules",
+            "--scene", PRINTER / "printer.scene",
+            "--scenario", PRINTER / "first_uses.scenario",
+            "--state-file", state,
+        )
+        assert code == 2
+        assert f"{state}: error: No space left on device" in capsys.readouterr().err
+        assert state.read_text() == "env.calibration=1.250000\nuser.app_use_count=7\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["app.state"]
 
 
 class TestVerify:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,25 @@ class TestSetGet:
         store = ContextStore()
         store.set_feature(LUM, 0.0)
         assert store.set_feature(LUM, -0.0) is ChangeFlag.CHANGED
+
+
+class TestFeatureId:
+    def test_equal_ids_hash_alike_and_share_a_key(self, monkeypatch):
+        a, b = FeatureId.parse("env.luminance"), FeatureId.parse("env.luminance")
+        assert a is not b and a == b and str(a) == str(b) == "env.luminance"
+
+        def no_enum_hash(self):
+            raise AssertionError("a feature id hashed its category member")
+
+        monkeypatch.setattr(ContextCategory, "__hash__", no_enum_hash)
+        assert hash(a) == hash(b)
+        table = {a: 1}
+        table[b] += 1
+        assert table == {LUM: 2} and b in {a} and FeatureId.parse("user.luminance") not in table
+
+    def test_copies_hash_alike(self):
+        copied = pickle.loads(pickle.dumps(LUM))
+        assert copied == LUM and hash(copied) == hash(LUM)
 
 
 class TestDrainDirty:
