@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .context import ContextCategory, ContextStore, FeatureId, load_state, save_state
+from .context import ContextStore, FeatureId, load_state, save_state
 from .dsl import RuleSet, parse_rules, validate
 from .engine import DEFAULT_MAX_CASCADE_DEPTH
 from .errors import AdaptError, MalformedStateFile, ParseError
@@ -27,7 +27,7 @@ EXIT_MISMATCH = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
 
-USE_COUNT = FeatureId(ContextCategory.USER, "app_use_count")
+USE_COUNT = FeatureId.parse("user.app_use_count")
 
 
 class _InputError(Exception):
@@ -152,7 +152,7 @@ def _run(args) -> tuple[int, str]:
             scenario,
             workflow=workflow,
             store=store,
-            max_cascade_depth=getattr(args, "max_cascade", DEFAULT_MAX_CASCADE_DEPTH),
+            max_cascade_depth=args.max_cascade,
             diagnostics=diags,
         )
         code, text = EXIT_OK, trace.render()
@@ -233,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--workflow")
     verify.add_argument("--golden", required=True)
     verify.add_argument("--state-file")
+    verify.add_argument("--max-cascade", type=_cascade_depth, default=DEFAULT_MAX_CASCADE_DEPTH)
     verify.set_defaults(func=cmd_verify)
     return parser
 

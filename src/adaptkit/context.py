@@ -15,6 +15,7 @@ are immutable, so reads handed to other threads stay safe.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import MalformedStateFile, TypeMismatch, UnknownFeature
@@ -43,7 +44,16 @@ _PREFIXES = {c.value: c for c in ContextCategory}
 
 @dataclass(frozen=True)
 class FeatureId:
-    """A context feature, rendered as e.g. ``env.luminance``."""
+    """A context feature, rendered as e.g. ``env.luminance``.
+
+    ``parse`` returns one object per id text while any holds it, so the
+    store, dirty-set and read-set lookups of parsed ids stop at the identity
+    test; ids built with the constructor are equal and hash alike.
+    """
+
+    # written out, not slots=True: the weak reference parse's table needs
+    # takes weakref_slot=True, which Python 3.10 lacks
+    __slots__ = ("category", "name", "_hash", "__weakref__")
 
     category: ContextCategory
     name: str
@@ -68,10 +78,18 @@ class FeatureId:
     @staticmethod
     def parse(text: str) -> "FeatureId":
         """Parse ``env.name`` / ``user.name`` / ``platform.name``."""
-        prefix, dot, name = text.partition(".")
-        if not dot or prefix not in _PREFIXES or not _is_name(name):
-            raise ValueError(f"invalid feature id: {text!r}")
-        return FeatureId(_PREFIXES[prefix], name)
+        feature = _parsed.get(text)
+        if feature is None:
+            prefix, dot, name = text.partition(".")
+            if not dot or prefix not in _PREFIXES or not _is_name(name):
+                raise ValueError(f"invalid feature id: {text!r}")
+            feature = _parsed[text] = FeatureId(_PREFIXES[prefix], name)
+        return feature
+
+
+# id text -> the FeatureId that parse returns for it; an entry lasts while
+# something else holds the id
+_parsed: weakref.WeakValueDictionary[str, FeatureId] = weakref.WeakValueDictionary()
 
 
 # FeatureId ordering must follow the rendered id, and enum instances do not

@@ -12,6 +12,9 @@ scene references (``scene.<element>.<property>``), literals, comparisons
 function ``dist(a, b)``. There is no other arithmetic. Equality follows
 the store's change detection: bitwise on floats, so no epsilons. Boolean
 connectives evaluate both operands so unset features always surface.
+Expressions nest at most MAX_DEPTH deep and MAX_HEIGHT high.
+``eval_expr`` evaluates a tree by walking it; ``compile_expr`` turns one
+into a closure that agrees with it, and is what the engine runs.
 
 Actions come from a closed effector vocabulary; ``set_feature`` writes a
 context feature and is what lets one rule's effects trigger another rule.
@@ -20,7 +23,10 @@ context feature and is what lets one rule's effects trigger another rule.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 from ._lexer import OP, REF, Cursor, lines, text_of
 from .context import ContextStore, FeatureId
@@ -32,8 +38,9 @@ from .errors import (
     UnknownCategory,
     UnknownConditionRef,
     UnknownEffector,
+    UnknownFeature,
 )
-from .scene import READABLE_PROPS, DetailLevel, Modality, SceneModel, distance
+from .scene import READABLE_PROPS, WRITABLE, DetailLevel, Modality, SceneElement, SceneModel, distance
 from .values import Value, Vec3, quote_text, type_name, values_equal
 
 
@@ -49,42 +56,42 @@ class AdaptationCategory(enum.Enum):
 # ---------------------------------------------------------------------------
 # expression AST
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureRef:
     feature: FeatureId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneRef:
     element: str
     prop: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compare:
     op: str
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolOp:
     op: str  # '&&' | '||'
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dist:
     a: "Expr"
     b: "Expr"
@@ -95,51 +102,75 @@ Expr = Lit | FeatureRef | SceneRef | Compare | BoolOp | Not | Dist
 _ORDERING_OPS = ("<", "<=", ">", ">=")
 _COMPARE_OPS = _ORDERING_OPS + ("==", "!=")
 
+# How deep an expression may nest. The parser takes about six frames per
+# parenthesis, '!' or 'dist(' around a part, and a walk over the tree up to
+# two per level of its height, so these keep both well inside the
+# interpreter's default limit of 1000 frames.
+MAX_DEPTH = 100  # parentheses, '!' and 'dist(' around any part
+MAX_HEIGHT = 300  # the tree's height; a '&&' or '||' chain is one level per operator
 
-def _parse_expr(cur: Cursor) -> Expr:
-    return _parse_or(cur)
+
+def _nested(cur: Cursor, level: int, limit: int = MAX_DEPTH) -> int:
+    if level > limit:
+        raise DslSyntaxError(cur.lineno, f"expression nested deeper than {limit} levels")
+    return level
 
 
-def _parse_or(cur: Cursor) -> Expr:
-    left = _parse_and(cur)
+def _higher(cur: Cursor, *heights: int) -> int:
+    """The height of a node over subtrees of these heights."""
+    return _nested(cur, max(heights) + 1, MAX_HEIGHT)
+
+
+# Each parse function takes the nesting ``depth`` around it and returns the
+# expression with its height (0 for a leaf).
+
+def _parse_expr(cur: Cursor, depth: int = 0) -> tuple[Expr, int]:
+    return _parse_or(cur, depth)
+
+
+def _parse_or(cur: Cursor, depth: int) -> tuple[Expr, int]:
+    left, height = _parse_and(cur, depth)
     while cur.at_op("||"):
         cur.next()
-        left = BoolOp("||", left, _parse_and(cur))
-    return left
+        right, rh = _parse_and(cur, depth)
+        left, height = BoolOp("||", left, right), _higher(cur, height, rh)
+    return left, height
 
 
-def _parse_and(cur: Cursor) -> Expr:
-    left = _parse_cmp(cur)
+def _parse_and(cur: Cursor, depth: int) -> tuple[Expr, int]:
+    left, height = _parse_cmp(cur, depth)
     while cur.at_op("&&"):
         cur.next()
-        left = BoolOp("&&", left, _parse_cmp(cur))
-    return left
+        right, rh = _parse_cmp(cur, depth)
+        left, height = BoolOp("&&", left, right), _higher(cur, height, rh)
+    return left, height
 
 
-def _parse_cmp(cur: Cursor) -> Expr:
-    left = _parse_unary(cur)
+def _parse_cmp(cur: Cursor, depth: int) -> tuple[Expr, int]:
+    left, height = _parse_unary(cur, depth)
     tok = cur.peek()
     if tok is not None and tok[OP] in _COMPARE_OPS:
         cur.next()
-        right = _parse_unary(cur)
-        return Compare(tok[OP], left, right)
-    return left
+        right, rh = _parse_unary(cur, depth)
+        return Compare(tok[OP], left, right), _higher(cur, height, rh)
+    return left, height
 
 
-def _parse_unary(cur: Cursor) -> Expr:
+def _parse_unary(cur: Cursor, depth: int) -> tuple[Expr, int]:
     if cur.at_op("!"):
         cur.next()
-        return Not(_parse_unary(cur))
-    return _parse_primary(cur)
+        operand, height = _parse_unary(cur, _nested(cur, depth + 1))
+        return Not(operand), _higher(cur, height)
+    return _parse_primary(cur, depth)
 
 
-def _parse_primary(cur: Cursor) -> Expr:
+def _parse_primary(cur: Cursor, depth: int) -> tuple[Expr, int]:
     value = cur.literal()
     if value is not None:
-        return Lit(Vec3(*value) if isinstance(value, tuple) else value)
+        return Lit(Vec3(*value) if isinstance(value, tuple) else value), 0
     tok = cur.next()
     if tok[OP] == "(":
-        inner = _parse_expr(cur)
+        inner = _parse_expr(cur, _nested(cur, depth + 1))
         cur.expect_op(")")
         return inner
     text = tok[REF]
@@ -147,14 +178,14 @@ def _parse_primary(cur: Cursor) -> Expr:
         parts = text.split(".")
         if text == "dist":
             cur.expect_op("(")
-            a = _parse_expr(cur)
+            a, ah = _parse_expr(cur, _nested(cur, depth + 1))
             cur.expect_op(",")
-            b = _parse_expr(cur)
+            b, bh = _parse_expr(cur, depth + 1)
             cur.expect_op(")")
-            return Dist(a, b)
+            return Dist(a, b), _higher(cur, ah, bh)
         if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
             try:
-                return FeatureRef(FeatureId.parse(text))
+                return FeatureRef(FeatureId.parse(text)), 0
             except ValueError as e:
                 raise DslSyntaxError(cur.lineno, str(e)) from None
         if len(parts) == 3 and parts[0] == "scene":
@@ -162,67 +193,9 @@ def _parse_primary(cur: Cursor) -> Expr:
                 raise ExprTypeError(
                     cur.lineno, f"scene property {parts[2]!r} is not readable in expressions"
                 )
-            return SceneRef(parts[1], parts[2])
+            return SceneRef(parts[1], parts[2]), 0
         raise DslSyntaxError(cur.lineno, f"unexpected identifier {text!r} in expression")
     raise DslSyntaxError(cur.lineno, f"unexpected token {text_of(tok)!r}")
-
-
-# ---------------------------------------------------------------------------
-# static typing (partial: feature types are unknown until runtime) and read sets
-
-def _static_type(expr: Expr, lineno: int) -> str | None:
-    if isinstance(expr, Lit):
-        return type_name(expr.value)
-    if isinstance(expr, FeatureRef):
-        return None
-    if isinstance(expr, SceneRef):
-        return READABLE_PROPS[expr.prop]
-    if isinstance(expr, Dist):
-        for side in (expr.a, expr.b):
-            t = _static_type(side, lineno)
-            if t not in (None, "vec3"):
-                raise ExprTypeError(lineno, f"dist() needs two vec3 arguments, got {t}")
-        return "float"
-    if isinstance(expr, Compare):
-        lt = _static_type(expr.left, lineno)
-        rt = _static_type(expr.right, lineno)
-        if lt is not None and rt is not None and lt != rt:
-            raise ExprTypeError(lineno, f"cannot compare {lt} with {rt}")
-        if expr.op in _ORDERING_OPS:
-            for t in (lt, rt):
-                if t not in (None, "int", "float"):
-                    raise ExprTypeError(lineno, f"ordering comparison needs numbers, got {t}")
-        return "bool"
-    if isinstance(expr, BoolOp):
-        for side in (expr.left, expr.right):
-            t = _static_type(side, lineno)
-            if t not in (None, "bool"):
-                raise ExprTypeError(lineno, f"{expr.op} needs bool operands, got {t}")
-        return "bool"
-    if isinstance(expr, Not):
-        t = _static_type(expr.operand, lineno)
-        if t not in (None, "bool"):
-            raise ExprTypeError(lineno, f"! needs a bool operand, got {t}")
-        return "bool"
-    raise AssertionError(f"unhandled expr node {expr!r}")
-
-
-def expr_inputs(expr: Expr):
-    """Yield every input an expression reads, in reading order and with
-    repeats: a FeatureId per feature reference and an (element, property)
-    pair per scene reference."""
-    if isinstance(expr, FeatureRef):
-        yield expr.feature
-    elif isinstance(expr, SceneRef):
-        yield (expr.element, expr.prop)
-    elif isinstance(expr, (Compare, BoolOp)):
-        yield from expr_inputs(expr.left)
-        yield from expr_inputs(expr.right)
-    elif isinstance(expr, Not):
-        yield from expr_inputs(expr.operand)
-    elif isinstance(expr, Dist):
-        yield from expr_inputs(expr.a)
-        yield from expr_inputs(expr.b)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +343,12 @@ class ConditionDef:
     id: str
     expr: Expr
     line: int = field(default=0, compare=False)
+    # what the expression reads, as compile_expr lists it; found when not given
+    reads: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.reads is None:
+            object.__setattr__(self, "reads", tuple(compile_expr(self.expr).reads))
 
 
 @dataclass(frozen=True)
@@ -407,14 +386,17 @@ def parse_rules(text: str) -> RuleSet:
         if head[REF] == "condition":
             cid = cur.ident("a condition id")
             cur.expect_op(":")
-            expr = _parse_expr(cur)
+            expr, _ = _parse_expr(cur)
             cur.expect_end("after expression")
-            if _static_type(expr, lineno) not in (None, "bool"):
+            compiled = compile_expr(expr)
+            if compiled.error is not None:
+                raise ExprTypeError(lineno, compiled.error)
+            if compiled.type not in (None, "bool"):
                 raise ExprTypeError(lineno, f"condition {cid!r} must evaluate to bool")
             if cid in cond_ids:
                 raise DuplicateId(lineno, f"duplicate condition id {cid!r}")
             cond_ids[cid] = lineno
-            conditions.append(ConditionDef(cid, expr, line=lineno))
+            conditions.append(ConditionDef(cid, expr, line=lineno, reads=tuple(compiled.reads)))
         elif head[REF] == "rule":
             rid = cur.ident("a rule id")
             priority = 0
@@ -484,7 +466,12 @@ def _parse_one_action(cur: Cursor) -> ActionCall:
 # evaluation
 
 def eval_expr(expr: Expr, store: ContextStore, scene: SceneModel) -> Value:
-    """Pure evaluation; raises UnknownFeature/UnknownElement/TypeMismatch."""
+    """Pure evaluation; raises UnknownFeature/UnknownElement/TypeMismatch.
+
+    The reference evaluator: it walks the tree on every call. The engine
+    evaluates compile_expr's closures, which must agree with it on every
+    value and every error.
+    """
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, FeatureRef):
@@ -492,42 +479,298 @@ def eval_expr(expr: Expr, store: ContextStore, scene: SceneModel) -> Value:
     if isinstance(expr, SceneRef):
         return scene.get_property(expr.element, expr.prop)
     if isinstance(expr, Dist):
-        a = eval_expr(expr.a, store, scene)
-        b = eval_expr(expr.b, store, scene)
-        if not isinstance(a, Vec3) or not isinstance(b, Vec3):
-            raise TypeMismatch("dist() needs two vec3 values")
-        return distance(a, b)
+        return _dist(eval_expr(expr.a, store, scene), eval_expr(expr.b, store, scene))
     if isinstance(expr, Compare):
-        left = eval_expr(expr.left, store, scene)
-        right = eval_expr(expr.right, store, scene)
-        lt, rt = type_name(left), type_name(right)
-        if lt != rt:
-            raise TypeMismatch(f"cannot compare {lt} with {rt}")
-        if expr.op == "==":
-            return values_equal(left, right)
-        if expr.op == "!=":
-            return not values_equal(left, right)
-        if lt not in ("int", "float"):
-            raise TypeMismatch(f"ordering comparison needs numbers, got {lt}")
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        return left >= right
+        return _compare(expr.op, eval_expr(expr.left, store, scene), eval_expr(expr.right, store, scene))
     if isinstance(expr, BoolOp):
-        left = eval_expr(expr.left, store, scene)
-        right = eval_expr(expr.right, store, scene)
-        if not isinstance(left, bool) or not isinstance(right, bool):
-            raise TypeMismatch(f"{expr.op} needs bool operands")
-        return (left and right) if expr.op == "&&" else (left or right)
+        return _bool_op(expr.op, eval_expr(expr.left, store, scene), eval_expr(expr.right, store, scene))
     if isinstance(expr, Not):
-        v = eval_expr(expr.operand, store, scene)
-        if not isinstance(v, bool):
-            raise TypeMismatch("! needs a bool operand")
-        return not v
+        return _not(eval_expr(expr.operand, store, scene))
     raise AssertionError(f"unhandled expr node {expr!r}")
+
+
+# What each operator does with its evaluated operands, for eval_expr and for
+# compiled expressions alike.
+
+def _dist(a: Value, b: Value) -> float:
+    if not isinstance(a, Vec3) or not isinstance(b, Vec3):
+        raise TypeMismatch("dist() needs two vec3 values")
+    return distance(a, b)
+
+
+_TEST = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _compare(op: str, left: Value, right: Value) -> bool:
+    lt, rt = type_name(left), type_name(right)
+    if lt != rt:
+        raise TypeMismatch(f"cannot compare {lt} with {rt}")
+    if op == "==":
+        return values_equal(left, right)
+    if op == "!=":
+        return not values_equal(left, right)
+    if lt not in ("int", "float"):
+        raise TypeMismatch(f"ordering comparison needs numbers, got {lt}")
+    return _TEST[op](left, right)
+
+
+def _bool_op(op: str, left: Value, right: Value) -> bool:
+    if not isinstance(left, bool) or not isinstance(right, bool):
+        raise TypeMismatch(f"{op} needs bool operands")
+    return (left and right) if op == "&&" else (left or right)
+
+
+def _not(value: Value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeMismatch("! needs a bool operand")
+    return not value
+
+
+def _unset(feature: FeatureId) -> UnknownFeature:
+    """What ContextStore.get_feature raises for a feature never set."""
+    return UnknownFeature(f"feature {feature} was never set")
+
+
+# ---------------------------------------------------------------------------
+# compilation
+
+class Compiled(NamedTuple):
+    """What one walk over an expression finds."""
+
+    type: str | None  # static type; None where only the run-time value tells
+    # a FeatureId per feature reference and an (element, property) pair per
+    # scene reference, in reading order and with repeats
+    reads: list
+    error: str | None  # the first static type error, as the parser reports it
+    evaluate: Callable[[], Value] | None  # eval_expr(expr, store, scene), compiled
+
+
+def compile_expr(expr: Expr, store: ContextStore | None = None, scene: SceneModel | None = None) -> Compiled:
+    """Walk an expression once for its static type, read set and first type
+    error, and, given a store and a scene, compile it against them.
+
+    ``evaluate`` returns what eval_expr returns and raises what it raises,
+    the same class with the same message, in the same order. Type checks
+    are hoisted for the common shapes: ``source op constant``, with
+    an ordering op, an int or float constant, and a feature, a scene
+    property or ``dist(feature, scene.X.position)`` as the source, is one
+    atom that compares a value of the constant's type in place, and ``&&``
+    over comparisons skips its bool checks. Any other value or shape takes
+    the operators' generic path, the one eval_expr takes. Elements are
+    bound when compiling; one missing then is looked up on each evaluation.
+    """
+    c = _Compiler(store, scene)
+    t, fn = c.walk(expr)
+    return Compiled(t, c.reads, c.error, c.evaluator(expr, fn) if c.build else None)
+
+
+# nodes whose evaluators always return a bool or raise
+_BOOL_NODES = (Compare, BoolOp, Not)
+
+
+class _Compiler:
+    def __init__(self, store: ContextStore | None, scene: SceneModel | None):
+        self.store = store
+        self.scene = scene
+        self.build = store is not None and scene is not None  # else types and reads only
+        self.reads: list = []
+        self.error: str | None = None
+
+    def fail(self, message: str) -> None:
+        if self.error is None:
+            self.error = message
+
+    def walk(self, expr: Expr) -> tuple[str | None, Callable[[], Value] | None]:
+        """The static type of ``expr`` and its evaluator. A leaf, or a dist()
+        of two leaves, has none: its parent reads it in place, or asks
+        ``evaluator`` for one. Without a store and a scene no node has one."""
+        if isinstance(expr, Lit):
+            return type_name(expr.value), None
+        if isinstance(expr, FeatureRef):
+            self.reads.append(expr.feature)
+            return None, None
+        if isinstance(expr, Compare):
+            lt, lf = self.walk(expr.left)
+            rt, rf = self.walk(expr.right)
+            if lt is not None and rt is not None and lt != rt:
+                self.fail(f"cannot compare {lt} with {rt}")
+            if expr.op in _ORDERING_OPS:
+                for t in (lt, rt):
+                    if t not in (None, "int", "float"):
+                        self.fail(f"ordering comparison needs numbers, got {t}")
+            if not self.build:
+                return "bool", None
+            atom = self.atom(expr)
+            if atom is not None:
+                return "bool", atom.evaluate
+            op, left, right = expr.op, self.evaluator(expr.left, lf), self.evaluator(expr.right, rf)
+            return "bool", lambda: _compare(op, left(), right())
+        if isinstance(expr, BoolOp):
+            fns = self.operands((expr.left, expr.right), "bool", f"{expr.op} needs bool operands")
+            if not self.build:
+                return "bool", None
+            if expr.op == "&&" and isinstance(expr.left, _BOOL_NODES) and isinstance(expr.right, _BOOL_NODES):
+                return "bool", _Conjunction(*fns).evaluate
+            op, left, right = expr.op, self.evaluator(expr.left, fns[0]), self.evaluator(expr.right, fns[1])
+            return "bool", lambda: _bool_op(op, left(), right())
+        if isinstance(expr, SceneRef):
+            self.reads.append((expr.element, expr.prop))
+            return READABLE_PROPS.get(expr.prop), None
+        if isinstance(expr, Not):
+            (fn,) = self.operands((expr.operand,), "bool", "! needs a bool operand")
+            if not self.build:
+                return "bool", None
+            operand = self.evaluator(expr.operand, fn)
+            return "bool", lambda: _not(operand())
+        if isinstance(expr, Dist):
+            fns = self.operands((expr.a, expr.b), "vec3", "dist() needs two vec3 arguments")
+            if fns == [None, None] or not self.build:
+                return "float", None
+            a, b = self.evaluator(expr.a, fns[0]), self.evaluator(expr.b, fns[1])
+            return "float", lambda: _dist(a(), b())
+        raise AssertionError(f"unhandled expr node {expr!r}")
+
+    def operands(self, sides: tuple, want: str, message: str) -> list:
+        """Walk each operand in turn, checking its static type against ``want``."""
+        fns = []
+        for side in sides:
+            t, fn = self.walk(side)
+            if t not in (None, want):
+                self.fail(f"{message}, got {t}")
+            fns.append(fn)
+        return fns
+
+    def evaluator(self, expr: Expr, fn: Callable[[], Value] | None) -> Callable[[], Value]:
+        """``fn``, or for a node walk gave none, an evaluator of its own."""
+        if fn is not None:
+            return fn
+        if isinstance(expr, Lit):
+            value = expr.value
+            return lambda: value
+        if isinstance(expr, FeatureRef):
+            return partial(self.store.get_feature, expr.feature)
+        if isinstance(expr, SceneRef):
+            return partial(self.scene.get_property, expr.element, expr.prop)
+        a, b = self.evaluator(expr.a, None), self.evaluator(expr.b, None)  # a dist() of two leaves
+        return lambda: _dist(a(), b())
+
+    def atom(self, expr: Compare) -> "_Atom | None":
+        """``source op constant`` as one atom, for an ordering op and an int
+        or float constant."""
+        if expr.op not in _ORDERING_OPS or not isinstance(expr.right, Lit):
+            return None
+        source, const = expr.left, expr.right.value
+        if type(const) is not int and type(const) is not float:
+            return None
+        if isinstance(source, FeatureRef):
+            return _FeatureAtom(expr.op, const, self.store._values, source.feature)
+        if isinstance(source, SceneRef) and source.prop != "position":
+            element = self._element(source)
+            if element is not None:
+                return _SceneAtom(expr.op, const, element, source.prop)
+        elif (
+            isinstance(source, Dist)
+            and isinstance(source.a, FeatureRef)
+            and isinstance(source.b, SceneRef)
+            and source.b.prop == "position"
+            and type(const) is float  # else the distance always meets a type error
+        ):
+            element = self._element(source.b)
+            if element is not None:
+                return _DistAtom(expr.op, const, self.store._values, source.a.feature, element)
+        return None
+
+    def _element(self, ref: SceneRef) -> SceneElement | None:
+        """The element a readable scene reference reads, if it exists now."""
+        if ref.prop in READABLE_PROPS and self.scene.has_element(ref.element):
+            return self.scene.element(ref.element)
+        return None
+
+
+class _Atom:
+    """``source op constant``, the type check hoisted: a source value of the
+    constant's exact type is compared in place, and any other goes through
+    _compare."""
+
+    __slots__ = ("op", "test", "const", "kind")
+
+    def __init__(self, op: str, const: int | float):
+        self.op = op
+        self.test = _TEST[op]
+        self.const = const
+        self.kind = type(const)
+
+    def slow(self, value: Value) -> bool:
+        return _compare(self.op, value, self.const)
+
+
+class _FeatureAtom(_Atom):
+    __slots__ = ("values", "feature")
+
+    def __init__(self, op, const, values: dict, feature: FeatureId):
+        super().__init__(op, const)
+        self.values = values  # the store's own map
+        self.feature = feature
+
+    def evaluate(self) -> bool:
+        try:
+            value = self.values[self.feature]
+        except KeyError:
+            raise _unset(self.feature) from None
+        if type(value) is self.kind:
+            return self.test(value, self.const)
+        return self.slow(value)
+
+
+class _SceneAtom(_Atom):
+    __slots__ = ("element", "attr")
+
+    def __init__(self, op, const, element: SceneElement, prop: str):
+        super().__init__(op, const)
+        self.element = element
+        self.attr = WRITABLE[prop].attr
+
+    def evaluate(self) -> bool:
+        value = getattr(self.element, self.attr)
+        if type(value) is self.kind:
+            return self.test(value, self.const)
+        return self.slow(value)
+
+
+class _DistAtom(_Atom):
+    """``dist(feature, scene.X.position) op r``, arguments in that order."""
+
+    __slots__ = ("values", "feature", "element")
+
+    def __init__(self, op, const, values: dict, feature: FeatureId, element: SceneElement):
+        super().__init__(op, const)
+        self.values = values
+        self.feature = feature
+        self.element = element
+
+    def evaluate(self) -> bool:
+        try:
+            a = self.values[self.feature]
+        except KeyError:
+            raise _unset(self.feature) from None
+        b = self.element.position
+        if type(a) is Vec3 and type(b) is Vec3:
+            return self.test(distance(a, b), self.const)
+        return self.slow(_dist(a, b))
+
+
+class _Conjunction:
+    """``&&`` over evaluators that return a bool or raise, so that no bool
+    check is left to make."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+
+    def evaluate(self) -> bool:
+        return self.left() & self.right()  # both sides, left first
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +794,7 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
 
     if scene is not None:
         for cond in rules.conditions:
-            for ref in expr_inputs(cond.expr):
+            for ref in cond.reads:
                 if isinstance(ref, tuple) and not scene.has_element(ref[0]):
                     diags.append(
                         Diagnostic(

@@ -32,6 +32,16 @@ SceneModel.write_property or ContextStore.set_feature, whose change logs
 drive the evaluation below. Elements are never removed or replaced, so a
 plan's element objects stay the scene's.
 
+Conditions are compiled once, at construction, by dsl.compile_expr into
+closures with their type checks hoisted where the types are known when
+compiling; the inputs each one reads were listed by the parser's walk
+(ConditionDef.reads). eval_expr stays
+the reference evaluator, off this path: a compiled condition returns the
+value it returns and raises the same error, with the same message, in the
+same order. Scene elements are bound when compiling, which holds because
+elements are never removed or replaced; one missing then is looked up on
+each evaluation, so a later add_element is seen.
+
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
 
@@ -60,8 +70,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .context import ChangeFlag, ContextCategory, ContextStore, FeatureId
-from .dsl import EFFECTOR_PROPERTY, Diagnostic, RuleSet, eval_expr, expr_inputs, validate
+from .context import ChangeFlag, ContextStore, FeatureId
+from .dsl import EFFECTOR_PROPERTY, Diagnostic, RuleSet, compile_expr, validate
 from .errors import (
     ActionError,
     AdaptError,
@@ -77,7 +87,7 @@ from .scene import WRITABLE, SceneElement, SceneModel, prop_values_equal, render
 from .values import Value, Vec3, check_value, render_value
 from .workflow import Workflow, advance as workflow_advance, apply_step
 
-USER_POSITION = FeatureId(ContextCategory.USER, "position")
+USER_POSITION = FeatureId.parse("user.position")
 
 DEFAULT_MAX_CASCADE_DEPTH = 16
 
@@ -195,11 +205,10 @@ class Engine:
         self.cond_last: dict[str, bool | None] = {c.id: None for c in rules.conditions}
         self._rule_states: dict[str, _RuleState] = {r.id: _RuleState() for r in rules.rules}
         self._rule_index = {r.id: i for i, r in enumerate(rules.rules)}
+        self._evaluators = {c.id: compile_expr(c.expr, store, scene).evaluate for c in rules.conditions}
         # input (FeatureId or (element, property)) -> indices of the conditions
         # reading it; condition id -> indices of the rules listing it
-        self._readers = _index(
-            (key, i) for i, c in enumerate(rules.conditions) for key in expr_inputs(c.expr)
-        )
+        self._readers = _index((key, i) for i, c in enumerate(rules.conditions) for key in c.reads)
         self._listed_by = _index(
             (cid, j) for j, r in enumerate(rules.rules) for cid in r.conditions
         )
@@ -240,13 +249,13 @@ class Engine:
         """
         if not self._busy:
             self._full_cycle = True
-        cond = self.rules.condition_by_id[cond_id]
+        evaluate = self._evaluators[cond_id]
         try:
-            value = eval_expr(cond.expr, self.store, self.scene)
+            value = evaluate()
         except (UnknownFeature, UnknownElement, UnknownProperty, TypeMismatch) as e:
-            raise EvaluationError(f"condition {cond.id!r}: {e}") from e
+            raise EvaluationError(f"condition {cond_id!r}: {e}") from e
         if not isinstance(value, bool):
-            raise EvaluationError(f"condition {cond.id!r} did not evaluate to a bool")
+            raise EvaluationError(f"condition {cond_id!r} did not evaluate to a bool")
         changed = self.cond_last[cond_id] is None or self.cond_last[cond_id] != value
         self.cond_last[cond_id] = value
         if changed:

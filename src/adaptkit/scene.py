@@ -92,19 +92,27 @@ def _check_text(v):
     return v
 
 
-def _check_size(v):
+def _float(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeMismatch("expected a number")
-    v = float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an int beyond the float range
+        return math.inf
+
+
+def _check_size(v):
+    v = _float(v)
     if not (v > 0) or not math.isfinite(v):
         raise TypeMismatch("text_size must be a positive finite number")
     return v
 
 
 def _check_yaw(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeMismatch("expected a number")
-    return normalize_yaw(float(v))
+    v = _float(v)
+    if not math.isfinite(v):  # normalize_yaw would make it NaN
+        raise TypeMismatch("yaw must be a finite number")
+    return normalize_yaw(v)
 
 
 def _check_detail(v):

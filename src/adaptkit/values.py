@@ -49,6 +49,9 @@ _TYPE_NAMES = {bool: "bool", int: "int", float: "float", str: "text", Vec3: "vec
 
 def type_name(value: Value) -> str:
     """Name of a value's type; bool is checked before int (bool is an int subclass)."""
+    name = _TYPE_NAMES.get(type(value))
+    if name is not None:
+        return name
     for t in (bool, int, float, str, Vec3):
         if isinstance(value, t):
             return _TYPE_NAMES[t]

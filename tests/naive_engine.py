@@ -1,11 +1,13 @@
-"""Reference oracle: the engine loop that evaluates every condition and
-checks every rule in every cycle, and rules that look up and render every
-property they write each time they execute and unexecute.
+"""Reference oracle: the engine loop that evaluates every condition, with
+the tree-walking ``eval_expr``, and checks every rule in every cycle, and
+rules that look up and render every property they write each time they
+execute and unexecute.
 
-``Engine`` evaluates only the conditions whose inputs changed, checks only
-the rules of conditions that flipped, and runs rules from plans built
-once; the differential tests compare the two on whole traces. Everything
-but the loop and the rule transitions is inherited.
+``Engine`` evaluates only the conditions whose inputs changed, with
+conditions compiled once, checks only the rules of conditions that
+flipped, and runs rules from plans built once; the differential tests
+compare the two on whole traces. Everything but condition evaluation, the
+loop and the rule transitions is inherited.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from adaptkit.context import ChangeFlag
-from adaptkit.dsl import EFFECTOR_PROPERTY
+from adaptkit.dsl import EFFECTOR_PROPERTY, eval_expr
 from adaptkit.engine import (
+    KIND_COND,
     KIND_EVENT,
     KIND_NONQUIESCENT,
     KIND_PROP,
@@ -25,7 +28,15 @@ from adaptkit.engine import (
     CycleReport,
     Engine,
 )
-from adaptkit.errors import ActionError, NonQuiescent, TypeMismatch, UnknownElement, UnknownProperty
+from adaptkit.errors import (
+    ActionError,
+    EvaluationError,
+    NonQuiescent,
+    TypeMismatch,
+    UnknownElement,
+    UnknownFeature,
+    UnknownProperty,
+)
 from adaptkit.scene import prop_values_equal
 from adaptkit.values import Vec3, render_value
 
@@ -45,6 +56,22 @@ class NaiveEngine(Engine):
 
     def rule_snapshot(self, rule_id: str) -> dict:
         return dict(self._rule_states[rule_id].snapshot)
+
+    def evaluate_condition(self, cond_id: str) -> tuple[bool, bool]:
+        if not self._busy:
+            self._full_cycle = True
+        cond = self.rules.condition_by_id[cond_id]
+        try:
+            value = eval_expr(cond.expr, self.store, self.scene)
+        except (UnknownFeature, UnknownElement, UnknownProperty, TypeMismatch) as e:
+            raise EvaluationError(f"condition {cond.id!r}: {e}") from e
+        if not isinstance(value, bool):
+            raise EvaluationError(f"condition {cond.id!r} did not evaluate to a bool")
+        changed = self.cond_last[cond_id] is None or self.cond_last[cond_id] != value
+        self.cond_last[cond_id] = value
+        if changed:
+            self._emit(KIND_COND, f"COND {cond_id} -> {'true' if value else 'false'}")
+        return value, changed
 
     def execute_rule(self, rule_id: str):
         if not self._busy:

@@ -84,6 +84,13 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert run_cli("check", "--rules", "/no/such/file.rules") == 2
 
+    @pytest.mark.parametrize("expr", ["!" * 3000 + "env.a", "(" * 3000 + "env.a" + ")" * 3000])
+    def test_deep_nesting_exits_two(self, tmp_path, capsys, expr):
+        rules = tmp_path / "deep.rules"
+        rules.write_text(f"condition c: {expr}\n")
+        assert run_cli("check", "--rules", rules) == 2
+        assert capsys.readouterr().err == f"{rules}:1: error: expression nested deeper than 100 levels\n"
+
 
 class TestRun:
     def test_trace_on_stdout_and_nothing_else(self, capsys):
@@ -307,6 +314,22 @@ class TestVerify:
         )
         assert code == 1
         assert "mismatch at line 3" in capsys.readouterr().err
+
+    def test_max_cascade_flag(self, capsys):
+        # the chain settles in three cycles: two are too few
+        argv = [
+            "verify",
+            "--rules", CASCADE / "chain.rules",
+            "--scene", CASCADE / "chain.scene",
+            "--scenario", CASCADE / "chain.scenario",
+            "--golden", CASCADE / "golden" / "chain.trace",
+        ]
+        assert run_cli(*argv) == 0
+        assert run_cli(*argv, "--max-cascade", 3) == 0
+        assert run_cli(*argv, "--max-cascade", 2) == 3
+        assert "runtime error" in capsys.readouterr().err
+        assert run_cli(*argv, "--max-cascade", 0) == 2
+        assert "--max-cascade" in capsys.readouterr().err
 
     def test_missing_golden_exits_two(self, capsys):
         code = run_cli(

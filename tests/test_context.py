@@ -88,7 +88,7 @@ class TestSetGet:
 
 class TestFeatureId:
     def test_equal_ids_hash_alike_and_share_a_key(self, monkeypatch):
-        a, b = FeatureId.parse("env.luminance"), FeatureId.parse("env.luminance")
+        a, b = FeatureId.parse("env.luminance"), FeatureId(ENV, "luminance")
         assert a is not b and a == b and str(a) == str(b) == "env.luminance"
 
         def no_enum_hash(self):
@@ -99,6 +99,12 @@ class TestFeatureId:
         table = {a: 1}
         table[b] += 1
         assert table == {LUM: 2} and b in {a} and FeatureId.parse("user.luminance") not in table
+
+    def test_parsed_ids_are_one_object(self):
+        a = FeatureId.parse("env.luminance")
+        assert FeatureId.parse("env.luminance") is a
+        assert FeatureId.parse("user.luminance") is not a
+        assert not hasattr(a, "__dict__")  # slotted
 
     def test_copies_hash_alike(self):
         copied = pickle.loads(pickle.dumps(LUM))

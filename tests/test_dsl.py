@@ -32,7 +32,7 @@ from adaptkit import (
     pretty_print,
     validate,
 )
-from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef, expr_inputs
+from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef
 
 from conftest import store_from
 
@@ -122,6 +122,35 @@ class TestParseRules:
                 "rule R when c do set_visible(a, true) category Sparkly\n"
             )
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "expr, limit",
+        [
+            ("!" * 3000 + "env.a", 100),
+            ("(" * 3000 + "env.a" + ")" * 3000, 100),
+            ("dist(" * 3000 + "user.position" + ", user.position)" * 3000 + " < 1.0", 100),
+            ("!" * 101 + "env.a", 100),
+            ("(" * 101 + "env.a" + ")" * 101, 100),
+            (" && ".join(["env.a"] * 3000), 300),
+            (" || ".join(["env.a"] * 302), 300),
+            (" && ".join(["env.a > 1"] * 301), 300),
+        ],
+        ids=["not", "parentheses", "dist", "not-101", "parentheses-101", "chain", "chain-302", "compare-chain-301"],
+    )
+    def test_nesting_deeper_than_the_limit_is_a_syntax_error(self, expr, limit):
+        with pytest.raises(DslSyntaxError, match=f"nested deeper than {limit} levels") as exc:
+            parse_rules(f"condition ok: env.a\ncondition c: {expr}\n")
+        assert exc.value.line == 2
+
+    def test_nesting_up_to_the_limit_parses(self):
+        for expr in (
+            "!" * 100 + "env.a",
+            "(" * 100 + "env.a" + ")" * 100,
+            " || ".join(["env.a"] * 301),
+            " && ".join(["env.a > 1"] * 300),
+        ):
+            (cond,) = parse_rules(f"condition c: {expr}\n").conditions
+            assert parse_rules(pretty_print(RuleSet([cond], []))).conditions == [cond]
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(DslSyntaxError) as exc:
@@ -223,14 +252,16 @@ def test_expr_inputs_in_reading_order():
         "condition c: !(env.x > 1) && dist(user.position, scene.panel.position) < 2.0"
         " || scene.panel.visible == env.flag && env.x < 3\n"
     )
-    assert list(expr_inputs(rs.conditions[0].expr)) == [
+    assert rs.conditions[0].reads == (
         FeatureId.parse("env.x"),
         FeatureId.parse("user.position"),
         ("panel", "position"),
         ("panel", "visible"),
         FeatureId.parse("env.flag"),
         FeatureId.parse("env.x"),
-    ]
+    )
+    # a condition built by hand finds its reads itself
+    assert ConditionDef("c", rs.conditions[0].expr).reads == rs.conditions[0].reads
 
 
 class TestValidate:

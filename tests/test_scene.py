@@ -150,7 +150,16 @@ class TestWriteProperty:
         with pytest.raises(TypeMismatch):
             scene.write_property("panel", "text_size", -3.0, writer="r")
         with pytest.raises(TypeMismatch):
+            scene.write_property("panel", "text_size", 10**400, writer="r")
+        with pytest.raises(TypeMismatch):
             scene.write_property("panel", "modality", frozenset(), writer="r")
+
+    @pytest.mark.parametrize("yaw", [math.inf, -math.inf, math.nan, 10**400])
+    def test_non_finite_yaw_is_refused(self, yaw):
+        scene = small_scene()
+        with pytest.raises(TypeMismatch, match="yaw must be a finite number"):
+            scene.write_property("panel", "yaw", yaw, writer="r")
+        assert scene.element("panel").yaw == 0.0 and scene.drain_dirty() == []
 
     def test_yaw_write_normalizes(self):
         scene = small_scene()
