@@ -23,6 +23,7 @@ context feature and is what lets one rule's effects trigger another rule.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import partial
@@ -543,9 +544,16 @@ class Compiled(NamedTuple):
     reads: list
     error: str | None  # the first static type error, as the parser reports it
     evaluate: Callable[[], Value] | None  # eval_expr(expr, store, scene), compiled
+    # feature -> the dist() atoms through which alone the expression reads it
+    guards: dict[FeatureId, tuple["_DistAtom", ...]]
 
 
-def compile_expr(expr: Expr, store: ContextStore | None = None, scene: SceneModel | None = None) -> Compiled:
+def compile_expr(
+    expr: Expr,
+    store: ContextStore | None = None,
+    scene: SceneModel | None = None,
+    odometers: dict[FeatureId, "Odometer"] | None = None,
+) -> Compiled:
     """Walk an expression once for its static type, read set and first type
     error, and, given a store and a scene, compile it against them.
 
@@ -558,10 +566,23 @@ def compile_expr(expr: Expr, store: ContextStore | None = None, scene: SceneMode
     over comparisons skips its bool checks. Any other value or shape takes
     the operators' generic path, the one eval_expr takes. Elements are
     bound when compiling; one missing then is looked up on each evaluation.
+
+    A dist() atom keeps its value for as long as the feature it reads
+    cannot have crossed the constant (see _DistAtom); ``odometers`` holds
+    the feature -> Odometer map its atoms share, and gains one for each
+    feature not yet in it. ``guards`` lists, for each feature the
+    expression reads only through such atoms, those atoms: a write to the
+    feature cannot change the expression's value until one of them is due.
     """
-    c = _Compiler(store, scene)
+    c = _Compiler(store, scene, {} if odometers is None else odometers)
     t, fn = c.walk(expr)
-    return Compiled(t, c.reads, c.error, c.evaluator(expr, fn) if c.build else None)
+    if not c.build:
+        return Compiled(t, c.reads, c.error, None, {})
+    guards: dict = {}
+    for atom in c.dist_atoms:
+        guards.setdefault(atom.feature, []).append(atom)
+    guards = {f: tuple(atoms) for f, atoms in guards.items() if c.reads.count(f) == len(atoms)}
+    return Compiled(t, c.reads, c.error, c.evaluator(expr, fn), guards)
 
 
 # nodes whose evaluators always return a bool or raise
@@ -569,12 +590,14 @@ _BOOL_NODES = (Compare, BoolOp, Not)
 
 
 class _Compiler:
-    def __init__(self, store: ContextStore | None, scene: SceneModel | None):
+    def __init__(self, store: ContextStore | None, scene: SceneModel | None, odometers: dict):
         self.store = store
         self.scene = scene
         self.build = store is not None and scene is not None  # else types and reads only
         self.reads: list = []
         self.error: str | None = None
+        self.odometers = odometers
+        self.dist_atoms: list[_DistAtom] = []
 
     def fail(self, message: str) -> None:
         if self.error is None:
@@ -677,7 +700,13 @@ class _Compiler:
         ):
             element = self._element(source.b)
             if element is not None:
-                return _DistAtom(expr.op, const, self.store._values, source.a.feature, element)
+                feature = source.a.feature
+                odometer = self.odometers.get(feature)
+                if odometer is None:
+                    odometer = self.odometers[feature] = Odometer()
+                atom = _DistAtom(expr.op, const, self.store._values, feature, element, odometer)
+                self.dist_atoms.append(atom)
+                return atom
         return None
 
     def _element(self, ref: SceneRef) -> SceneElement | None:
@@ -737,25 +766,85 @@ class _SceneAtom(_Atom):
         return self.slow(value)
 
 
+class Odometer:
+    """How far a vec3 feature has travelled over the values seen of it.
+
+    ``see`` adds the straight step from the last value seen to the one
+    given, so ``total`` grows by at least the distance between any two
+    values it saw (triangle inequality). Each step is inflated past the
+    rounding of its computation and every sum is rounded up, so ``total``
+    never falls short; a non-finite step, or a value that is not a Vec3,
+    makes it inf for good. Values are compared by identity: the store
+    keeps a value's object until a write changes the value.
+    """
+
+    __slots__ = ("last", "total")
+
+    def __init__(self):
+        self.last = None  # nothing seen yet: the first value adds no step
+        self.total = 0.0
+
+    def see(self, value) -> float:
+        last = self.last
+        if value is not last:
+            self.last = value
+            if last is not None:
+                if type(value) is Vec3 and type(last) is Vec3:
+                    step = math.hypot(value.x - last.x, value.y - last.y, value.z - last.z)
+                    total = self.total + step * _STEP_UP
+                else:
+                    total = math.inf
+                self.total = math.nextafter(total, math.inf) if total < math.inf else math.inf
+        return self.total
+
+
+_STEP_UP = 1.0 + 2.0**-48  # covers the rounding of a step's differences and hypot
+_MARGIN = 1e-9  # relative to 1 + |r| + d: covers the rounding of computed distances
+_FAR = 1e150  # distance() cannot overflow below this; safe regions stay below it
+
+
 class _DistAtom(_Atom):
-    """``dist(feature, scene.X.position) op r``, arguments in that order."""
+    """``dist(feature, scene.X.position) op r``, arguments in that order.
 
-    __slots__ = ("values", "feature", "element")
+    A safe region: an atom that computed distance ``d`` keeps its value
+    until the feature's odometer has gone past a deadline, the odometer's
+    total then plus ``|d - r|`` less a margin for rounding. Element
+    positions never change, and the distance moves no more than the
+    feature does, so until then it cannot have reached ``r``. A
+    non-finite ``d``, or a slack within the margin, sets no deadline, and
+    a region ends short of distances of ``_FAR``, where a computed
+    distance could overflow to inf.
+    """
 
-    def __init__(self, op, const, values: dict, feature: FeatureId, element: SceneElement):
+    __slots__ = ("values", "feature", "element", "odometer", "margin", "deadline", "value")
+
+    def __init__(self, op, const, values: dict, feature: FeatureId, element: SceneElement, odometer: Odometer):
         super().__init__(op, const)
         self.values = values
         self.feature = feature
         self.element = element
+        self.odometer = odometer
+        self.margin = _MARGIN * (1.0 + abs(const))
+        self.deadline = -math.inf  # due: nothing cached
+        self.value = False
 
     def evaluate(self) -> bool:
         try:
             a = self.values[self.feature]
         except KeyError:
             raise _unset(self.feature) from None
+        odometer = self.odometer
+        total = odometer.total if a is odometer.last else odometer.see(a)
+        if total < self.deadline:
+            return self.value
         b = self.element.position
         if type(a) is Vec3 and type(b) is Vec3:
-            return self.test(distance(a, b), self.const)
+            d = distance(a, b)
+            r = self.const
+            value = self.value = self.test(d, r)
+            slack = min(abs(d - r), _FAR - d) - (self.margin + _MARGIN * d)
+            self.deadline = math.nextafter(total + slack, -math.inf) if slack > 0.0 else -math.inf
+            return value
         return self.slow(_dist(a, b))
 
 

@@ -61,6 +61,19 @@ was called from outside process_event evaluates every condition and checks
 every rule. Scene state must change through SceneModel.write_property: an
 attribute assigned directly on a SceneElement is not seen.
 
+Distance thresholds have safe regions. Each feature a
+``dist(feature, scene.X.position) op r`` atom reads has one Odometer,
+shared by its atoms, that sums how far the feature's value moved; an atom
+that found distance ``d`` keeps its value until the odometer has gone
+``|d - r|`` further, less a rounding margin (dsl._DistAtom). A condition
+that reads a feature only through such atoms is guarded on it: a write to
+the feature re-evaluates it only if one of those atoms is due, so on a
+head-tracking stream a position step re-tests only the thresholds it may
+have crossed. Billboards are re-aimed only when the user's position is
+another object than at the last complete re-aim, or a yaw or billboard
+property was written since (SceneModel.refresh_billboards); the engine
+still calls the re-aim in every cycle.
+
 Trace lines are byte-stable: ``E<event> C<cycle> S<seq> <body>`` with the
 sequence number restarting at 0 in each cycle.
 """
@@ -71,7 +84,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .context import ChangeFlag, ContextStore, FeatureId
-from .dsl import EFFECTOR_PROPERTY, Diagnostic, RuleSet, compile_expr, validate
+from .dsl import EFFECTOR_PROPERTY, Diagnostic, Odometer, RuleSet, compile_expr, validate
 from .errors import (
     ActionError,
     AdaptError,
@@ -205,10 +218,23 @@ class Engine:
         self.cond_last: dict[str, bool | None] = {c.id: None for c in rules.conditions}
         self._rule_states: dict[str, _RuleState] = {r.id: _RuleState() for r in rules.rules}
         self._rule_index = {r.id: i for i, r in enumerate(rules.rules)}
-        self._evaluators = {c.id: compile_expr(c.expr, store, scene).evaluate for c in rules.conditions}
+        odometers: dict[FeatureId, Odometer] = {}  # one per feature, shared by its dist() atoms
+        compiled = [compile_expr(c.expr, store, scene, odometers) for c in rules.conditions]
+        self._evaluators = {c.id: k.evaluate for c, k in zip(rules.conditions, compiled)}
         # input (FeatureId or (element, property)) -> indices of the conditions
-        # reading it; condition id -> indices of the rules listing it
-        self._readers = _index((key, i) for i, c in enumerate(rules.conditions) for key in c.reads)
+        # reading it, but for the features a condition reads only through
+        # dist() atoms; condition id -> indices of the rules listing it
+        self._readers = _index(
+            (key, i) for i, (c, k) in enumerate(zip(rules.conditions, compiled)) for key in c.reads
+            if key not in k.guards
+        )
+        # feature -> its odometer and the (condition index, atom) pairs of the
+        # conditions reading it only through those dist() atoms
+        guarded: dict[FeatureId, list] = {}
+        for i, k in enumerate(compiled):
+            for feature, atoms in k.guards.items():
+                guarded.setdefault(feature, []).extend((i, atom) for atom in atoms)
+        self._guarded = {f: (odometers[f], tuple(pairs)) for f, pairs in guarded.items()}
         self._listed_by = _index(
             (cid, j) for j, r in enumerate(rules.rules) for cid in r.conditions
         )
@@ -408,7 +434,14 @@ class Engine:
                 cond_ids = range(len(conditions))
             else:
                 readers = self._readers
-                cond_ids = sorted({i for key in (*features, *props) for i in readers.get(key, ())})
+                due = {i for key in (*features, *props) for i in readers.get(key, ())}
+                for feature in features:
+                    guard = self._guarded.get(feature)
+                    if guard is not None:  # only atoms past their deadline can flip
+                        odometer, atoms = guard
+                        total = odometer.see(self.store._values[feature])
+                        due.update([i for i, atom in atoms if total >= atom.deadline])
+                cond_ids = sorted(due)
             flipped = []
             for i in cond_ids:
                 cond_id = conditions[i].id

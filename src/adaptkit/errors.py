@@ -80,6 +80,10 @@ class DuplicateFeatureInEvent(ParseError):
     pass
 
 
+class FeatureTypeChange(ParseError):
+    """A scenario sets a feature to a value of another type than before."""
+
+
 class ValidationFailed(AdaptError):
     """Engine construction refused because validate() reported errors."""
 

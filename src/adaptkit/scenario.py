@@ -8,7 +8,8 @@ A scenario file scripts the sensor feed::
 Consecutive lines with the same timestamp form one event and are applied
 atomically before any condition evaluation. The t=0 block seeds the store
 before the engine initializes. Timestamps order events but never appear
-in traces, so runs are wall-clock independent.
+in traces, so runs are wall-clock independent. A feature keeps the type
+of its first value (int and float differ), as the context store requires.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .errors import (
     DecreasingTimestamp,
     DslSyntaxError,
     DuplicateFeatureInEvent,
+    FeatureTypeChange,
 )
 from .scene import SceneModel
-from .values import Value, Vec3
+from .values import Value, Vec3, type_name
 from .workflow import Workflow
 
 
@@ -52,6 +54,7 @@ def parse_scenario(text: str) -> Scenario:
     last_t = -1
     seen: set[str] = set()  # the feature ids of the last block, as written
     features: dict[str, FeatureId] = {}  # each distinct feature id is parsed once
+    types: dict[str, tuple[str, int]] = {}  # feature id -> type of its first value, that line
 
     for lineno, tokens in lines(text):
         if scenario_id is None:
@@ -89,6 +92,10 @@ def parse_scenario(text: str) -> Scenario:
         if name in seen:
             raise DuplicateFeatureInEvent(lineno, f"{feature} set twice at t={t}")
         seen.add(name)
+        kind = type_name(value)
+        first = types.setdefault(name, (kind, lineno))
+        if first[0] != kind:
+            raise FeatureTypeChange(lineno, f"{feature} holds {first[0]} (line {first[1]}), cannot set {kind}")
         sets.append((feature, value))
 
     if scenario_id is None:

@@ -39,7 +39,11 @@ Color = tuple[int, int, int]
 
 
 def distance(a: Vec3, b: Vec3) -> float:
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    """Euclidean distance; inf where a square is beyond the float range."""
+    try:
+        return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
 
 
 def face_user_yaw(element_pos: Vec3, user_pos: Vec3) -> float | None:
@@ -175,6 +179,9 @@ WRITABLE = {
     "billboard": Property(_check_bool, "billboard", _render_bool),
 }
 
+# properties a write to which can leave a billboard aimed elsewhere
+_AIM_PROPS = frozenset({"yaw", "billboard"})
+
 # properties readable from DSL expressions, with their expression type
 READABLE_PROPS = {
     "position": "vec3",
@@ -214,6 +221,8 @@ class SceneModel:
     def __init__(self, elements: list[SceneElement] | None = None):
         self._elements: dict[str, SceneElement] = {}
         self._dirty: set[tuple[str, str]] = set()
+        self._sorted: list[SceneElement] | None = None  # elements() until add_element
+        self._aimed_at: Vec3 | None = None  # the user position of the last complete re-aim
         for e in elements or []:
             self.add_element(e)
 
@@ -221,6 +230,8 @@ class SceneModel:
         if element.id in self._elements:
             raise DuplicateId(0, f"duplicate element id {element.id!r}")
         self._elements[element.id] = element
+        self._sorted = None
+        self._aimed_at = None
 
     def element(self, element_id: str) -> SceneElement:
         try:
@@ -232,7 +243,9 @@ class SceneModel:
         return element_id in self._elements
 
     def elements(self) -> list[SceneElement]:
-        return [self._elements[k] for k in sorted(self._elements)]
+        if self._sorted is None:
+            self._sorted = [self._elements[k] for k in sorted(self._elements)]
+        return list(self._sorted)
 
     def get_property(self, element_id: str, prop: str):
         el = self.element(element_id)
@@ -263,6 +276,8 @@ class SceneModel:
             return None
         setattr(el, attr, value)
         self._dirty.add((element_id, prop))
+        if prop in _AIM_PROPS:
+            self._aimed_at = None
         return PropertyWrite(element_id, prop, old, value, writer)
 
     def drain_dirty(self) -> list[tuple[str, str]]:
@@ -273,9 +288,20 @@ class SceneModel:
         return out
 
     def refresh_billboards(self, user_pos: Vec3) -> list[PropertyWrite]:
-        """Re-aim every billboard element at the user; skips singular cases."""
+        """Re-aim every billboard element at the user; skips singular cases.
+
+        Called again with the very ``user_pos`` object of the last complete
+        re-aim, it returns [] at once, unless a yaw or billboard property
+        was written since (by anyone but that re-aim) or an element added:
+        the re-aim would write nothing. Positions are compared by identity,
+        which is cheaper than ``==`` and tells -0.0 from 0.0; the store
+        keeps a position's object until a write changes it.
+        """
+        elements = self.elements()
+        if user_pos is self._aimed_at:
+            return []
         writes = []
-        for el in self.elements():
+        for el in elements:
             if not el.billboard:
                 continue
             yaw = face_user_yaw(el.position, user_pos)
@@ -284,6 +310,7 @@ class SceneModel:
             w = self.write_property(el.id, "yaw", yaw, "billboard")
             if w is not None:
                 writes.append(w)
+        self._aimed_at = user_pos
         return writes
 
 

@@ -1,13 +1,15 @@
 """Reference oracle: the engine loop that evaluates every condition, with
-the tree-walking ``eval_expr``, and checks every rule in every cycle, and
-rules that look up and render every property they write each time they
-execute and unexecute.
+the tree-walking ``eval_expr``, checks every rule and re-aims every
+billboard in every cycle, and rules that look up and render every
+property they write each time they execute and unexecute.
 
 ``Engine`` evaluates only the conditions whose inputs changed, with
-conditions compiled once, checks only the rules of conditions that
-flipped, and runs rules from plans built once; the differential tests
-compare the two on whole traces. Everything but condition evaluation, the
-loop and the rule transitions is inherited.
+conditions compiled once and distance comparisons kept while the user
+cannot have crossed them, checks only the rules of conditions that
+flipped, runs rules from plans built once, and re-aims billboards only
+when something moved; the differential tests compare the two on whole
+traces. Everything but condition evaluation, the loop, the rule
+transitions and the billboard pass is inherited.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from adaptkit.errors import (
     UnknownFeature,
     UnknownProperty,
 )
-from adaptkit.scene import prop_values_equal
+from adaptkit.scene import face_user_yaw, prop_values_equal
 from adaptkit.values import Vec3, render_value
 
 
@@ -195,7 +197,7 @@ class NaiveEngine(Engine):
             ):
                 user_pos = self.store.get_feature(USER_POSITION)
                 if isinstance(user_pos, Vec3):
-                    for write in self.scene.refresh_billboards(user_pos):
+                    for write in self._aim_billboards(user_pos):
                         self._emit_prop(write)
                         activity = True
 
@@ -211,3 +213,15 @@ class NaiveEngine(Engine):
 
         self._emit(KIND_NONQUIESCENT, f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)
+
+    def _aim_billboards(self, user_pos: Vec3) -> list:
+        """Every billboard re-aimed in id order, in every cycle: no skip."""
+        writes = []
+        for el in self.scene.elements():
+            if el.billboard:
+                yaw = face_user_yaw(el.position, user_pos)
+                if yaw is not None:
+                    write = self.scene.write_property(el.id, "yaw", yaw, writer="billboard")
+                    if write is not None:
+                        writes.append(write)
+        return writes

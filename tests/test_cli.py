@@ -168,6 +168,22 @@ class TestRun:
         assert code == 2
         assert f"{bad}:3: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_feature_type_change_exits_two_before_e0(self, tmp_path, capsys, command):
+        lines = (PRINTER / "dark_switch.scenario").read_text().splitlines()
+        assert lines[-1].startswith("at 2000 set env.luminance = ")
+        lines[-1] = "at 2000 set env.luminance = true"
+        changed = tmp_path / "changed.scenario"
+        changed.write_text("\n".join(lines) + "\n")
+        argv = [command, "--rules", PRINTER / "printer.rules", "--scene", PRINTER / "printer.scene",
+                "--scenario", changed]
+        if command == "verify":
+            argv += ["--golden", PRINTER / "golden" / "dark_switch.trace"]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{changed}:{len(lines)}: error: env.luminance holds float")
+
     def test_unset_feature_exits_three(self, capsys):
         # first_uses references user.app_use_count but no state file provides it
         code = run_cli(

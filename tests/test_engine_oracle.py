@@ -218,3 +218,178 @@ def test_engine_matches_naive_loop(rng):
         outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
         assert outcomes[0] == outcomes[1]
         _assert_same(*engines)
+
+
+# ---------------------------------------------------------------------------
+# Distance thresholds and billboards under adversarial positions: the user
+# stands within 1e-12 of a radius, far enough out for distances to overflow,
+# on signed zeros level with a billboard, and walks in many tiny steps, while
+# rules and callers write billboard flags and yaws between the re-aims.
+
+USER = FeatureId.parse("user.position")
+COORDS = (0.0, -0.0, 1.0, 2.5, -3.0)
+HUGE = (1e154, -1e154, 1e300, -1e300)
+RADII = (0.5, 1.0, 2.0, 3.5, 1e154, 2e154)
+NUDGES = (0.0, 1e-12, -1e-12, 5e-13, -5e-13, 1e-9, -1e-9)
+DIRECTIONS = ((1.0, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0), (0.6, 0.0, 0.8))
+
+
+def _element_positions(rng: random.Random) -> dict[str, tuple]:
+    out = {}
+    for el in ELEMENTS:
+        if rng.random() < 0.1:
+            out[el] = (rng.choice(HUGE), 0.0, rng.choice(COORDS))
+        else:
+            out[el] = (rng.choice(COORDS), rng.choice((0.0, 1.6)), rng.choice(COORDS))
+    return out
+
+
+def _dist_atom(rng: random.Random) -> str:
+    op = rng.choice(("<", "<=", ">", ">="))
+    return f"dist(user.position, scene.{rng.choice(ELEMENTS)}.position) {op} {rng.choice(RADII)!r}"
+
+
+def _threshold_expr(rng: random.Random) -> str:
+    kind = rng.randrange(7)
+    if kind <= 1:
+        return _dist_atom(rng)
+    if kind == 2:
+        return f"{_dist_atom(rng)} && scene.{rng.choice(ELEMENTS)}.yaw > {rng.choice(('1.0', '3.2', '5.0'))}"
+    if kind == 3:
+        return f"{_dist_atom(rng)} && ({_dist_atom(rng)})"
+    if kind == 4:
+        return f"!({_dist_atom(rng)}) || {rng.choice(BOOLS)}"
+    if kind == 5:  # reads the position outside dist() as well
+        return f"{_dist_atom(rng)} && user.position != (1.0,1.6,1.0)"
+    return f"{rng.choice(RADII)!r} > dist(user.position, scene.{rng.choice(ELEMENTS)}.position)"
+
+
+def _threshold_action(rng: random.Random) -> str:
+    el = rng.choice(ELEMENTS)
+    kind = rng.randrange(4)
+    if kind <= 1:
+        return f"set_billboard({el}, {rng.choice(('true', 'false'))})"
+    if kind == 2:
+        return f"set_visible({el}, {rng.choice(('true', 'false'))})"
+    return f"set_feature({rng.choice(BOOLS)}, {rng.choice(('true', 'false'))})"
+
+
+def gen_threshold_texts(rng: random.Random, positions: dict) -> tuple[str, str, None]:
+    n_conds = rng.randint(2, 8)
+    lines = [f"condition c{i}: {_threshold_expr(rng)}" for i in range(n_conds)]
+    for j in range(rng.randint(1, 6)):
+        conds = rng.sample(range(n_conds), min(n_conds, rng.randint(1, 2)))
+        actions = [_threshold_action(rng) for _ in range(rng.randint(1, 2))]
+        lines.append(
+            f"rule R{j} priority {rng.randint(0, 2)} when {', '.join(f'c{i}' for i in conds)} "
+            f"do {'; '.join(actions)} category Style"
+        )
+    scene = [
+        f"element {el} at ({x!r},{y!r},{z!r}) yaw {rng.choice(('0.0', '2.0', '4.0'))}"
+        f" billboard {rng.choice(('true', 'false'))}"
+        for el, (x, y, z) in positions.items()
+    ]
+    return "\n".join(lines) + "\n", "\n".join(scene) + "\n", None
+
+
+def _near(rng: random.Random, positions: dict, prev: Vec3) -> Vec3:
+    """A user position chosen to sit on an edge case."""
+    kind = rng.randrange(5)
+    px, py, pz = positions[rng.choice(ELEMENTS)]
+    if kind == 0:  # within 1e-12 of a radius, either side, or well inside it
+        r = rng.choice(RADII) * rng.choice((1.0, 1.0, 0.5, 0.75)) + rng.choice(NUDGES)
+        dx, dy, dz = rng.choice(DIRECTIONS)
+        sign = rng.choice((1.0, -1.0))
+        return Vec3(px + sign * r * dx, py + sign * r * dy, pz + sign * r * dz)
+    if kind == 1:  # far out: squared distances overflow
+        return Vec3(rng.choice(HUGE + COORDS), rng.choice((1.6,) + HUGE), rng.choice(HUGE + COORDS))
+    if kind == 2:  # signed zeros level with a billboard
+        return Vec3(rng.choice((0.0, -0.0)), rng.choice((py, 1.6)), rng.choice((0.0, -0.0, pz, pz + 1.0)))
+    if kind == 3:  # a tiny step
+        size = rng.choice((1e-13, 1e-9, 1e-3))
+        return Vec3(prev.x + size * rng.choice((1, -1)), prev.y, prev.z + size * rng.choice((1, 0, -1)))
+    return Vec3(float(rng.randint(-4, 4)), 1.6, float(rng.randint(-4, 4)))
+
+
+def _walk(rng: random.Random, positions: dict, start: Vec3) -> list[Vec3]:
+    """Many small steps from ``start`` straight towards an element and past it."""
+    px, _, pz = positions[rng.choice(ELEMENTS)]
+    if max(abs(px), abs(pz), abs(start.x), abs(start.z)) > 10.0:
+        return []
+    step = rng.choice((0.05, 0.01, 1e-7))
+    n = rng.randint(20, 60)
+    dx, dz = px - start.x, pz - start.z
+    norm = max((dx * dx + dz * dz) ** 0.5, 1e-9)
+    return [Vec3(start.x + dx / norm * step * k, start.y, start.z + dz / norm * step * k) for k in range(1, n + 1)]
+
+
+def _between_threshold_events(rng: random.Random, engines, positions: dict, prev: Vec3) -> None:
+    rules = engines[0].rules
+    kind = rng.randrange(4)
+    el = rng.choice(ELEMENTS)
+    if kind == 0:  # a caller turns a billboard away
+        yaw = rng.choice((0.5, 2.5, 4.5))
+        step = lambda e: e.scene.write_property(el, "yaw", yaw, writer="caller")
+    elif kind == 1:
+        flag = rng.random() < 0.5
+        step = lambda e: e.scene.write_property(el, "billboard", flag, writer="caller")
+    elif kind == 2:  # a position write that only a poll of every condition sees
+        pos = _near(rng, positions, prev)
+        step = lambda e: (
+            e.store.set_feature(USER, pos),
+            [e.evaluate_condition(c.id) for c in rules.conditions],
+        )
+    else:
+        pos = _near(rng, positions, prev)
+        step = lambda e: e.store.set_feature(USER, pos)
+    outcomes = [_outcome(lambda: step(e)) for e in engines]
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_engine_matches_naive_loop_at_distance_edges(rng):
+    positions = _element_positions(rng)
+    texts = gen_threshold_texts(rng, positions)
+    start = Vec3(0.0, 1.6, 0.0)
+    initial = [(f, _value(rng, f)) for f in BOOLS] + [("user.position", start)]
+    engines = [_build(cls, texts, initial, 6) for cls in (Engine, NaiveEngine)]
+    outcomes = [_outcome(lambda: e.process_event([])) for e in engines]
+    assert outcomes[0] == outcomes[1]
+    _assert_same(*engines)
+
+    prev = start
+    for _ in range(rng.randint(2, 6)):
+        for _ in range(rng.choice((0, 1, 2))):
+            _between_threshold_events(rng, engines, positions, prev)
+            _assert_same(*engines)
+        prev = engines[0].store.get_feature(USER)
+        moves = _walk(rng, positions, prev) if rng.random() < 0.3 else [_near(rng, positions, prev)]
+        for pos in moves:
+            sets = [(USER, pos)]
+            if rng.random() < 0.2:
+                sets.append((FeatureId.parse(rng.choice(BOOLS)), rng.random() < 0.5))
+            outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
+            assert outcomes[0] == outcomes[1]
+        _assert_same(*engines)
+        prev = engines[0].store.get_feature(USER)
+
+
+def test_far_thresholds_match_naive_loop():
+    """Radii so large that the distances the user walks through overflow
+    the float range part of the way; the thresholds must not be skipped
+    on the strength of a slack the overflow makes void."""
+    rules = "".join(
+        f"condition c{i}: dist(user.position, scene.e0.position) {op} {r!r}\n"
+        f"rule R{i} when c{i} do set_visible(e{i % 3 + 1}, false) category Style\n"
+        for i, (op, r) in enumerate((("<", 2e154), (">=", 1e154), ("<=", 1.3e154), (">", 1e300)))
+    )
+    scene = "".join(f"element e{k} at (0.0,0.0,0.0) billboard true\n" for k in range(4))
+    walk = [1e154, 1.2e154, 1.5e154, 1.9e154, 2.1e154, 1e300, 1.4e154, 0.5e154, -1.5e154, 0.0]
+    engines = [_build(cls, (rules, scene, None), [("user.position", Vec3(0.0, 1.6, 0.0))], 6)
+               for cls in (Engine, NaiveEngine)]
+    for x in [None] + walk:
+        sets = [] if x is None else [(USER, Vec3(x, 1.6, 0.0))]
+        outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
+        assert outcomes[0] == outcomes[1]
+        _assert_same(*engines)

@@ -8,6 +8,7 @@ from adaptkit import (
     DecreasingTimestamp,
     DslSyntaxError,
     DuplicateFeatureInEvent,
+    FeatureTypeChange,
     Vec3,
     compare_traces,
     parse_rules,
@@ -47,6 +48,18 @@ class TestParseScenario:
             "scenario s\nat 1000 set env.a = 1\nat 2000 set env.a = 2\n"
         )
         assert len(sc.events) == 2
+
+    @pytest.mark.parametrize("first, later", [("0.5", "true"), ("1", "1.5"), ("(0.0,1.0,2.0)", '"a"'), ("true", "0")])
+    def test_type_change_is_refused_at_its_line(self, first, later):
+        text = f"scenario s\nat 0 set env.a = {first}\nat 10 set env.b = 1\nat 20 set env.a = {later}\n"
+        with pytest.raises(FeatureTypeChange) as exc:
+            parse_scenario(text)
+        assert exc.value.line == 4
+        assert exc.value.message.startswith("env.a holds ") and "(line 2), cannot set " in exc.value.message
+
+    def test_same_type_in_later_events_ok(self):
+        sc = parse_scenario("scenario s\nat 0 set env.a = 0.5\nat 10 set env.a = -0.0\nat 20 set env.b = 2\n")
+        assert [s for e in sc.events for s in e.sets][0][1] == -0.0
 
     def test_missing_header(self):
         with pytest.raises(DslSyntaxError) as exc:

@@ -216,6 +216,29 @@ class TestRefreshBillboards:
         scene.write_property("panel", "billboard", True, writer="r")
         assert scene.refresh_billboards(Vec3(0, 7, 0)) == []
 
+    def test_same_position_skips_until_a_yaw_or_billboard_write(self):
+        scene = small_scene()
+        scene.write_property("panel", "billboard", True, writer="r")
+        user = Vec3(5, 0, 0)
+        assert len(scene.refresh_billboards(user)) == 1
+        assert scene.refresh_billboards(user) == []
+        scene.write_property("panel", "yaw", 1.0, writer="caller")
+        assert [w.new for w in scene.refresh_billboards(user)] == [pytest.approx(math.pi / 2)]
+        scene.write_property("panel", "billboard", False, writer="r")
+        scene.write_property("panel", "billboard", True, writer="r")
+        scene.write_property("panel", "yaw", 2.0, writer="caller")
+        assert len(scene.refresh_billboards(user)) == 1
+        scene.write_property("panel", "visible", False, writer="r")  # aims nothing
+        assert scene.refresh_billboards(user) == []
+
+    def test_added_element_is_aimed_at_the_same_position(self):
+        scene = small_scene()
+        user = Vec3(5, 0, 0)
+        assert scene.refresh_billboards(user) == []
+        scene.add_element(SceneElement(id="sign", position=Vec3(0, 0, 0), billboard=True))
+        assert [w.element_id for w in scene.refresh_billboards(user)] == ["sign"]
+        assert [e.id for e in scene.elements()][-1] == "sign"
+
     def test_elements_visited_in_id_order(self):
         scene = SceneModel(
             [
