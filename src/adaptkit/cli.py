@@ -9,6 +9,7 @@ nothing but trace lines; all diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from .context import ContextStore, FeatureId, load_state, save_state
 from .dsl import RuleSet, parse_rules, validate
 from .engine import DEFAULT_MAX_CASCADE_DEPTH
 from .errors import AdaptError, MalformedStateFile, ParseError
-from .scenario import compare_traces, parse_scenario, run_scenario
+from .scenario import Scenario, compare_traces, parse_scenario, run_scenario
 from .scene import SceneModel, parse_scene
 from .values import type_name
 from .workflow import Workflow, parse_workflow
@@ -77,11 +78,13 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _prepare_state(args, store: ContextStore):
+def _prepare_state(args, store: ContextStore, scenario: Scenario):
     """Load --state-file into the store and bump the use counter.
 
     Returns the key set to persist after the run, or None without
-    --state-file. A missing file counts as an empty state.
+    --state-file. A missing file counts as an empty state. A feature the
+    scenario sets with a value of another type than the state's is an input
+    error, found before anything runs.
     """
     if not args.state_file:
         return None
@@ -93,13 +96,27 @@ def _prepare_state(args, store: ContextStore):
         count = loaded.get_feature(USE_COUNT) if loaded.has_feature(USE_COUNT) else 0
         if type(count) is not int:  # bool is an int subclass
             raise MalformedStateFile(f"{USE_COUNT} must be an int, not {type_name(count)}")
+        for key in loaded.keys():
+            store.set_feature(key, loaded.get_feature(key))
+        store.set_feature(USE_COUNT, count + 1)
+        _check_state_types(store, scenario)
     except (OSError, MalformedStateFile) as e:
         print(f"{args.state_file}: error: {e}", file=sys.stderr)
         raise _InputError() from e
-    for key in loaded.keys():
-        store.set_feature(key, loaded.get_feature(key))
-    store.set_feature(USE_COUNT, count + 1)
     return set(loaded.keys()) | {USE_COUNT}
+
+
+def _check_state_types(store: ContextStore, scenario: Scenario) -> None:
+    """Every value the scenario sets must have the type the store holds for
+    its feature (the scenario gives each feature one type)."""
+    checked = set()
+    for feature, value in itertools.chain(scenario.initial, *(ev.sets for ev in scenario.events)):
+        if feature in checked or not store.has_feature(feature):
+            continue
+        checked.add(feature)
+        held, kind = type_name(store.get_feature(feature)), type_name(value)
+        if held != kind:
+            raise MalformedStateFile(f"{feature} holds {held}, but the scenario sets {kind}")
 
 
 def _save_state(args, store: ContextStore, persist_keys) -> None:
@@ -142,7 +159,7 @@ def _run(args) -> tuple[int, str]:
         return EXIT_INPUT_ERROR, ""
     store = ContextStore()
     try:
-        persist_keys = _prepare_state(args, store)
+        persist_keys = _prepare_state(args, store, scenario)
     except _InputError:
         return EXIT_INPUT_ERROR, ""
     try:

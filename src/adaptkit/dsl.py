@@ -871,13 +871,17 @@ class Diagnostic:
     message: str
     line: int
     source: str = "rules"  # 'rules' | 'workflow'
+    # False for an error a library engine still runs with: it fails only
+    # when a rule makes the write, as an ActionError
+    blocks_engine: bool = True
 
 
 def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> list[Diagnostic]:
     """Cross-check a rule set (and optional workflow) against a scene.
 
-    Errors block engine construction; warnings (static write-write
-    conflicts, unreachable workflow steps) do not.
+    Errors block engine construction, but for a feature that set_feature
+    constants write with two types (the CLI refuses that too); warnings
+    (static write-write conflicts, unreachable workflow steps) do not.
     """
     diags: list[Diagnostic] = []
 
@@ -904,12 +908,28 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
                     )
 
     writers: dict[tuple[str, str], list[RuleDef]] = {}
+    # feature -> the type of the first constant set_feature writes to it, and
+    # that rule: a constant of another type would fail when its rule executes
+    feature_types: dict[FeatureId, tuple[str, RuleDef]] = {}
     for rule in rules.rules:
         targets = set()
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is not None:
                 targets.add((action.element, prop))
+                continue
+            kind = type_name(action.value)
+            first_kind, first = feature_types.setdefault(action.feature, (kind, rule))
+            if kind != first_kind:
+                diags.append(
+                    Diagnostic(
+                        "error",
+                        f"set_feature writes {action.feature} as {first_kind} in rule {first.id!r}"
+                        f" and as {kind} in rule {rule.id!r}",
+                        rule.line,
+                        blocks_engine=False,
+                    )
+                )
         for key in sorted(targets):
             writers.setdefault(key, []).append(rule)
     # one warning per property: its writers in the order they execute

@@ -24,13 +24,18 @@ Feature writes made through set_feature are traced but never reverted.
 Rules run from plans. The first time a rule executes, its actions are
 resolved into a plan: each scene property it writes, as the SceneElement
 and attribute that hold it, in first-write order and in restore order
-(sorted by ``element.property``), and the trace text of every constant it
-writes. Executing and unexecuting then snapshot and compare by reading
-those attributes and render only the value each write replaced (and, on a
-restore, the value restored). Every write still goes through
-SceneModel.write_property or ContextStore.set_feature, whose change logs
-drive the evaluation below. Elements are never removed or replaced, so a
-plan's element objects stay the scene's.
+(sorted by ``element.property``), and every constant it writes, as the
+property's check stores it, with its trace text. A constant the check
+refuses is kept as written, so its write raises the same error at the same
+point whenever it runs. Executing and unexecuting then snapshot and
+compare by reading those attributes and render only the value each write
+replaced (and, on a restore, the value restored). Every write still goes
+through SceneModel.write_property or ContextStore.set_feature, whose
+change logs drive the evaluation below; an applied scene write costs that
+one call and one trace append, with the record built by ``tuple.__new__``
+and the sequence number kept in a local until the loop ends or raises.
+Elements are never removed or replaced, so a plan's element objects stay
+the scene's.
 
 Conditions are compiled once, at construction, by dsl.compile_expr into
 closures with their type checks hoisted where the types are known when
@@ -96,11 +101,13 @@ from .errors import (
     UnknownProperty,
     ValidationFailed,
 )
-from .scene import WRITABLE, SceneElement, SceneModel, prop_values_equal, render_prop_value
+from .scene import WRITABLE, SceneElement, SceneModel, prop_values_equal
 from .values import Value, Vec3, check_value, render_value
 from .workflow import Workflow, advance as workflow_advance, apply_step
 
 USER_POSITION = FeatureId.parse("user.position")
+
+_tuple_new = tuple.__new__
 
 DEFAULT_MAX_CASCADE_DEPTH = 16
 
@@ -115,6 +122,9 @@ KIND_NONQUIESCENT = "nonquiescent"
 
 
 class TraceEvent(NamedTuple):
+    """One trace line. The engine builds it with ``tuple.__new__``, which
+    skips the generated ``__new__``."""
+
     event: int
     cycle: int
     seq: int
@@ -138,7 +148,8 @@ class Trace:
         return iter(self.events)
 
     def render(self) -> str:
-        return "".join(ev.render() + "\n" for ev in self.events)
+        """Every line as TraceEvent.render() writes it, each ended by a newline."""
+        return "".join([f"E{e} C{c} S{s} {body}\n" for e, c, s, _, body in self.events])
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,7 @@ class _Step(NamedTuple):
     feature: FeatureId | None
     element_id: str | None
     prop: str | None
-    value: object
+    value: object  # for a scene write, as its check stores it (unless the check refuses it)
     render: Callable[[object], str]  # renders the value the write replaced
     head: str  # "PROP <target> "
     tail: str  # " -> <new value>  writer=<rule>"
@@ -206,7 +217,7 @@ class Engine:
         caller has them already; without them the engine validates."""
         if diagnostics is None:
             diagnostics = validate(rules, scene, workflow)
-        errors = [d for d in diagnostics if d.severity == "error"]
+        errors = [d for d in diagnostics if d.severity == "error" and d.blocks_engine]
         if errors:
             raise ValidationFailed("; ".join(d.message for d in errors))
         self.rules = rules
@@ -248,8 +259,22 @@ class Engine:
     # -- trace plumbing ----------------------------------------------------
 
     def _emit(self, kind: str, body: str) -> None:
-        self.trace.events.append(TraceEvent(self._event, self._cycle, self._seq, kind, body))
+        self.trace.events.append(_tuple_new(TraceEvent, (self._event, self._cycle, self._seq, kind, body)))
         self._seq += 1
+
+    def _emit_props(self, writes) -> None:
+        """A PROP line for each applied write, rendered with its property's
+        renderer, looked up once per write."""
+        append = self.trace.events.append
+        e, c, seq = self._event, self._cycle, self._seq
+        try:
+            for element_id, prop, old, new, writer in writes:
+                render = WRITABLE[prop].render
+                body = f"PROP {element_id}.{prop} {render(old)} -> {render(new)}  writer={writer}"
+                append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, body)))
+                seq += 1
+        finally:
+            self._seq = seq
 
     def _begin_cycle(self, k: int) -> None:
         self._cycle = k
@@ -301,34 +326,43 @@ class Engine:
             plan = state.plan = self._plan(rule_id)
         events = self.trace.events
         emitted_from = len(events)
+        append = events.append
         snapshot = tuple([getattr(t.element, t.attr) for t in plan.targets])
-        self._emit(KIND_RULE_EXEC, plan.executed)
-        scene = self.scene
+        e, c, seq = self._event, self._cycle, self._seq
+        append(_tuple_new(TraceEvent, (e, c, seq, KIND_RULE_EXEC, plan.executed)))
+        seq += 1
+        write_property = self.scene.write_property
         store = self.store
-        for step in plan.steps:
-            if step.feature is None:
+        try:
+            for feature, element_id, prop, value, render, head, tail in plan.steps:
+                if feature is None:
+                    try:
+                        write = write_property(element_id, prop, value, rule_id)
+                    except (UnknownElement, UnknownProperty, TypeMismatch) as err:
+                        raise ActionError(f"rule {rule_id!r}: {err}") from err
+                    if write is not None:
+                        append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, head + render(write.old) + tail)))
+                        seq += 1
+                    continue
+                old = store._values.get(feature)
                 try:
-                    write = scene.write_property(step.element_id, step.prop, step.value, rule_id)
-                except (UnknownElement, UnknownProperty, TypeMismatch) as e:
-                    raise ActionError(f"rule {rule_id!r}: {e}") from e
-                if write is not None:
-                    self._emit(KIND_PROP, step.head + step.render(write.old) + step.tail)
-                continue
-            old = store._values.get(step.feature)
-            try:
-                flag = store.set_feature(step.feature, step.value)
-            except TypeMismatch as e:
-                raise ActionError(f"rule {rule_id!r}: {e}") from e
-            if flag is ChangeFlag.CHANGED:
-                old_text = "unset" if old is None else step.render(old)
-                self._emit(KIND_PROP, step.head + old_text + step.tail)
+                    flag = store.set_feature(feature, value)
+                except TypeMismatch as err:
+                    raise ActionError(f"rule {rule_id!r}: {err}") from err
+                if flag is ChangeFlag.CHANGED:
+                    old_text = "unset" if old is None else render(old)
+                    append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, head + old_text + tail)))
+                    seq += 1
+        finally:
+            self._seq = seq
         state.active = True
         state.snapshot = snapshot
         state.written = tuple([getattr(t.element, t.attr) for t in plan.targets])
         return events[emitted_from:]
 
     def _plan(self, rule_id: str) -> _Plan:
-        """Resolve a rule's targets and render its constant values once."""
+        """Resolve a rule's targets, and check and render its constant values
+        once."""
         rule = self.rules.rule_by_id[rule_id]
         writer = f"  writer={rule_id}"
         steps = []
@@ -336,7 +370,7 @@ class Engine:
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
-                new = _constant_text(check_value, render_value, action.value)
+                _, new = _checked_constant(check_value, render_value, action.value)
                 steps.append(_Step(action.feature, None, None, action.value, render_value,
                                    f"PROP {action.feature} ", f" -> {new}{writer}"))
                 continue
@@ -349,20 +383,12 @@ class Engine:
                     raise ActionError(f"rule {rule_id!r}: {e}") from e
                 targets[action.element, prop] = _Target(action.element, prop, element, spec.attr,
                                                          spec.render, label)
-            new = _constant_text(spec.check, spec.render, action.value)
-            steps.append(_Step(None, action.element, prop, action.value, spec.render,
+            value, new = _checked_constant(spec.check, spec.render, action.value)
+            steps.append(_Step(None, action.element, prop, value, spec.render,
                                f"PROP {label} ", f" -> {new}{writer}"))
         order = tuple(targets.values())
         restore = tuple(sorted(range(len(order)), key=lambda i: order[i].label))
         return _Plan(tuple(steps), order, restore, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
-
-    def _emit_prop(self, write) -> None:
-        old = render_prop_value(write.prop, write.old)
-        new = render_prop_value(write.prop, write.new)
-        self._emit(
-            KIND_PROP,
-            f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}",
-        )
 
     def unexecute_rule(self, rule_id: str) -> list[TraceEvent]:
         """Restore snapshotted properties this rule still owns; mark inactive."""
@@ -386,13 +412,23 @@ class Engine:
         body = plan.unexecuted
         if skipped:
             body += " skipped_restore=" + ",".join(skipped)
-        self._emit(KIND_RULE_UNEXEC, body)
-        for i in restores:
-            t = targets[i]
-            write = self.scene.write_property(t.element_id, t.prop, snapshot[i], rule_id)
-            if write is not None:
-                old, new = t.render(write.old), t.render(write.new)
-                self._emit(KIND_PROP, f"PROP {t.label} {old} -> {new}  writer={rule_id}")
+        append = events.append
+        e, c, seq = self._event, self._cycle, self._seq
+        append(_tuple_new(TraceEvent, (e, c, seq, KIND_RULE_UNEXEC, body)))
+        seq += 1
+        write_property = self.scene.write_property
+        writer = f"  writer={rule_id}"
+        try:
+            for i in restores:
+                t = targets[i]
+                write = write_property(t.element_id, t.prop, snapshot[i], rule_id)
+                if write is not None:
+                    render = t.render
+                    body = f"PROP {t.label} {render(write.old)} -> {render(write.new)}{writer}"
+                    append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, body)))
+                    seq += 1
+        finally:
+            self._seq = seq
         state.active = False
         state.snapshot = state.written = ()
         return events[emitted_from:]
@@ -475,8 +511,9 @@ class Engine:
             if self.store.has_feature(USER_POSITION):
                 user_pos = self.store.get_feature(USER_POSITION)
                 if isinstance(user_pos, Vec3):  # a non-vec position cannot aim anything
-                    for write in self.scene.refresh_billboards(user_pos):
-                        self._emit_prop(write)
+                    writes = self.scene.refresh_billboards(user_pos)
+                    if writes:
+                        self._emit_props(writes)
                         activity = True
 
             if self.workflow is not None:
@@ -495,27 +532,26 @@ class Engine:
 
     def _workflow_phase(self, cond_values: dict[str, bool]) -> bool:
         if not self.workflow.applied:
-            writes = apply_step(self.workflow, self.scene)
-            for write in writes:
-                self._emit_prop(write)
+            self._emit_props(apply_step(self.workflow, self.scene))
             return True
         moved = workflow_advance(self.workflow, self.scene, cond_values)
         if moved is None:
             return False
         from_id, to_id, writes = moved
         self._emit(KIND_WORKFLOW, f"WORKFLOW step {from_id} -> {to_id}")
-        for write in writes:
-            self._emit_prop(write)
+        self._emit_props(writes)
         return True
 
 
-def _constant_text(check, render, value) -> str:
-    """Trace text of an action's constant value as its write stores it. A
-    value its check refuses gets none: that write raises whenever it runs."""
+def _checked_constant(check, render, value) -> tuple[object, str]:
+    """An action's constant value as its write stores it, and its trace text.
+    A value its check refuses is kept as it is, with no text: that write
+    raises the check's error whenever it runs."""
     try:
-        return render(check(value))
+        value = check(value)
     except TypeMismatch:
-        return ""
+        return value, ""
+    return value, render(value)
 
 
 def _index(pairs) -> dict:

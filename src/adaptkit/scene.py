@@ -10,13 +10,14 @@ forward is +z at yaw 0 and yaw grows toward +x).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from ._lexer import REF, Cursor, lines, text_of
 from .errors import DslSyntaxError, DuplicateId, TypeMismatch, UnknownElement, UnknownProperty
-from .values import Vec3, float_bits, format_float, normalize_yaw, quote_text
+from .values import TAU, Vec3, float_bits, format_float, normalize_yaw, quote_text
 
 HORIZONTAL_EPS = 1e-9  # below this horizontal distance, facing is undefined
 
@@ -34,6 +35,13 @@ class Modality(enum.Enum):
 
 # canonical rendering order for modality sets
 _MODALITY_ORDER = (Modality.VISUAL, Modality.AUDIO, Modality.VOICE_INPUT)
+
+# every valid (non-empty) modality set -> its trace rendering
+_MODALITY_TEXT = {
+    frozenset(combo): ",".join(m.value for m in combo)
+    for n in range(1, len(_MODALITY_ORDER) + 1)
+    for combo in itertools.combinations(_MODALITY_ORDER, n)
+}
 
 Color = tuple[int, int, int]
 
@@ -74,7 +82,8 @@ class SceneElement:
 
 
 class PropertyWrite(NamedTuple):
-    """An applied (non-no-op) write to an element property."""
+    """An applied (non-no-op) write to an element property. The write path
+    builds it with ``tuple.__new__``, which skips the generated ``__new__``."""
 
     element_id: str
     prop: str
@@ -83,7 +92,13 @@ class PropertyWrite(NamedTuple):
     writer: str
 
 
-# writable property -> validator/normalizer for incoming values
+_tuple_new = tuple.__new__
+
+
+# writable property -> validator/normalizer for incoming values. Each check
+# first accepts the exact types the engine writes (the stored values and the
+# checked constants of rule plans) in one test; anything else takes the
+# general path, with the same result or error.
 def _check_bool(v):
     if not isinstance(v, bool):
         raise TypeMismatch("expected bool")
@@ -106,6 +121,8 @@ def _float(v) -> float:
 
 
 def _check_size(v):
+    if type(v) is float and 0.0 < v < math.inf:
+        return v
     v = _float(v)
     if not (v > 0) or not math.isfinite(v):
         raise TypeMismatch("text_size must be a positive finite number")
@@ -113,6 +130,8 @@ def _check_size(v):
 
 
 def _check_yaw(v):
+    if type(v) is float and 0.0 <= v < TAU:  # normalize_yaw keeps it, -0.0 becoming 0.0
+        return v + 0.0
     v = _float(v)
     if not math.isfinite(v):  # normalize_yaw would make it NaN
         raise TypeMismatch("yaw must be a finite number")
@@ -126,6 +145,8 @@ def _check_detail(v):
 
 
 def _check_modalities(v):
+    if type(v) is frozenset and v in _MODALITY_TEXT:
+        return v
     if not isinstance(v, frozenset) or not v or not all(isinstance(m, Modality) for m in v):
         raise TypeMismatch("expected a non-empty modality set")
     return v
@@ -134,6 +155,11 @@ def _check_modalities(v):
 def _check_highlight(v):
     if v is None:
         return v
+    if type(v) is tuple and len(v) == 3:
+        r, g, b = v
+        if (type(r) is int and type(g) is int and type(b) is int
+                and 0 <= r <= 255 and 0 <= g <= 255 and 0 <= b <= 255):
+            return v
     if (
         not isinstance(v, tuple)
         or len(v) != 3
@@ -148,11 +174,14 @@ def _render_bool(value) -> str:
 
 
 def _render_detail(value) -> str:
-    return value.value
+    return value._value_  # what the ``value`` property returns, without its descriptor
 
 
 def _render_modalities(value) -> str:
-    return ",".join(m.value for m in _MODALITY_ORDER if m in value)
+    try:
+        return _MODALITY_TEXT[value]
+    except (KeyError, TypeError):
+        return ",".join(m.value for m in _MODALITY_ORDER if m in value)
 
 
 def _render_highlight(value) -> str:
@@ -278,7 +307,7 @@ class SceneModel:
         self._dirty.add((element_id, prop))
         if prop in _AIM_PROPS:
             self._aimed_at = None
-        return PropertyWrite(element_id, prop, old, value, writer)
+        return _tuple_new(PropertyWrite, (element_id, prop, old, value, writer))
 
     def drain_dirty(self) -> list[tuple[str, str]]:
         """Return the (element, property) pairs written since the last drain
@@ -296,17 +325,26 @@ class SceneModel:
         the re-aim would write nothing. Positions are compared by identity,
         which is cheaper than ``==`` and tells -0.0 from 0.0; the store
         keeps a position's object until a write changes it.
+
+        Each yaw is face_user_yaw's, computed inline.
         """
         elements = self.elements()
         if user_pos is self._aimed_at:
             return []
         writes = []
+        ux, uz = user_pos.x, user_pos.z
+        sqrt, atan2 = math.sqrt, math.atan2
         for el in elements:
             if not el.billboard:
                 continue
-            yaw = face_user_yaw(el.position, user_pos)
-            if yaw is None:
+            pos = el.position
+            dx = ux - pos.x
+            dz = uz - pos.z
+            if sqrt(dx * dx + dz * dz) < HORIZONTAL_EPS:
                 continue
+            yaw = atan2(dx, dz) % TAU  # normalize_yaw; % never returns -0.0
+            if yaw >= TAU:
+                yaw = 0.0
             w = self.write_property(el.id, "yaw", yaw, "billboard")
             if w is not None:
                 writes.append(w)

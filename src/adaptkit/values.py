@@ -95,9 +95,9 @@ def normalize_yaw(radians: float) -> float:
     return r + 0.0  # collapse -0.0
 
 
-def format_float(x: float) -> str:
-    """Fixed 6-decimal rendering (round-half-even) used in traces and state files."""
-    return f"{x:.6f}"
+# fixed 6-decimal rendering (round-half-even) used in traces and state files;
+# a bound str.format, so a call runs no Python frame
+format_float = "{:.6f}".format
 
 
 def quote_text(s: str) -> str:

@@ -9,7 +9,8 @@ cannot have crossed them, checks only the rules of conditions that
 flipped, runs rules from plans built once, and re-aims billboards only
 when something moved; the differential tests compare the two on whole
 traces. Everything but condition evaluation, the loop, the rule
-transitions and the billboard pass is inherited.
+transitions, the billboard pass and the PROP lines of rule and billboard
+writes is inherited.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from adaptkit.errors import (
     UnknownFeature,
     UnknownProperty,
 )
-from adaptkit.scene import face_user_yaw, prop_values_equal
+from adaptkit.scene import face_user_yaw, prop_values_equal, render_prop_value
 from adaptkit.values import Vec3, render_value
 
 
@@ -58,6 +59,14 @@ class NaiveEngine(Engine):
 
     def rule_snapshot(self, rule_id: str) -> dict:
         return dict(self._rule_states[rule_id].snapshot)
+
+    def _emit_prop(self, write) -> None:
+        old = render_prop_value(write.prop, write.old)
+        new = render_prop_value(write.prop, write.new)
+        self._emit(
+            KIND_PROP,
+            f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}",
+        )
 
     def evaluate_condition(self, cond_id: str) -> tuple[bool, bool]:
         if not self._busy:

@@ -69,6 +69,31 @@ class TestCheck:
         err = capsys.readouterr().err
         assert "warning" in err and "panel.text_size" in err
 
+    @pytest.mark.parametrize("command", ["check", "run", "verify"])
+    def test_feature_written_with_two_types_exits_two(self, tmp_path, capsys, command):
+        rules = tmp_path / "c.rules"
+        rules.write_text(
+            "condition c: env.x == true\n"
+            "rule R when c do set_feature(env.y, 1) category Style\n"
+            "rule Q when c do set_feature(env.y, true) category Style\n"
+        )
+        scene = tmp_path / "c.scene"
+        scene.write_text("element panel at (0.0,1.0,0.0)\n")
+        scenario = tmp_path / "c.scenario"
+        scenario.write_text("scenario s\nat 0 set env.x = true\n")
+        extra = {
+            "check": [],
+            "run": ["--scenario", scenario],
+            "verify": ["--scenario", scenario, "--golden", scenario],
+        }[command]
+        code = run_cli(command, "--rules", rules, "--scene", scene, *extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{rules}:3: error: set_feature writes env.y as int in rule 'R' and as bool in rule 'Q'\n"
+        )
+
     def test_workflow_cross_checked(self, tmp_path, capsys):
         wf = tmp_path / "w.workflow"
         wf.write_text('workflow w\nstep a "x" until ghost_cond terminal\n')
@@ -267,6 +292,41 @@ class TestStateFile:
         assert captured.out == ""
         assert f"{state}: error: user.app_use_count must be an int" in captured.err
         assert state.read_text() == f"user.app_use_count={count}\n"
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_state_value_of_another_type_exits_two(self, tmp_path, capsys, command):
+        state = tmp_path / "app.state"
+        state.write_bytes(b"env.luminance=true\n")
+        golden = ["--golden", PRINTER / "golden" / "dark_switch.trace"] if command == "verify" else []
+        code = run_cli(
+            command,
+            "--rules", PRINTER / "printer.rules",
+            "--scene", PRINTER / "printer.scene",
+            "--scenario", PRINTER / "dark_switch.scenario",
+            "--state-file", state,
+            *golden,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{state}: error: env.luminance holds bool, but the scenario sets float\n"
+        assert state.read_bytes() == b"env.luminance=true\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["app.state"]
+
+    def test_state_use_count_of_another_type_than_the_scenario_exits_two(self, tmp_path, capsys):
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("scenario s\nat 0 set user.app_use_count = 1.5\n")
+        state = tmp_path / "app.state"
+        code = run_cli(
+            "run",
+            "--rules", PRINTER / "printer.rules",
+            "--scene", PRINTER / "printer.scene",
+            "--scenario", scenario,
+            "--state-file", state,
+        )
+        assert code == 2
+        assert "user.app_use_count holds int, but the scenario sets float" in capsys.readouterr().err
+        assert not state.exists()
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
     def test_failed_save_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, failing):

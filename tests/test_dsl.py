@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from adaptkit import (
     ActionCall,
+    ActionError,
     AdaptationCategory,
     ConditionDef,
     DetailLevel,
@@ -27,6 +28,7 @@ from adaptkit import (
     UnknownFeature,
     Vec3,
     eval_expr,
+    init_engine,
     parse_rules,
     parse_scene,
     pretty_print,
@@ -313,6 +315,35 @@ class TestValidate:
             "write-write conflict on panel.text_size: "
             "B (priority 1), A (priority 5), C (priority 5)"
         )
+
+    @pytest.mark.parametrize("first, second, kinds", [
+        ("1", "true", "int in rule 'R' and as bool"),
+        ("1", "1.0", "int in rule 'R' and as float"),
+        ('"on"', "(0.0,1.0,2.0)", "text in rule 'R' and as vec3"),
+    ])
+    def test_feature_written_with_two_types_is_error_naming_both(self, first, second, kinds):
+        rs = parse_rules(
+            "condition c: env.x == true\n"
+            f"rule R when c do set_feature(env.y, {first}) category Style\n"
+            "rule S when c do set_visible(panel, true) category Style\n"
+            f"rule Q when c do set_feature(env.y, {second}) category Style\n"
+        )
+        diags = validate(rs, parse_scene(self.SCENE))
+        assert [(d.severity, d.message, d.line) for d in diags] == [
+            ("error", f"set_feature writes env.y as {kinds} in rule 'Q'", 4)
+        ]
+        # the engine still runs it, and the write of the second type fails there
+        engine = init_engine(rs, parse_scene(self.SCENE), store_from({"env.x": False}))
+        with pytest.raises(ActionError, match="rule 'Q': env.y holds"):
+            engine.process_event([(FeatureId.parse("env.x"), True)])
+
+    def test_feature_written_with_one_type_is_clean(self):
+        rs = parse_rules(
+            "condition c: env.x == true\n"
+            "rule R when c do set_feature(env.y, 1); set_feature(env.z, false) category Style\n"
+            "rule Q when c do set_feature(env.y, 2); set_feature(env.z, true) category Style\n"
+        )
+        assert validate(rs) == []
 
     def test_without_scene_skips_element_checks(self):
         rs = parse_rules(

@@ -499,3 +499,56 @@ def test_determinism_double_run_byte_equality():
         return engine.trace.render()
 
     assert run() == run()
+
+
+class TestFailingAction:
+    """A rule whose third action fails: the partial trace, with its S
+    numbers, must be the reference loop's, and so must the lines emitted
+    after the failure in the same cycle."""
+
+    RULES = (
+        "condition c: env.go == true\n"
+        "rule R when c do set_text(panel, \"x\"); set_visible(hints, true); set_feature(env.flag, 1);"
+        " set_visible(panel, false) category Style\n"
+    )
+
+    def _engines(self):
+        from naive_engine import NaiveEngine
+
+        engines = []
+        for cls in (Engine, NaiveEngine):
+            store = store_from({"env.go": False, "env.flag": True})
+            engine = cls(parse_rules(self.RULES), parse_scene(BASIC_SCENE), store)
+            engine.process_event([])
+            engines.append(engine)
+        return engines
+
+    def test_partial_trace_matches_reference(self):
+        engines = self._engines()
+        for engine in engines:
+            with pytest.raises(ActionError, match="env.flag holds bool"):
+                engine.process_event([(FeatureId.parse("env.go"), True)])
+        fast, naive = (e.trace.render() for e in engines)
+        assert fast == naive
+        assert fast.endswith(
+            "E1 C1 S1 RULE R EXECUTED\n"
+            'E1 C1 S2 PROP panel.text "" -> "x"  writer=R\n'
+            "E1 C1 S3 PROP hints.visible false -> true  writer=R\n"
+        )
+        for engine in engines:  # a caller retries the rule in the same cycle
+            engine.scene.write_property("panel", "text", "", "caller")
+            with pytest.raises(ActionError):
+                engine.execute_rule("R")
+        fast, naive = (e.trace.render() for e in engines)
+        assert fast == naive
+        assert fast.endswith('E1 C1 S4 RULE R EXECUTED\nE1 C1 S5 PROP panel.text "" -> "x"  writer=R\n')
+
+
+def test_trace_render_is_each_line_rendered():
+    engine = basic_engine(
+        {"env.x": False},
+        "condition c: env.x == true\n"
+        "rule R when c do set_visible(hints, true); set_text(panel, \"a b\") category Style\n",
+    )
+    engine.process_event([(FeatureId.parse("env.x"), True)])
+    assert engine.trace.render() == "".join(ev.render() + "\n" for ev in engine.trace)
