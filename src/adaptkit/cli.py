@@ -35,20 +35,27 @@ class _InputError(Exception):
     pass
 
 
+def _fail(path: str, reason) -> _InputError:
+    """Print an input error as ``<path>: error: <reason>``; the caller raises
+    what this returns."""
+    print(f"{path}: error: {reason}", file=sys.stderr)
+    return _InputError()
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        print(f"{path}: error: {e.strerror or e}", file=sys.stderr)
-        raise _InputError() from e
+        raise _fail(path, e.strerror or e) from e
+    except UnicodeDecodeError as e:
+        raise _fail(path, e) from e
 
 
 def _parse(path: str, parser):
     try:
         return parser(_read(path))
     except ParseError as e:
-        print(f"{path}:{e.line}: error: {e.message}", file=sys.stderr)
-        raise _InputError() from e
+        raise _fail(f"{path}:{e.line}", e.message) from e
 
 
 def _load_inputs(args) -> tuple[RuleSet, SceneModel | None, Workflow | None]:
@@ -78,45 +85,52 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _prepare_state(args, store: ContextStore, scenario: Scenario):
+def _prepare_state(args, store: ContextStore):
     """Load --state-file into the store and bump the use counter.
 
     Returns the key set to persist after the run, or None without
-    --state-file. A missing file counts as an empty state. A feature the
-    scenario sets with a value of another type than the state's is an input
-    error, found before anything runs.
+    --state-file. A missing file counts as an empty state.
     """
     if not args.state_file:
         return None
-    path = Path(args.state_file)
     loaded = ContextStore()
     try:
-        if path.exists():
-            loaded = load_state(path.read_text(encoding="utf-8"))
+        if Path(args.state_file).exists():
+            loaded = load_state(_read(args.state_file))
         count = loaded.get_feature(USE_COUNT) if loaded.has_feature(USE_COUNT) else 0
         if type(count) is not int:  # bool is an int subclass
             raise MalformedStateFile(f"{USE_COUNT} must be an int, not {type_name(count)}")
-        for key in loaded.keys():
-            store.set_feature(key, loaded.get_feature(key))
-        store.set_feature(USE_COUNT, count + 1)
-        _check_state_types(store, scenario)
-    except (OSError, MalformedStateFile) as e:
-        print(f"{args.state_file}: error: {e}", file=sys.stderr)
-        raise _InputError() from e
+    except (OSError, MalformedStateFile) as e:  # OSError: from exists()
+        raise _fail(args.state_file, e) from e
+    for key in loaded.keys():
+        store.set_feature(key, loaded.get_feature(key))
+    store.set_feature(USE_COUNT, count + 1)
     return set(loaded.keys()) | {USE_COUNT}
 
 
-def _check_state_types(store: ContextStore, scenario: Scenario) -> None:
-    """Every value the scenario sets must have the type the store holds for
-    its feature (the scenario gives each feature one type)."""
-    checked = set()
+def _check_state_types(args, store: ContextStore, scenario: Scenario, rules: RuleSet) -> None:
+    """The one type check before E0: a feature has one type across the
+    store (the state file's values and the use counter), the values the
+    scenario sets and the constants set_feature writes. The scenario gives
+    each feature one type (parse_scenario) and so do the rules (validate);
+    a conflict with the state file is blamed on it, any other on the rule."""
+    held = {feature: type_name(store.get_feature(feature)) for feature in store.keys()}
+    from_state = set(held)
     for feature, value in itertools.chain(scenario.initial, *(ev.sets for ev in scenario.events)):
-        if feature in checked or not store.has_feature(feature):
-            continue
-        checked.add(feature)
-        held, kind = type_name(store.get_feature(feature)), type_name(value)
-        if held != kind:
-            raise MalformedStateFile(f"{feature} holds {held}, but the scenario sets {kind}")
+        kind = type_name(value)
+        if held.setdefault(feature, kind) != kind:
+            raise _fail(args.state_file, f"{feature} holds {held[feature]}, but the scenario sets {kind}")
+    for rule in rules.rules:
+        for action in rule.actions:
+            feature = action.feature
+            if feature is None or feature not in held or held[feature] == type_name(action.value):
+                continue
+            kind = type_name(action.value)
+            if feature in from_state:
+                message = f"{feature} holds {held[feature]}, but rule {rule.id!r} writes {kind}"
+                raise _fail(args.state_file, message)
+            message = f"rule {rule.id!r} writes {feature} as {kind}, but the scenario sets {held[feature]}"
+            raise _fail(f"{args.rules}:{rule.line}", message)
 
 
 def _save_state(args, store: ContextStore, persist_keys) -> None:
@@ -139,14 +153,6 @@ def _save_state(args, store: ContextStore, persist_keys) -> None:
         raise
 
 
-def _write_trace(args, trace_text: str) -> None:
-    out = getattr(args, "trace", None)
-    if out:
-        Path(out).write_text(trace_text, encoding="utf-8")
-    else:
-        sys.stdout.write(trace_text)
-
-
 def _run(args) -> tuple[int, str]:
     """Shared run pipeline; returns (exit code, trace text)."""
     try:
@@ -159,7 +165,8 @@ def _run(args) -> tuple[int, str]:
         return EXIT_INPUT_ERROR, ""
     store = ContextStore()
     try:
-        persist_keys = _prepare_state(args, store, scenario)
+        persist_keys = _prepare_state(args, store)
+        _check_state_types(args, store, scenario, rules)
     except _InputError:
         return EXIT_INPUT_ERROR, ""
     try:
@@ -180,7 +187,7 @@ def _run(args) -> tuple[int, str]:
     try:
         _save_state(args, store, persist_keys)
     except OSError as e:
-        print(f"{args.state_file}: error: {e.strerror or e}", file=sys.stderr)
+        _fail(args.state_file, e.strerror or e)
         return EXIT_INPUT_ERROR, ""
     return code, text
 
@@ -189,7 +196,14 @@ def cmd_run(args) -> int:
     code, text = _run(args)
     if code == EXIT_INPUT_ERROR:
         return code
-    _write_trace(args, text)
+    if not args.trace:
+        sys.stdout.write(text)
+        return code
+    try:
+        Path(args.trace).write_text(text, encoding="utf-8")
+    except OSError as e:
+        _fail(args.trace, e.strerror or e)
+        return EXIT_INPUT_ERROR
     return code
 
 

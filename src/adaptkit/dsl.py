@@ -12,9 +12,10 @@ scene references (``scene.<element>.<property>``), literals, comparisons
 function ``dist(a, b)``. There is no other arithmetic. Equality follows
 the store's change detection: bitwise on floats, so no epsilons. Boolean
 connectives evaluate both operands so unset features always surface.
-Expressions nest at most MAX_DEPTH deep and MAX_HEIGHT high.
-``eval_expr`` evaluates a tree by walking it; ``compile_expr`` turns one
-into a closure that agrees with it, and is what the engine runs.
+Expressions nest at most MAX_DEPTH deep and MAX_HEIGHT high. The parser
+types them with ``check_expr``; ``eval_expr`` evaluates a tree by walking
+it; ``compile_expr`` builds what the engine runs, an atom where a shape has
+one and eval_expr for every other node.
 
 Actions come from a closed effector vocabulary; ``set_feature`` writes a
 context feature and is what lets one rule's effects trigger another rule.
@@ -39,7 +40,6 @@ from .errors import (
     UnknownCategory,
     UnknownConditionRef,
     UnknownEffector,
-    UnknownFeature,
 )
 from .scene import READABLE_PROPS, WRITABLE, DetailLevel, Modality, SceneElement, SceneModel, distance
 from .values import Value, Vec3, quote_text, type_name, values_equal
@@ -264,41 +264,9 @@ def _need_element(arg, lineno: int) -> str:
 
 
 def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
-    def arity(n):
-        if len(args) != n:
-            raise ExprTypeError(lineno, f"{effector} takes {n} argument(s), got {len(args)}")
-
-    if effector in ("set_visible", "set_billboard"):
-        arity(2)
-        elem = _need_element(args[0], lineno)
-        if not isinstance(args[1], bool):
-            raise ExprTypeError(lineno, f"{effector} needs a bool value")
-        return ActionCall(effector, element=elem, value=args[1])
-    if effector == "set_text":
-        arity(2)
-        elem = _need_element(args[0], lineno)
-        if not isinstance(args[1], str):
-            raise ExprTypeError(lineno, "set_text needs a string value")
-        return ActionCall(effector, element=elem, value=args[1])
-    if effector == "set_text_size":
-        arity(2)
-        elem = _need_element(args[0], lineno)
-        v = args[1]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ExprTypeError(lineno, "set_text_size needs a number")
-        if not float(v) > 0:
-            raise ExprTypeError(lineno, "text size must be positive")
-        return ActionCall(effector, element=elem, value=float(v))
-    if effector == "set_detail":
-        arity(2)
-        elem = _need_element(args[0], lineno)
-        if not isinstance(args[1], _Bare):
-            raise ExprTypeError(lineno, "set_detail needs full or reduced")
-        try:
-            level = DetailLevel(args[1].name)
-        except ValueError:
-            raise ExprTypeError(lineno, f"unknown detail level {args[1].name!r}") from None
-        return ActionCall(effector, element=elem, value=level)
+    """Bind an effector's arguments. A scene effector's constant is what the
+    property's WRITABLE check accepts, as it returns it; set_detail and
+    set_modality map names to their enums."""
     if effector == "set_modality":
         if len(args) < 2:
             raise ExprTypeError(lineno, "set_modality needs an element and at least one modality")
@@ -312,19 +280,10 @@ def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
             except ValueError:
                 raise ExprTypeError(lineno, f"unknown modality {a.name!r}") from None
         return ActionCall(effector, element=elem, value=frozenset(mods))
-    if effector == "highlight":
-        arity(2)
-        elem = _need_element(args[0], lineno)
-        t = args[1]
-        if not isinstance(t, tuple) or not all(isinstance(c, int) and 0 <= c <= 255 for c in t):
-            raise ExprTypeError(lineno, "highlight needs an (r,g,b) color with 0..255 components")
-        return ActionCall(effector, element=elem, value=t)
-    if effector == "clear_highlight":
-        arity(1)
-        elem = _need_element(args[0], lineno)
-        return ActionCall(effector, element=elem, value=None)
+    n = 1 if effector == "clear_highlight" else 2
+    if len(args) != n:
+        raise ExprTypeError(lineno, f"{effector} takes {n} argument(s), got {len(args)}")
     if effector == "set_feature":
-        arity(2)
         if not isinstance(args[0], FeatureId):
             raise ExprTypeError(lineno, "set_feature needs a feature id")
         v = args[1]
@@ -333,7 +292,19 @@ def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
         if isinstance(v, (_Bare, FeatureId)):
             raise ExprTypeError(lineno, "set_feature needs a literal value")
         return ActionCall(effector, feature=args[0], value=v)
-    raise UnknownEffector(lineno, f"unknown effector {effector!r}")
+    elem = _need_element(args[0], lineno)
+    if effector == "set_detail":
+        if not isinstance(args[1], _Bare):
+            raise ExprTypeError(lineno, "set_detail needs full or reduced")
+        try:
+            return ActionCall(effector, element=elem, value=DetailLevel(args[1].name))
+        except ValueError:
+            raise ExprTypeError(lineno, f"unknown detail level {args[1].name!r}") from None
+    try:
+        value = WRITABLE[EFFECTOR_PROPERTY[effector]].check(args[1] if n == 2 else None)
+    except TypeMismatch as e:
+        raise ExprTypeError(lineno, f"{effector}: {e}") from None
+    return ActionCall(effector, element=elem, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +315,12 @@ class ConditionDef:
     id: str
     expr: Expr
     line: int = field(default=0, compare=False)
-    # what the expression reads, as compile_expr lists it; found when not given
+    # what the expression reads, as check_expr lists it; found when not given
     reads: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.reads is None:
-            object.__setattr__(self, "reads", tuple(compile_expr(self.expr).reads))
+            object.__setattr__(self, "reads", tuple(check_expr(self.expr)[1]))
 
 
 @dataclass(frozen=True)
@@ -389,15 +360,15 @@ def parse_rules(text: str) -> RuleSet:
             cur.expect_op(":")
             expr, _ = _parse_expr(cur)
             cur.expect_end("after expression")
-            compiled = compile_expr(expr)
-            if compiled.error is not None:
-                raise ExprTypeError(lineno, compiled.error)
-            if compiled.type not in (None, "bool"):
+            kind, reads, error = check_expr(expr)
+            if error is not None:
+                raise ExprTypeError(lineno, error)
+            if kind not in (None, "bool"):
                 raise ExprTypeError(lineno, f"condition {cid!r} must evaluate to bool")
             if cid in cond_ids:
                 raise DuplicateId(lineno, f"duplicate condition id {cid!r}")
             cond_ids[cid] = lineno
-            conditions.append(ConditionDef(cid, expr, line=lineno, reads=tuple(compiled.reads)))
+            conditions.append(ConditionDef(cid, expr, line=lineno, reads=tuple(reads)))
         elif head[REF] == "rule":
             rid = cur.ident("a rule id")
             priority = 0
@@ -470,7 +441,7 @@ def eval_expr(expr: Expr, store: ContextStore, scene: SceneModel) -> Value:
     """Pure evaluation; raises UnknownFeature/UnknownElement/TypeMismatch.
 
     The reference evaluator: it walks the tree on every call. The engine
-    evaluates compile_expr's closures, which must agree with it on every
+    evaluates what compile_expr builds, which must agree with it on every
     value and every error.
     """
     if isinstance(expr, Lit):
@@ -527,193 +498,145 @@ def _not(value: Value) -> bool:
     return not value
 
 
-def _unset(feature: FeatureId) -> UnknownFeature:
-    """What ContextStore.get_feature raises for a feature never set."""
-    return UnknownFeature(f"feature {feature} was never set")
+# ---------------------------------------------------------------------------
+# static typing
+
+def check_expr(expr: Expr) -> tuple[str | None, list, str | None]:
+    """Walk an expression once for its static type, its reads and its first
+    type error.
+
+    The type is None where only the run-time value tells. The reads are a
+    FeatureId per feature reference and an (element, property) pair per
+    scene reference, in reading order and with repeats. The error is the
+    first static type error, as the parser reports it, or None.
+    """
+    reads: list = []
+    errors: list[str] = []
+    kind = _check(expr, reads, errors)
+    return kind, reads, errors[0] if errors else None
+
+
+def _check(expr: Expr, reads: list, errors: list[str]) -> str | None:
+    if isinstance(expr, Lit):
+        return type_name(expr.value)
+    if isinstance(expr, FeatureRef):
+        reads.append(expr.feature)
+        return None
+    if isinstance(expr, SceneRef):
+        reads.append((expr.element, expr.prop))
+        return READABLE_PROPS.get(expr.prop)
+    if isinstance(expr, Compare):
+        lt, rt = _check(expr.left, reads, errors), _check(expr.right, reads, errors)
+        if lt is not None and rt is not None and lt != rt:
+            errors.append(f"cannot compare {lt} with {rt}")
+        if expr.op in _ORDERING_OPS:
+            for t in (lt, rt):
+                if t not in (None, "int", "float"):
+                    errors.append(f"ordering comparison needs numbers, got {t}")
+        return "bool"
+    # each operand in turn, checked against the type the node needs
+    if isinstance(expr, BoolOp):
+        sides, want, kind, message = (expr.left, expr.right), "bool", "bool", f"{expr.op} needs bool operands"
+    elif isinstance(expr, Not):
+        sides, want, kind, message = (expr.operand,), "bool", "bool", "! needs a bool operand"
+    elif isinstance(expr, Dist):
+        sides, want, kind, message = (expr.a, expr.b), "vec3", "float", "dist() needs two vec3 arguments"
+    else:
+        raise AssertionError(f"unhandled expr node {expr!r}")
+    for side in sides:
+        t = _check(side, reads, errors)
+        if t not in (None, want):
+            errors.append(f"{message}, got {t}")
+    return kind
 
 
 # ---------------------------------------------------------------------------
 # compilation
 
 class Compiled(NamedTuple):
-    """What one walk over an expression finds."""
+    """An expression compiled against a store and a scene."""
 
-    type: str | None  # static type; None where only the run-time value tells
-    # a FeatureId per feature reference and an (element, property) pair per
-    # scene reference, in reading order and with repeats
-    reads: list
-    error: str | None  # the first static type error, as the parser reports it
-    evaluate: Callable[[], Value] | None  # eval_expr(expr, store, scene), compiled
-    # feature -> the dist() atoms through which alone the expression reads it
-    guards: dict[FeatureId, tuple["_DistAtom", ...]]
-
-
-def compile_expr(
-    expr: Expr,
-    store: ContextStore | None = None,
-    scene: SceneModel | None = None,
-    odometers: dict[FeatureId, "Odometer"] | None = None,
-) -> Compiled:
-    """Walk an expression once for its static type, read set and first type
-    error, and, given a store and a scene, compile it against them.
-
-    ``evaluate`` returns what eval_expr returns and raises what it raises,
-    the same class with the same message, in the same order. Type checks
-    are hoisted for the common shapes: ``source op constant``, with
-    an ordering op, an int or float constant, and a feature, a scene
-    property or ``dist(feature, scene.X.position)`` as the source, is one
-    atom that compares a value of the constant's type in place, and ``&&``
-    over comparisons skips its bool checks. Any other value or shape takes
-    the operators' generic path, the one eval_expr takes. Elements are
-    bound when compiling; one missing then is looked up on each evaluation.
-
-    A dist() atom keeps its value for as long as the feature it reads
-    cannot have crossed the constant (see _DistAtom); ``odometers`` holds
-    the feature -> Odometer map its atoms share, and gains one for each
-    feature not yet in it. ``guards`` lists, for each feature the
-    expression reads only through such atoms, those atoms: a write to the
-    feature cannot change the expression's value until one of them is due.
-    """
-    c = _Compiler(store, scene, {} if odometers is None else odometers)
-    t, fn = c.walk(expr)
-    if not c.build:
-        return Compiled(t, c.reads, c.error, None, {})
-    guards: dict = {}
-    for atom in c.dist_atoms:
-        guards.setdefault(atom.feature, []).append(atom)
-    guards = {f: tuple(atoms) for f, atoms in guards.items() if c.reads.count(f) == len(atoms)}
-    return Compiled(t, c.reads, c.error, c.evaluator(expr, fn), guards)
+    evaluate: Callable[[], Value]  # eval_expr(expr, store, scene), compiled
+    dist_atoms: tuple["_DistAtom", ...]  # the dist() atoms it evaluates through, in reading order
 
 
 # nodes whose evaluators always return a bool or raise
 _BOOL_NODES = (Compare, BoolOp, Not)
 
 
-class _Compiler:
-    def __init__(self, store: ContextStore | None, scene: SceneModel | None, odometers: dict):
-        self.store = store
-        self.scene = scene
-        self.build = store is not None and scene is not None  # else types and reads only
-        self.reads: list = []
-        self.error: str | None = None
-        self.odometers = odometers
-        self.dist_atoms: list[_DistAtom] = []
+def compile_expr(
+    expr: Expr,
+    store: ContextStore,
+    scene: SceneModel,
+    odometers: dict[FeatureId, "Odometer"] | None = None,
+) -> Compiled:
+    """Compile an expression against a store and a scene.
 
-    def fail(self, message: str) -> None:
-        if self.error is None:
-            self.error = message
+    ``evaluate`` returns what eval_expr returns and raises what it raises,
+    the same class with the same message, in the same order. ``source op
+    constant``, with an ordering op, an int or float constant, and a
+    feature, a scene property or ``dist(feature, scene.X.position)`` as the
+    source, is one atom that compares a value of the constant's type in
+    place, its element bound; ``&&`` over comparisons and connectives skips
+    its bool checks; ``!`` and a bare feature compile too. Every other node
+    runs eval_expr, as does an atom whose element is missing when compiling.
 
-    def walk(self, expr: Expr) -> tuple[str | None, Callable[[], Value] | None]:
-        """The static type of ``expr`` and its evaluator. A leaf, or a dist()
-        of two leaves, has none: its parent reads it in place, or asks
-        ``evaluator`` for one. Without a store and a scene no node has one."""
-        if isinstance(expr, Lit):
-            return type_name(expr.value), None
-        if isinstance(expr, FeatureRef):
-            self.reads.append(expr.feature)
-            return None, None
-        if isinstance(expr, Compare):
-            lt, lf = self.walk(expr.left)
-            rt, rf = self.walk(expr.right)
-            if lt is not None and rt is not None and lt != rt:
-                self.fail(f"cannot compare {lt} with {rt}")
-            if expr.op in _ORDERING_OPS:
-                for t in (lt, rt):
-                    if t not in (None, "int", "float"):
-                        self.fail(f"ordering comparison needs numbers, got {t}")
-            if not self.build:
-                return "bool", None
-            atom = self.atom(expr)
+    A dist() atom keeps its value for as long as the feature it reads
+    cannot have crossed the constant (see _DistAtom); ``odometers`` holds
+    the feature -> Odometer map its atoms share, and gains one for each
+    feature not yet in it.
+    """
+    if odometers is None:
+        odometers = {}
+    dist_atoms: list[_DistAtom] = []
+
+    def build(node: Expr) -> Callable[[], Value]:
+        if isinstance(node, Compare):
+            atom = _atom(node, store, scene, odometers)
             if atom is not None:
-                return "bool", atom.evaluate
-            op, left, right = expr.op, self.evaluator(expr.left, lf), self.evaluator(expr.right, rf)
-            return "bool", lambda: _compare(op, left(), right())
-        if isinstance(expr, BoolOp):
-            fns = self.operands((expr.left, expr.right), "bool", f"{expr.op} needs bool operands")
-            if not self.build:
-                return "bool", None
-            if expr.op == "&&" and isinstance(expr.left, _BOOL_NODES) and isinstance(expr.right, _BOOL_NODES):
-                return "bool", _Conjunction(*fns).evaluate
-            op, left, right = expr.op, self.evaluator(expr.left, fns[0]), self.evaluator(expr.right, fns[1])
-            return "bool", lambda: _bool_op(op, left(), right())
-        if isinstance(expr, SceneRef):
-            self.reads.append((expr.element, expr.prop))
-            return READABLE_PROPS.get(expr.prop), None
-        if isinstance(expr, Not):
-            (fn,) = self.operands((expr.operand,), "bool", "! needs a bool operand")
-            if not self.build:
-                return "bool", None
-            operand = self.evaluator(expr.operand, fn)
-            return "bool", lambda: _not(operand())
-        if isinstance(expr, Dist):
-            fns = self.operands((expr.a, expr.b), "vec3", "dist() needs two vec3 arguments")
-            if fns == [None, None] or not self.build:
-                return "float", None
-            a, b = self.evaluator(expr.a, fns[0]), self.evaluator(expr.b, fns[1])
-            return "float", lambda: _dist(a(), b())
-        raise AssertionError(f"unhandled expr node {expr!r}")
+                if isinstance(atom, _DistAtom):
+                    dist_atoms.append(atom)
+                return atom.evaluate
+        elif isinstance(node, BoolOp):
+            if node.op == "&&" and isinstance(node.left, _BOOL_NODES) and isinstance(node.right, _BOOL_NODES):
+                return _Conjunction(build(node.left), build(node.right)).evaluate
+        elif isinstance(node, Not):
+            operand = build(node.operand)
+            return lambda: _not(operand())
+        elif isinstance(node, FeatureRef):
+            return partial(store.get_feature, node.feature)
+        return partial(eval_expr, node, store, scene)
 
-    def operands(self, sides: tuple, want: str, message: str) -> list:
-        """Walk each operand in turn, checking its static type against ``want``."""
-        fns = []
-        for side in sides:
-            t, fn = self.walk(side)
-            if t not in (None, want):
-                self.fail(f"{message}, got {t}")
-            fns.append(fn)
-        return fns
+    return Compiled(build(expr), tuple(dist_atoms))
 
-    def evaluator(self, expr: Expr, fn: Callable[[], Value] | None) -> Callable[[], Value]:
-        """``fn``, or for a node walk gave none, an evaluator of its own."""
-        if fn is not None:
-            return fn
-        if isinstance(expr, Lit):
-            value = expr.value
-            return lambda: value
-        if isinstance(expr, FeatureRef):
-            return partial(self.store.get_feature, expr.feature)
-        if isinstance(expr, SceneRef):
-            return partial(self.scene.get_property, expr.element, expr.prop)
-        a, b = self.evaluator(expr.a, None), self.evaluator(expr.b, None)  # a dist() of two leaves
-        return lambda: _dist(a(), b())
 
-    def atom(self, expr: Compare) -> "_Atom | None":
-        """``source op constant`` as one atom, for an ordering op and an int
-        or float constant."""
-        if expr.op not in _ORDERING_OPS or not isinstance(expr.right, Lit):
-            return None
-        source, const = expr.left, expr.right.value
-        if type(const) is not int and type(const) is not float:
-            return None
-        if isinstance(source, FeatureRef):
-            return _FeatureAtom(expr.op, const, self.store._values, source.feature)
-        if isinstance(source, SceneRef) and source.prop != "position":
-            element = self._element(source)
-            if element is not None:
-                return _SceneAtom(expr.op, const, element, source.prop)
-        elif (
-            isinstance(source, Dist)
-            and isinstance(source.a, FeatureRef)
-            and isinstance(source.b, SceneRef)
-            and source.b.prop == "position"
-            and type(const) is float  # else the distance always meets a type error
-        ):
-            element = self._element(source.b)
-            if element is not None:
-                feature = source.a.feature
-                odometer = self.odometers.get(feature)
-                if odometer is None:
-                    odometer = self.odometers[feature] = Odometer()
-                atom = _DistAtom(expr.op, const, self.store._values, feature, element, odometer)
-                self.dist_atoms.append(atom)
-                return atom
+def _atom(expr: Compare, store: ContextStore, scene: SceneModel, odometers: dict) -> "_Atom | None":
+    """``source op constant`` as one atom, for an ordering op, an int or float
+    constant, and a source whose element, if it reads one, exists now."""
+    if expr.op not in _ORDERING_OPS or not isinstance(expr.right, Lit):
         return None
-
-    def _element(self, ref: SceneRef) -> SceneElement | None:
-        """The element a readable scene reference reads, if it exists now."""
-        if ref.prop in READABLE_PROPS and self.scene.has_element(ref.element):
-            return self.scene.element(ref.element)
+    source, const = expr.left, expr.right.value
+    if type(const) is not int and type(const) is not float:
         return None
+    if isinstance(source, FeatureRef):
+        return _FeatureAtom(expr.op, const, store, source.feature)
+    if isinstance(source, SceneRef):
+        if source.prop in READABLE_PROPS and source.prop != "position" and scene.has_element(source.element):
+            return _SceneAtom(expr.op, const, scene.element(source.element), source.prop)
+    elif (
+        isinstance(source, Dist)
+        and isinstance(source.a, FeatureRef)
+        and isinstance(source.b, SceneRef)
+        and source.b.prop == "position"
+        and type(const) is float  # else the distance always meets a type error
+        and scene.has_element(source.b.element)
+    ):
+        feature = source.a.feature
+        odometer = odometers.get(feature)
+        if odometer is None:
+            odometer = odometers[feature] = Odometer()
+        return _DistAtom(expr.op, const, store, feature, scene.element(source.b.element), odometer)
+    return None
 
 
 class _Atom:
@@ -734,18 +657,19 @@ class _Atom:
 
 
 class _FeatureAtom(_Atom):
-    __slots__ = ("values", "feature")
+    __slots__ = ("values", "store", "feature")
 
-    def __init__(self, op, const, values: dict, feature: FeatureId):
+    def __init__(self, op, const, store: ContextStore, feature: FeatureId):
         super().__init__(op, const)
-        self.values = values  # the store's own map
+        self.values = store._values  # the store's own map
+        self.store = store
         self.feature = feature
 
     def evaluate(self) -> bool:
         try:
             value = self.values[self.feature]
         except KeyError:
-            raise _unset(self.feature) from None
+            value = self.store.get_feature(self.feature)  # raises UnknownFeature
         if type(value) is self.kind:
             return self.test(value, self.const)
         return self.slow(value)
@@ -816,11 +740,12 @@ class _DistAtom(_Atom):
     distance could overflow to inf.
     """
 
-    __slots__ = ("values", "feature", "element", "odometer", "margin", "deadline", "value")
+    __slots__ = ("values", "store", "feature", "element", "odometer", "margin", "deadline", "value")
 
-    def __init__(self, op, const, values: dict, feature: FeatureId, element: SceneElement, odometer: Odometer):
+    def __init__(self, op, const, store: ContextStore, feature: FeatureId, element: SceneElement, odometer: Odometer):
         super().__init__(op, const)
-        self.values = values
+        self.values = store._values
+        self.store = store
         self.feature = feature
         self.element = element
         self.odometer = odometer
@@ -832,7 +757,7 @@ class _DistAtom(_Atom):
         try:
             a = self.values[self.feature]
         except KeyError:
-            raise _unset(self.feature) from None
+            a = self.store.get_feature(self.feature)  # raises UnknownFeature
         odometer = self.odometer
         total = odometer.total if a is odometer.last else odometer.see(a)
         if total < self.deadline:

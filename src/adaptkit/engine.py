@@ -37,15 +37,16 @@ and the sequence number kept in a local until the loop ends or raises.
 Elements are never removed or replaced, so a plan's element objects stay
 the scene's.
 
-Conditions are compiled once, at construction, by dsl.compile_expr into
-closures with their type checks hoisted where the types are known when
-compiling; the inputs each one reads were listed by the parser's walk
-(ConditionDef.reads). eval_expr stays
-the reference evaluator, off this path: a compiled condition returns the
-value it returns and raises the same error, with the same message, in the
-same order. Scene elements are bound when compiling, which holds because
-elements are never removed or replaced; one missing then is looked up on
-each evaluation, so a later add_element is seen.
+Conditions are compiled once, at construction, by dsl.compile_expr; the
+inputs each one reads were listed by the parser's walk, dsl.check_expr
+(ConditionDef.reads). A comparison of a feature, a scene property or a
+distance with a number is an atom with its type check hoisted, and
+``&&``, ``!`` and a bare feature are compiled around what they hold; every
+other node runs eval_expr, the reference evaluator. A compiled condition
+returns the value eval_expr returns and raises the same error, with the
+same message, in the same order. Scene elements are bound when compiling,
+which holds because elements are never removed or replaced; an atom whose
+element is missing then runs eval_expr, so a later add_element is seen.
 
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
@@ -71,7 +72,8 @@ Distance thresholds have safe regions. Each feature a
 shared by its atoms, that sums how far the feature's value moved; an atom
 that found distance ``d`` keeps its value until the odometer has gone
 ``|d - r|`` further, less a rounding margin (dsl._DistAtom). A condition
-that reads a feature only through such atoms is guarded on it: a write to
+that reads a feature only through such atoms (compile_expr returns them,
+and ConditionDef.reads counts the reads) is guarded on it: a write to
 the feature re-evaluates it only if one of those atoms is due, so on a
 head-tracking stream a position step re-tests only the thresholds it may
 have crossed. Billboards are re-aimed only when the user's position is
@@ -232,19 +234,25 @@ class Engine:
         odometers: dict[FeatureId, Odometer] = {}  # one per feature, shared by its dist() atoms
         compiled = [compile_expr(c.expr, store, scene, odometers) for c in rules.conditions]
         self._evaluators = {c.id: k.evaluate for c, k in zip(rules.conditions, compiled)}
-        # input (FeatureId or (element, property)) -> indices of the conditions
-        # reading it, but for the features a condition reads only through
-        # dist() atoms; condition id -> indices of the rules listing it
-        self._readers = _index(
-            (key, i) for i, (c, k) in enumerate(zip(rules.conditions, compiled)) for key in c.reads
-            if key not in k.guards
-        )
-        # feature -> its odometer and the (condition index, atom) pairs of the
-        # conditions reading it only through those dist() atoms
+        # A condition that reads a feature only through dist() atoms is
+        # guarded on it: _guarded maps the feature to its odometer and the
+        # (condition index, atom) pairs of those conditions. _readers maps
+        # every other input (FeatureId or (element, property)) to the indices
+        # of the conditions reading it, _listed_by a condition id to the
+        # indices of the rules listing it.
         guarded: dict[FeatureId, list] = {}
-        for i, k in enumerate(compiled):
-            for feature, atoms in k.guards.items():
-                guarded.setdefault(feature, []).extend((i, atom) for atom in atoms)
+        only: dict[int, set] = {}  # condition index -> the features it is guarded on
+        for i, (c, k) in enumerate(zip(rules.conditions, compiled)):
+            through: dict[FeatureId, list] = {}
+            for atom in k.dist_atoms:
+                through.setdefault(atom.feature, []).append(atom)
+            for f, atoms in through.items():
+                if c.reads.count(f) == len(atoms):
+                    only.setdefault(i, set()).add(f)
+                    guarded.setdefault(f, []).extend((i, atom) for atom in atoms)
+        self._readers = _index(
+            (key, i) for i, c in enumerate(rules.conditions) for key in c.reads if key not in only.get(i, ())
+        )
         self._guarded = {f: (odometers[f], tuple(pairs)) for f, pairs in guarded.items()}
         self._listed_by = _index(
             (cid, j) for j, r in enumerate(rules.rules) for cid in r.conditions

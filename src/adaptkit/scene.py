@@ -222,16 +222,6 @@ READABLE_PROPS = {
 }
 
 
-def render_prop_value(prop: str, value) -> str:
-    """Trace rendering of a property value."""
-    spec = WRITABLE.get(prop)
-    if spec is not None:
-        return spec.render(value)
-    if prop == "position":
-        return f"({format_float(value.x)},{format_float(value.y)},{format_float(value.z)})"
-    raise UnknownProperty(prop)
-
-
 def prop_values_equal(a, b) -> bool:
     """No-op test of a property write: bitwise for floats, ``==`` otherwise."""
     if isinstance(a, float) and isinstance(b, float):
@@ -352,6 +342,10 @@ class SceneModel:
         return writes
 
 
+# scene attributes given as one literal, which their WRITABLE check decides
+_LITERAL_ATTRS = ("visible", "billboard", "text", "yaw", "text_size")
+
+
 def parse_scene(text: str) -> SceneModel:
     """Parse the line-oriented scene format.
 
@@ -400,26 +394,11 @@ def parse_scene(text: str) -> SceneModel:
                     kwargs["modalities"] = frozenset(Modality(n) for n in names)
                 except ValueError:
                     raise DslSyntaxError(lineno, f"unknown modality in {','.join(names)!r}") from None
-            elif attr in ("visible", "billboard"):
-                value = cur.literal()
-                if not isinstance(value, bool):
-                    raise DslSyntaxError(lineno, f"attribute {attr!r} needs true or false")
-                kwargs[attr] = value
-            elif attr == "text":
-                value = cur.literal()
-                if not isinstance(value, str):
-                    raise DslSyntaxError(lineno, "text attribute needs a quoted string")
-                kwargs["text"] = value
-            elif attr in ("yaw", "text_size"):
-                value = cur.literal()
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise DslSyntaxError(lineno, f"attribute {attr!r} needs a number")
-                if attr == "yaw":
-                    kwargs["yaw"] = normalize_yaw(float(value))
-                elif value > 0:
-                    kwargs["text_size"] = float(value)
-                else:
-                    raise DslSyntaxError(lineno, "text_size must be positive")
+            elif attr in _LITERAL_ATTRS:
+                try:
+                    kwargs[attr] = WRITABLE[attr].check(cur.literal())
+                except TypeMismatch as e:
+                    raise DslSyntaxError(lineno, f"attribute {attr!r}: {e}") from None
             else:
                 raise DslSyntaxError(lineno, f"unknown attribute {attr!r}")
         if scene.has_element(elem_id):

@@ -10,7 +10,9 @@ flipped, runs rules from plans built once, and re-aims billboards only
 when something moved; the differential tests compare the two on whole
 traces. Everything but condition evaluation, the loop, the rule
 transitions, the billboard pass and the PROP lines of rule and billboard
-writes is inherited.
+writes is inherited. Those PROP lines render scene values with the copies
+in reference_props.py, not with the renderers of scene.WRITABLE that the
+engine uses.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ from adaptkit.errors import (
     UnknownFeature,
     UnknownProperty,
 )
-from adaptkit.scene import face_user_yaw, prop_values_equal, render_prop_value
+from adaptkit.scene import face_user_yaw, prop_values_equal
 from adaptkit.values import Vec3, render_value
+
+from reference_props import WRITABLE as REFERENCE_PROPS
 
 
 @dataclass
@@ -61,8 +65,8 @@ class NaiveEngine(Engine):
         return dict(self._rule_states[rule_id].snapshot)
 
     def _emit_prop(self, write) -> None:
-        old = render_prop_value(write.prop, write.old)
-        new = render_prop_value(write.prop, write.new)
+        render = REFERENCE_PROPS[write.prop][1]
+        old, new = render(write.old), render(write.new)
         self._emit(
             KIND_PROP,
             f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}",

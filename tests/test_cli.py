@@ -209,6 +209,61 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"{changed}:{len(lines)}: error: env.luminance holds float")
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_scenario_value_of_another_type_than_set_feature_exits_two(self, tmp_path, capsys, command):
+        rules = tmp_path / "r.rules"
+        rules.write_text("condition c: env.x == true\nrule R when c do set_feature(env.y, 1) category Style\n")
+        scene = tmp_path / "s.scene"
+        scene.write_text("element a at (0.0,0.0,0.0)\n")
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("scenario s\nat 0 set env.x = true\nat 0 set env.y = true\n")
+        golden = tmp_path / "g.trace"
+        golden.write_text("")
+        assert run_cli("check", "--rules", rules, "--scene", scene) == 0
+        argv = [command, "--rules", rules, "--scene", scene, "--scenario", scenario]
+        if command == "verify":
+            argv += ["--golden", golden]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{rules}:2: error: rule 'R' writes env.y as int, but the scenario sets bool\n"
+
+    def test_trace_into_a_missing_directory_exits_two(self, tmp_path, capsys):
+        out_file = tmp_path / "no" / "such" / "x.trace"
+        code = run_cli(
+            "run",
+            "--rules", PRINTER / "printer.rules",
+            "--scene", PRINTER / "printer.scene",
+            "--scenario", PRINTER / "dark_switch.scenario",
+            "--trace", out_file,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{out_file}: error: No such file or directory\n"
+
+    @pytest.mark.parametrize("which", ["rules", "scene", "scenario", "golden", "state"])
+    def test_non_utf8_input_exits_two(self, tmp_path, capsys, which):
+        paths = {
+            "rules": PRINTER / "printer.rules",
+            "scene": PRINTER / "printer.scene",
+            "scenario": PRINTER / "dark_switch.scenario",
+            "golden": PRINTER / "golden" / "dark_switch.trace",
+            "state": tmp_path / "app.state",
+        }
+        bad = paths[which] = tmp_path / f"bad.{which}"
+        bad.write_bytes(b"\xff\n")
+        argv = ["--rules", paths["rules"], "--scene", paths["scene"]]
+        if which in ("rules", "scene"):
+            assert run_cli("check", *argv) == 2
+            assert capsys.readouterr().err.startswith(f"{bad}: error: 'utf-8' codec can't decode byte 0xff")
+        argv += ["--scenario", paths["scenario"], "--state-file", paths["state"]]
+        assert run_cli("verify", *argv, "--golden", paths["golden"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{bad}: error: 'utf-8' codec can't decode byte 0xff")
+        assert bad.read_bytes() == b"\xff\n"
+
     def test_unset_feature_exits_three(self, capsys):
         # first_uses references user.app_use_count but no state file provides it
         code = run_cli(
@@ -327,6 +382,27 @@ class TestStateFile:
         assert code == 2
         assert "user.app_use_count holds int, but the scenario sets float" in capsys.readouterr().err
         assert not state.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_state_value_of_another_type_than_set_feature_exits_two(self, tmp_path, capsys, command):
+        rules = tmp_path / "r.rules"
+        rules.write_text("condition c: env.x == true\nrule R when c do set_feature(env.y, 1) category Style\n")
+        scene = tmp_path / "s.scene"
+        scene.write_text("element a at (0.0,0.0,0.0)\n")
+        scenario = tmp_path / "s.scenario"
+        scenario.write_text("scenario s\nat 0 set env.x = true\n")
+        state = tmp_path / "app.state"
+        state.write_bytes(b"env.y=true\n")
+        golden = tmp_path / "g.trace"
+        golden.write_text("")
+        argv = [command, "--rules", rules, "--scene", scene, "--scenario", scenario, "--state-file", state]
+        if command == "verify":
+            argv += ["--golden", golden]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{state}: error: env.y holds bool, but rule 'R' writes int\n"
+        assert state.read_bytes() == b"env.y=true\n"
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
     def test_failed_save_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, failing):

@@ -34,6 +34,7 @@ from adaptkit import (
     pretty_print,
     validate,
 )
+from adaptkit.cli import main
 from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef
 
 from conftest import store_from
@@ -189,6 +190,30 @@ class TestParseRules:
                 "condition c: env.x == true\n"
                 "rule R when c do highlight(a, (0,999,0)) category Style\n"
             )
+
+    @pytest.mark.parametrize(
+        "action",
+        [
+            "set_visible(e, 1)",
+            "set_billboard(e, \"yes\")",
+            "set_text(e, 3)",
+            "set_text_size(e, 0)",
+            "highlight(e, (256,0,0))",
+            "highlight(e, (1.0,0,0))",
+            "set_detail(e, loud)",
+            "set_modality(e, smell)",
+            "clear_highlight(e, e)",
+        ],
+    )
+    def test_bad_effector_constant_is_a_type_error_at_its_rule(self, action, tmp_path, capsys):
+        text = f"condition c: env.x == true\n\nrule R when c do {action} category Style\n"
+        with pytest.raises(ExprTypeError) as exc:
+            parse_rules(text)
+        assert exc.value.line == 3
+        rules = tmp_path / "r.rules"
+        rules.write_text(text)
+        assert main(["check", "--rules", str(rules)]) == 2
+        assert capsys.readouterr().err.startswith(f"{rules}:3: error: ")
 
     def test_set_feature_vec3_literal(self):
         rs = parse_rules(

@@ -308,6 +308,28 @@ class TestParseScene:
             parse_scene(f"element a at (0.0,0.0,0.0)\nelement b {attrs}\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "attr",
+        [
+            "visible 1",
+            "visible yes",
+            "billboard \"true\"",
+            "text 3",
+            "text hello",
+            "yaw true",
+            "yaw (0.0,0.0,0.0)",
+            "text_size 0",
+            "text_size -2.5",
+            "text_size \"big\"",
+            "detail loud",
+            "modality smell",
+        ],
+    )
+    def test_bad_attribute_value_is_a_syntax_error_at_its_line(self, attr):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_scene(f"element a at (0.0,0.0,0.0)\n\nelement b at (0.0,0.0,0.0) {attr}\n")
+        assert exc.value.line == 3
+
     def test_duplicate_attribute(self):
         with pytest.raises(DslSyntaxError):
             parse_scene("element a at (0.0,0.0,0.0) visible true visible false\n")
