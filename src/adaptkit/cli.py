@@ -154,7 +154,10 @@ def _save_state(args, store: ContextStore, persist_keys) -> None:
 
 
 def _run(args) -> tuple[int, str]:
-    """Shared run pipeline; returns (exit code, trace text)."""
+    """Shared run pipeline; returns (exit code, trace text).
+
+    A --trace file is written before the state file is saved, so a trace
+    that cannot be written leaves the state file as it was."""
     try:
         rules, scene, workflow = _load_inputs(args)
         scenario = _parse(args.scenario, parse_scenario)
@@ -184,6 +187,13 @@ def _run(args) -> tuple[int, str]:
         partial = getattr(e, "trace", None)
         print(f"runtime error: {e}", file=sys.stderr)
         code, text = EXIT_RUNTIME_ERROR, partial.render() if partial is not None else ""
+    trace_path = getattr(args, "trace", None)
+    if trace_path:
+        try:
+            Path(trace_path).write_text(text, encoding="utf-8")
+        except OSError as e:
+            _fail(trace_path, e.strerror or e)
+            return EXIT_INPUT_ERROR, ""
     try:
         _save_state(args, store, persist_keys)
     except OSError as e:
@@ -194,16 +204,8 @@ def _run(args) -> tuple[int, str]:
 
 def cmd_run(args) -> int:
     code, text = _run(args)
-    if code == EXIT_INPUT_ERROR:
-        return code
-    if not args.trace:
+    if code != EXIT_INPUT_ERROR and not args.trace:
         sys.stdout.write(text)
-        return code
-    try:
-        Path(args.trace).write_text(text, encoding="utf-8")
-    except OSError as e:
-        _fail(args.trace, e.strerror or e)
-        return EXIT_INPUT_ERROR
     return code
 
 
@@ -279,3 +281,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

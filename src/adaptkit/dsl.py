@@ -599,7 +599,8 @@ def compile_expr(
                 return atom.evaluate
         elif isinstance(node, BoolOp):
             if node.op == "&&" and isinstance(node.left, _BOOL_NODES) and isinstance(node.right, _BOOL_NODES):
-                return _Conjunction(build(node.left), build(node.right)).evaluate
+                left, right = build(node.left), build(node.right)
+                return lambda: left() & right()  # both sides, left first
         elif isinstance(node, Not):
             operand = build(node.operand)
             return lambda: _not(operand())
@@ -771,20 +772,6 @@ class _DistAtom(_Atom):
             self.deadline = math.nextafter(total + slack, -math.inf) if slack > 0.0 else -math.inf
             return value
         return self.slow(_dist(a, b))
-
-
-class _Conjunction:
-    """``&&`` over evaluators that return a bool or raise, so that no bool
-    check is left to make."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    def evaluate(self) -> bool:
-        return self.left() & self.right()  # both sides, left first
 
 
 # ---------------------------------------------------------------------------

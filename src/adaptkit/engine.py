@@ -27,13 +27,15 @@ and attribute that hold it, in first-write order and in restore order
 (sorted by ``element.property``), and every constant it writes, as the
 property's check stores it, with its trace text. A constant the check
 refuses is kept as written, so its write raises the same error at the same
-point whenever it runs. Executing and unexecuting then snapshot and
-compare by reading those attributes and render only the value each write
-replaced (and, on a restore, the value restored). Every write still goes
-through SceneModel.write_property or ContextStore.set_feature, whose
-change logs drive the evaluation below; an applied scene write costs that
-one call and one trace append, with the record built by ``tuple.__new__``
-and the sequence number kept in a local until the loop ends or raises.
+point whenever it runs. What a rule leaves in a target is the checked
+constant of its last write there, so the plan holds that too, and
+unexecuting compares each target against it. Executing snapshots by
+reading those attributes and renders only the value each write replaced;
+a restore's PROP line is written like a billboard's or a workflow's.
+Every write still goes through SceneModel.write_property or
+ContextStore.set_feature, whose change logs drive the evaluation below; an
+applied scene write costs that one call and one trace append, with the
+record built by ``tuple.__new__`` and its S number read from the trace.
 Elements are never removed or replaced, so a plan's element objects stay
 the scene's.
 
@@ -82,7 +84,8 @@ property was written since (SceneModel.refresh_billboards); the engine
 still calls the re-aim in every cycle.
 
 Trace lines are byte-stable: ``E<event> C<cycle> S<seq> <body>`` with the
-sequence number restarting at 0 in each cycle.
+sequence number restarting at 0 in each cycle. The number is read from the
+trace: a line's S is the count of lines appended since its cycle began.
 """
 
 from __future__ import annotations
@@ -138,7 +141,9 @@ class TraceEvent(NamedTuple):
 
 
 class Trace:
-    """Append-only event log with byte-exact rendering."""
+    """Event log with byte-exact rendering. It is append-only: the engine
+    numbers each new line by the lines appended since its cycle began, so
+    removing or inserting a line would misnumber the lines after it."""
 
     def __init__(self):
         self.events: list[TraceEvent] = []
@@ -166,7 +171,6 @@ class _Target(NamedTuple):
     prop: str
     element: SceneElement
     attr: str  # the property's SceneElement attribute
-    render: Callable[[object], str]
     label: str  # element.property, as the trace names it
 
 
@@ -188,6 +192,7 @@ class _Plan(NamedTuple):
 
     steps: tuple[_Step, ...]
     targets: tuple[_Target, ...]  # in first-write order
+    written: tuple  # aligned with targets: the checked constant of the last write to each
     restore: tuple[int, ...]  # indices into targets, by label
     executed: str  # the RULE line bodies
     unexecuted: str
@@ -197,10 +202,9 @@ class _Plan(NamedTuple):
 class _RuleState:
     active: bool = False
     plan: _Plan | None = None
-    # aligned with plan.targets: the values before the rule executed and the
-    # values it left; empty while inactive
+    # aligned with plan.targets: the values before the rule executed; empty
+    # while inactive
     snapshot: tuple = ()
-    written: tuple = ()
 
 
 class Engine:
@@ -230,7 +234,6 @@ class Engine:
         self.trace = Trace()
         self.cond_last: dict[str, bool | None] = {c.id: None for c in rules.conditions}
         self._rule_states: dict[str, _RuleState] = {r.id: _RuleState() for r in rules.rules}
-        self._rule_index = {r.id: i for i, r in enumerate(rules.rules)}
         odometers: dict[FeatureId, Odometer] = {}  # one per feature, shared by its dist() atoms
         compiled = [compile_expr(c.expr, store, scene, odometers) for c in rules.conditions]
         self._evaluators = {c.id: k.evaluate for c, k in zip(rules.conditions, compiled)}
@@ -262,31 +265,30 @@ class Engine:
         self._next_event = 0
         self._event = 0
         self._cycle = 0
-        self._seq = 0
+        self._start = 0  # the trace length when the current cycle began
 
     # -- trace plumbing ----------------------------------------------------
 
     def _emit(self, kind: str, body: str) -> None:
-        self.trace.events.append(_tuple_new(TraceEvent, (self._event, self._cycle, self._seq, kind, body)))
-        self._seq += 1
+        events = self.trace.events
+        line = (self._event, self._cycle, len(events) - self._start, kind, body)
+        events.append(_tuple_new(TraceEvent, line))
 
     def _emit_props(self, writes) -> None:
         """A PROP line for each applied write, rendered with its property's
-        renderer, looked up once per write."""
-        append = self.trace.events.append
-        e, c, seq = self._event, self._cycle, self._seq
-        try:
-            for element_id, prop, old, new, writer in writes:
-                render = WRITABLE[prop].render
-                body = f"PROP {element_id}.{prop} {render(old)} -> {render(new)}  writer={writer}"
-                append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, body)))
-                seq += 1
-        finally:
-            self._seq = seq
+        renderer, looked up once per write. Each line is appended as soon as
+        ``writes`` yields its write."""
+        events = self.trace.events
+        append = events.append
+        e, c, start = self._event, self._cycle, self._start
+        for element_id, prop, old, new, writer in writes:
+            render = WRITABLE[prop].render
+            body = f"PROP {element_id}.{prop} {render(old)} -> {render(new)}  writer={writer}"
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
 
     def _begin_cycle(self, k: int) -> None:
         self._cycle = k
-        self._seq = 0
+        self._start = len(self.trace.events)
 
     # -- conditions ----------------------------------------------------------
 
@@ -336,36 +338,30 @@ class Engine:
         emitted_from = len(events)
         append = events.append
         snapshot = tuple([getattr(t.element, t.attr) for t in plan.targets])
-        e, c, seq = self._event, self._cycle, self._seq
-        append(_tuple_new(TraceEvent, (e, c, seq, KIND_RULE_EXEC, plan.executed)))
-        seq += 1
+        e, c, start = self._event, self._cycle, self._start
+        append(_tuple_new(TraceEvent, (e, c, emitted_from - start, KIND_RULE_EXEC, plan.executed)))
         write_property = self.scene.write_property
         store = self.store
-        try:
-            for feature, element_id, prop, value, render, head, tail in plan.steps:
-                if feature is None:
-                    try:
-                        write = write_property(element_id, prop, value, rule_id)
-                    except (UnknownElement, UnknownProperty, TypeMismatch) as err:
-                        raise ActionError(f"rule {rule_id!r}: {err}") from err
-                    if write is not None:
-                        append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, head + render(write.old) + tail)))
-                        seq += 1
-                    continue
-                old = store._values.get(feature)
+        for feature, element_id, prop, value, render, head, tail in plan.steps:
+            if feature is None:
                 try:
-                    flag = store.set_feature(feature, value)
-                except TypeMismatch as err:
+                    write = write_property(element_id, prop, value, rule_id)
+                except (UnknownElement, UnknownProperty, TypeMismatch) as err:
                     raise ActionError(f"rule {rule_id!r}: {err}") from err
-                if flag is ChangeFlag.CHANGED:
-                    old_text = "unset" if old is None else render(old)
-                    append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, head + old_text + tail)))
-                    seq += 1
-        finally:
-            self._seq = seq
+                if write is not None:
+                    body = head + render(write.old) + tail
+                    append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
+                continue
+            old = store._values.get(feature)
+            try:
+                flag = store.set_feature(feature, value)
+            except TypeMismatch as err:
+                raise ActionError(f"rule {rule_id!r}: {err}") from err
+            if flag is ChangeFlag.CHANGED:
+                old_text = "unset" if old is None else render(old)
+                append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, head + old_text + tail)))
         state.active = True
         state.snapshot = snapshot
-        state.written = tuple([getattr(t.element, t.attr) for t in plan.targets])
         return events[emitted_from:]
 
     def _plan(self, rule_id: str) -> _Plan:
@@ -375,6 +371,7 @@ class Engine:
         writer = f"  writer={rule_id}"
         steps = []
         targets: dict[tuple[str, str], _Target] = {}
+        written: dict[tuple[str, str], object] = {}  # same keys, same order
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
@@ -389,14 +386,15 @@ class Engine:
                     element = self.scene.element(action.element)
                 except UnknownElement as e:
                     raise ActionError(f"rule {rule_id!r}: {e}") from e
-                targets[action.element, prop] = _Target(action.element, prop, element, spec.attr,
-                                                         spec.render, label)
+                targets[action.element, prop] = _Target(action.element, prop, element, spec.attr, label)
             value, new = _checked_constant(spec.check, spec.render, action.value)
+            written[action.element, prop] = value
             steps.append(_Step(None, action.element, prop, value, spec.render,
                                f"PROP {label} ", f" -> {new}{writer}"))
         order = tuple(targets.values())
         restore = tuple(sorted(range(len(order)), key=lambda i: order[i].label))
-        return _Plan(tuple(steps), order, restore, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
+        return _Plan(tuple(steps), order, tuple(written.values()), restore,
+                     f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
 
     def unexecute_rule(self, rule_id: str) -> list[TraceEvent]:
         """Restore snapshotted properties this rule still owns; mark inactive."""
@@ -406,39 +404,25 @@ class Engine:
         assert state.active, f"rule {rule_id} is not active"
         events = self.trace.events
         emitted_from = len(events)
-        plan, snapshot, written = state.plan, state.snapshot, state.written
-        targets = plan.targets
+        plan, snapshot = state.plan, state.snapshot
+        targets, written = plan.targets, plan.written
         restores = []
         skipped = []
         for i in plan.restore:
             t = targets[i]
             current = getattr(t.element, t.attr)
             if current is written[i] or prop_values_equal(current, written[i]):
-                restores.append(i)
+                restores.append((t.element_id, t.prop, snapshot[i]))
             else:
                 skipped.append(t.label)
         body = plan.unexecuted
         if skipped:
             body += " skipped_restore=" + ",".join(skipped)
-        append = events.append
-        e, c, seq = self._event, self._cycle, self._seq
-        append(_tuple_new(TraceEvent, (e, c, seq, KIND_RULE_UNEXEC, body)))
-        seq += 1
+        self._emit(KIND_RULE_UNEXEC, body)
         write_property = self.scene.write_property
-        writer = f"  writer={rule_id}"
-        try:
-            for i in restores:
-                t = targets[i]
-                write = write_property(t.element_id, t.prop, snapshot[i], rule_id)
-                if write is not None:
-                    render = t.render
-                    body = f"PROP {t.label} {render(write.old)} -> {render(write.new)}{writer}"
-                    append(_tuple_new(TraceEvent, (e, c, seq, KIND_PROP, body)))
-                    seq += 1
-        finally:
-            self._seq = seq
+        self._emit_props(filter(None, (write_property(el, prop, old, rule_id) for el, prop, old in restores)))
         state.active = False
-        state.snapshot = state.written = ()
+        state.snapshot = ()
         return events[emitted_from:]
 
     # -- the loop --------------------------------------------------------------
@@ -505,15 +489,15 @@ class Engine:
                 state = self._rule_states[rule.id]
                 all_true = all(self.cond_last[c] for c in rule.conditions)
                 if state.active and not all_true:
-                    deactivate.append(rule)
+                    deactivate.append(j)
                 elif not state.active and all_true:
-                    activate.append(rule)
-            order = lambda r: (r.priority, self._rule_index[r.id])
-            for rule in sorted(deactivate, key=order, reverse=True):
-                self.unexecute_rule(rule.id)
+                    activate.append(j)
+            order = lambda j: (rules[j].priority, j)
+            for j in sorted(deactivate, key=order, reverse=True):
+                self.unexecute_rule(rules[j].id)
                 activity = True
-            for rule in sorted(activate, key=order):
-                self.execute_rule(rule.id)
+            for j in sorted(activate, key=order):
+                self.execute_rule(rules[j].id)
                 activity = True
 
             if self.store.has_feature(USER_POSITION):

@@ -190,19 +190,18 @@ class NaiveEngine(Engine):
 
             deactivate = []
             activate = []
-            for rule in self.rules.rules:
+            for index, rule in enumerate(self.rules.rules):
                 state = self._rule_states[rule.id]
                 all_true = all(cond_values[c] for c in rule.conditions)
                 if state.active and not all_true:
-                    deactivate.append(rule)
+                    deactivate.append((rule.priority, index, rule.id))
                 elif not state.active and all_true:
-                    activate.append(rule)
-            order = lambda r: (r.priority, self._rule_index[r.id])
-            for rule in sorted(deactivate, key=order, reverse=True):
-                self.unexecute_rule(rule.id)
+                    activate.append((rule.priority, index, rule.id))
+            for _, _, rule_id in sorted(deactivate, reverse=True):
+                self.unexecute_rule(rule_id)
                 activity = True
-            for rule in sorted(activate, key=order):
-                self.execute_rule(rule.id)
+            for _, _, rule_id in sorted(activate):
+                self.execute_rule(rule_id)
                 activity = True
 
             if any(el.billboard for el in self.scene.elements()) and self.store.has_feature(

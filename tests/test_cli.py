@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from conftest import FIXTURES
 PRINTER = FIXTURES / "printer"
 CASCADE = FIXTURES / "cascade"
 WAREHOUSE = FIXTURES / "warehouse"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv) -> int:
@@ -275,6 +280,23 @@ class TestRun:
         assert code == 3
 
 
+@pytest.mark.parametrize("module", ["adaptkit", "adaptkit.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    bad = tmp_path / "bad.rules"
+    bad.write_text("garbage(\n")
+
+    def check(rules):
+        argv = [sys.executable, "-m", module, "check", "--rules", str(rules)]
+        return subprocess.run(argv, env=env, capture_output=True, text=True)
+
+    broken = check(bad)
+    assert broken.returncode == 2
+    assert broken.stderr.startswith(f"{bad}:1: error: ")
+    clean = check(PRINTER / "printer.rules")
+    assert (clean.returncode, clean.stdout, clean.stderr) == (0, "", "")
+
+
 class TestStateFile:
     def test_counter_strictly_increments(self, tmp_path, capsys):
         state = tmp_path / "app.state"
@@ -403,6 +425,30 @@ class TestStateFile:
         assert captured.out == ""
         assert captured.err == f"{state}: error: env.y holds bool, but rule 'R' writes int\n"
         assert state.read_bytes() == b"env.y=true\n"
+
+    @pytest.mark.parametrize(
+        "before", [None, b"env.calibration=1.250000\nuser.app_use_count=7\n"], ids=["absent", "present"]
+    )
+    def test_unwritable_trace_leaves_the_state_file(self, tmp_path, capsys, before):
+        state = tmp_path / "app.state"
+        if before is not None:
+            state.write_bytes(before)
+        out_file = tmp_path / "no" / "x.trace"
+        code = run_cli(
+            "run",
+            "--rules", PRINTER / "printer.rules",
+            "--scene", PRINTER / "printer.scene",
+            "--scenario", PRINTER / "first_uses.scenario",
+            "--state-file", state,
+            "--trace", out_file,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"{out_file}: error: No such file or directory\n"
+        if before is None:
+            assert not state.exists()
+        else:
+            assert state.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["app.state"])
 
     @pytest.mark.parametrize("failing", ["fsync", "replace"])
     def test_failed_save_keeps_the_old_file(self, tmp_path, capsys, monkeypatch, failing):

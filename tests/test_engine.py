@@ -544,6 +544,67 @@ class TestFailingAction:
         assert fast.endswith('E1 C1 S4 RULE R EXECUTED\nE1 C1 S5 PROP panel.text "" -> "x"  writer=R\n')
 
 
+class TestSequenceNumbers:
+    """S numbers are read from the trace: a line's S counts the lines since
+    its cycle began. NaiveEngine numbers lines with the same inherited code,
+    so these traces are written out."""
+
+    def test_outside_flip_continues_the_last_cycle(self):
+        engine = basic_engine(
+            {"env.x": False, "env.y": 0.0},
+            "condition c: env.x == true\n"
+            "rule R when c do set_visible(hints, true) category Style\n",
+        )
+        engine.process_event([(FeatureId.parse("env.y"), 1.0)])
+        engine.store.set_feature(FeatureId.parse("env.x"), True)
+        assert engine.evaluate_condition("c") == (True, True)
+        assert engine.trace.render() == (
+            "E0 C1 S0 COND c -> false\n"
+            "E0 C2 S0 QUIESCENT cycles=2\n"
+            "E1 C0 S0 EVENT set env.y = 1.000000\n"
+            "E1 C1 S0 QUIESCENT cycles=1\n"
+            "E1 C1 S1 COND c -> true\n"
+        )
+
+    def test_line_after_a_failed_execute_follows_its_partial_lines(self):
+        engine = basic_engine({"env.go": False, "env.flag": True}, TestFailingAction.RULES)
+        with pytest.raises(ActionError, match="env.flag holds bool"):
+            engine.execute_rule("R")
+        engine.store.set_feature(FeatureId.parse("env.go"), True)
+        assert engine.evaluate_condition("c") == (True, True)
+        assert engine.trace.render() == (
+            "E0 C1 S0 COND c -> false\n"
+            "E0 C2 S0 QUIESCENT cycles=2\n"
+            "E0 C2 S1 RULE R EXECUTED\n"
+            'E0 C2 S2 PROP panel.text "" -> "x"  writer=R\n'
+            "E0 C2 S3 PROP hints.visible false -> true  writer=R\n"
+            "E0 C2 S4 COND c -> true\n"
+        )
+
+    def test_outside_unexecute_numbers_its_restores_and_the_next_event_restarts(self):
+        engine = basic_engine(
+            {"env.x": True},
+            "condition c: env.x == true\n"
+            "rule R when c do set_visible(hints, true); set_text(panel, \"a\") category Style\n",
+        )
+        engine.unexecute_rule("R")
+        engine.process_event([])
+        assert engine.trace.render() == (
+            "E0 C1 S0 COND c -> true\n"
+            "E0 C1 S1 RULE R EXECUTED\n"
+            "E0 C1 S2 PROP hints.visible false -> true  writer=R\n"
+            'E0 C1 S3 PROP panel.text "" -> "a"  writer=R\n'
+            "E0 C2 S0 QUIESCENT cycles=2\n"
+            "E0 C2 S1 RULE R UNEXECUTED\n"
+            "E0 C2 S2 PROP hints.visible true -> false  writer=R\n"
+            'E0 C2 S3 PROP panel.text "a" -> ""  writer=R\n'
+            "E1 C1 S0 RULE R EXECUTED\n"
+            "E1 C1 S1 PROP hints.visible false -> true  writer=R\n"
+            'E1 C1 S2 PROP panel.text "" -> "a"  writer=R\n'
+            "E1 C2 S0 QUIESCENT cycles=2\n"
+        )
+
+
 def test_trace_render_is_each_line_rendered():
     engine = basic_engine(
         {"env.x": False},
