@@ -30,14 +30,24 @@ refuses is kept as written, so its write raises the same error at the same
 point whenever it runs. What a rule leaves in a target is the checked
 constant of its last write there, so the plan holds that too, and
 unexecuting compares each target against it. Executing snapshots by
-reading those attributes and renders only the value each write replaced;
-a restore's PROP line is written like a billboard's or a workflow's.
+reading those attributes and renders only the value each write replaced.
 Every write still goes through SceneModel.write_property or
 ContextStore.set_feature, whose change logs drive the evaluation below; an
 applied scene write costs that one call and one trace append, with the
 record built by ``tuple.__new__`` and its S number read from the trace.
 Elements are never removed or replaced, so a plan's element objects stay
 the scene's.
+
+Repeated lines share their text. Each plan step keeps the value its last
+PROP line replaced and that line's body, and each target the values and
+body of its last restore line; a line whose values are the same objects
+reuses the body. Reuse goes by identity, never by equality: equal values
+can render apart (``-0.0`` and ``0.0``), while one object, held by the
+cache, renders one way.
+A condition's COND body for each value is made at its first change after
+its first evaluation and reused after that, and a QUIESCENT body once per
+cycle count. Each cache holds one entry per step, target, condition value
+or cycle count reached, so none grows with the length of a run.
 
 Conditions are compiled once, at construction, by dsl.compile_expr; the
 inputs each one reads were listed by the parser's walk, dsl.check_expr
@@ -116,6 +126,8 @@ _tuple_new = tuple.__new__
 
 DEFAULT_MAX_CASCADE_DEPTH = 16
 
+RENDER_CHUNK = 4096  # trace lines Trace.render joins at a time
+
 KIND_EVENT = "event"
 KIND_COND = "cond"
 KIND_RULE_EXEC = "rule_exec"
@@ -155,8 +167,14 @@ class Trace:
         return iter(self.events)
 
     def render(self) -> str:
-        """Every line as TraceEvent.render() writes it, each ended by a newline."""
-        return "".join([f"E{e} C{c} S{s} {body}\n" for e, c, s, _, body in self.events])
+        """Every line as TraceEvent.render() writes it, each ended by a newline.
+        Lines are joined ``RENDER_CHUNK`` at a time, so no more than that
+        many line strings are alive at once besides the text."""
+        events = self.events
+        return "".join([
+            "".join([f"E{e} C{c} S{s} {body}\n" for e, c, s, _, body in events[i:i + RENDER_CHUNK]])
+            for i in range(0, len(events), RENDER_CHUNK)
+        ])
 
 
 @dataclass(frozen=True)
@@ -164,19 +182,29 @@ class CycleReport:
     cycles: int
 
 
-class _Target(NamedTuple):
-    """A scene property a rule writes, resolved for direct reads."""
+_UNSEEN = object()  # the old value of a step or target that has not emitted yet
+
+
+@dataclass(slots=True)
+class _Target:
+    """A scene property a rule writes, resolved for direct reads. It keeps
+    the values and text of the last restore line it emitted."""
 
     element_id: str
     prop: str
     element: SceneElement
     attr: str  # the property's SceneElement attribute
     label: str  # element.property, as the trace names it
+    old: object = _UNSEEN  # the value the last restore replaced
+    new: object = _UNSEEN  # the value it restored
+    body: str = ""  # its PROP line body
 
 
-class _Step(NamedTuple):
+@dataclass(slots=True)
+class _Step:
     """A rule action, ready to run: a scene write (feature None) or a
-    feature write. Its PROP line is ``head + old text + tail``."""
+    feature write. Its PROP line is ``head + render(old) + tail``; the step
+    keeps the last old value it rendered and that line's body."""
 
     feature: FeatureId | None
     element_id: str | None
@@ -185,6 +213,8 @@ class _Step(NamedTuple):
     render: Callable[[object], str]  # renders the value the write replaced
     head: str  # "PROP <target> "
     tail: str  # " -> <new value>  writer=<rule>"
+    old: object = _UNSEEN
+    body: str = ""
 
 
 class _Plan(NamedTuple):
@@ -266,6 +296,11 @@ class Engine:
         self._event = 0
         self._cycle = 0
         self._start = 0  # the trace length when the current cycle began
+        # line bodies made once and shared by every line that repeats them:
+        # COND bodies by value (False, True), then condition id; QUIESCENT
+        # bodies by cycle count
+        self._cond_bodies: tuple[dict[str, str], dict[str, str]] = ({}, {})
+        self._quiescent: dict[int, str] = {}
 
     # -- trace plumbing ----------------------------------------------------
 
@@ -275,9 +310,8 @@ class Engine:
         events.append(_tuple_new(TraceEvent, line))
 
     def _emit_props(self, writes) -> None:
-        """A PROP line for each applied write, rendered with its property's
-        renderer, looked up once per write. Each line is appended as soon as
-        ``writes`` yields its write."""
+        """A PROP line for each applied billboard or workflow write, rendered
+        with its property's renderer, looked up once per write."""
         events = self.trace.events
         append = events.append
         e, c, start = self._event, self._cycle, self._start
@@ -317,10 +351,17 @@ class Engine:
             raise EvaluationError(f"condition {cond_id!r}: {e}") from e
         if not isinstance(value, bool):
             raise EvaluationError(f"condition {cond_id!r} did not evaluate to a bool")
-        changed = self.cond_last[cond_id] is None or self.cond_last[cond_id] != value
+        last = self.cond_last[cond_id]
+        changed = last is None or last != value
         self.cond_last[cond_id] = value
         if changed:
-            self._emit(KIND_COND, f"COND {cond_id} -> {'true' if value else 'false'}")
+            bodies = self._cond_bodies[value]
+            body = bodies.get(cond_id)
+            if body is None:
+                body = f"COND {cond_id} -> {'true' if value else 'false'}"
+                if last is not None:  # a first evaluation's line comes once: not worth an entry
+                    bodies[cond_id] = body
+            self._emit(KIND_COND, body)
         return value, changed
 
     # -- rule lifecycle ------------------------------------------------------
@@ -342,24 +383,28 @@ class Engine:
         append(_tuple_new(TraceEvent, (e, c, emitted_from - start, KIND_RULE_EXEC, plan.executed)))
         write_property = self.scene.write_property
         store = self.store
-        for feature, element_id, prop, value, render, head, tail in plan.steps:
+        for step in plan.steps:
+            feature = step.feature
             if feature is None:
                 try:
-                    write = write_property(element_id, prop, value, rule_id)
+                    write = write_property(step.element_id, step.prop, step.value, rule_id)
                 except (UnknownElement, UnknownProperty, TypeMismatch) as err:
                     raise ActionError(f"rule {rule_id!r}: {err}") from err
-                if write is not None:
-                    body = head + render(write.old) + tail
-                    append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
-                continue
-            old = store._values.get(feature)
-            try:
-                flag = store.set_feature(feature, value)
-            except TypeMismatch as err:
-                raise ActionError(f"rule {rule_id!r}: {err}") from err
-            if flag is ChangeFlag.CHANGED:
-                old_text = "unset" if old is None else render(old)
-                append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, head + old_text + tail)))
+                if write is None:
+                    continue
+                old = write.old
+            else:
+                old = store._values.get(feature)
+                try:
+                    flag = store.set_feature(feature, step.value)
+                except TypeMismatch as err:
+                    raise ActionError(f"rule {rule_id!r}: {err}") from err
+                if flag is not ChangeFlag.CHANGED:
+                    continue
+            if old is not step.old:  # identity: equal values may render apart (-0.0, 0.0)
+                step.old = old
+                step.body = step.head + step.render(old) + step.tail
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, step.body)))
         state.active = True
         state.snapshot = snapshot
         return events[emitted_from:]
@@ -376,7 +421,7 @@ class Engine:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
                 _, new = _checked_constant(check_value, render_value, action.value)
-                steps.append(_Step(action.feature, None, None, action.value, render_value,
+                steps.append(_Step(action.feature, None, None, action.value, _render_prior,
                                    f"PROP {action.feature} ", f" -> {new}{writer}"))
                 continue
             spec = WRITABLE[prop]
@@ -412,15 +457,27 @@ class Engine:
             t = targets[i]
             current = getattr(t.element, t.attr)
             if current is written[i] or prop_values_equal(current, written[i]):
-                restores.append((t.element_id, t.prop, snapshot[i]))
+                restores.append(i)
             else:
                 skipped.append(t.label)
         body = plan.unexecuted
         if skipped:
             body += " skipped_restore=" + ",".join(skipped)
         self._emit(KIND_RULE_UNEXEC, body)
+        append = events.append
+        e, c, start = self._event, self._cycle, self._start
         write_property = self.scene.write_property
-        self._emit_props(filter(None, (write_property(el, prop, old, rule_id) for el, prop, old in restores)))
+        for i in restores:
+            t = targets[i]
+            write = write_property(t.element_id, t.prop, snapshot[i], rule_id)
+            if write is None:
+                continue
+            old, new = write.old, write.new
+            if old is not t.old or new is not t.new:  # identity, as in execute_rule
+                render = WRITABLE[t.prop].render
+                t.old, t.new = old, new
+                t.body = f"PROP {t.label} {render(old)} -> {render(new)}  writer={rule_id}"
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, t.body)))
         state.active = False
         state.snapshot = ()
         return events[emitted_from:]
@@ -516,7 +573,10 @@ class Engine:
                 activity = True  # rules wrote context features this cycle
 
             if not activity:
-                self._emit(KIND_QUIESCENT, f"QUIESCENT cycles={k}")
+                body = self._quiescent.get(k)
+                if body is None:
+                    body = self._quiescent[k] = f"QUIESCENT cycles={k}"
+                self._emit(KIND_QUIESCENT, body)
                 return CycleReport(cycles=k)
 
         self._emit(KIND_NONQUIESCENT, f"NONQUIESCENT depth={self.max_cascade_depth}")
@@ -544,6 +604,11 @@ def _checked_constant(check, render, value) -> tuple[object, str]:
     except TypeMismatch:
         return value, ""
     return value, render(value)
+
+
+def _render_prior(value) -> str:
+    """A feature's value before a set_feature action: ``unset`` if it had none."""
+    return "unset" if value is None else render_value(value)
 
 
 def _index(pairs) -> dict:

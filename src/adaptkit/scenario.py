@@ -144,17 +144,23 @@ class Verdict:
     actual: str | None = None
 
 
-def _normalize(text: str) -> list[str]:
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    text = text.rstrip("\n")
-    return text.split("\n") if text else []
+def _normalize(text: str) -> str:
+    """Line endings as "\n", trailing newlines dropped."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.rstrip("\n")
 
 
 def compare_traces(actual: str, golden: str) -> Verdict:
-    """Byte comparison after normalizing line endings and trailing newlines."""
-    actual_lines = _normalize(actual)
-    golden_lines = _normalize(golden)
+    """Byte comparison after normalizing line endings and trailing newlines.
+    The texts are split into lines only when they differ, to find the line."""
+    actual = _normalize(actual)
+    golden = _normalize(golden)
+    if actual == golden:
+        return Verdict(True)
+    actual_lines = actual.split("\n") if actual else []
+    golden_lines = golden.split("\n") if golden else []
     for i, (got, want) in enumerate(zip_longest(actual_lines, golden_lines), start=1):
         if got != want:
             return Verdict(False, line=i, expected=want, actual=got)
-    return Verdict(True)
+    return Verdict(True)  # not reached: texts that differ differ in some line

@@ -21,7 +21,10 @@ from adaptkit import (
     validate,
 )
 
-from conftest import engine_from_texts, scene_state, scene_states_equal, store_from
+from adaptkit import engine as engine_module
+from adaptkit.engine import KIND_EVENT, KIND_PROP, Trace, TraceEvent
+
+from conftest import engine_from_texts, fixture_text, scene_state, scene_states_equal, store_from
 
 BASIC_SCENE = """
 element panel at (0.0,1.0,0.0)
@@ -605,11 +608,116 @@ class TestSequenceNumbers:
         )
 
 
-def test_trace_render_is_each_line_rendered():
+def test_trace_render_is_each_line_rendered(monkeypatch):
     engine = basic_engine(
         {"env.x": False},
         "condition c: env.x == true\n"
         "rule R when c do set_visible(hints, true); set_text(panel, \"a b\") category Style\n",
     )
     engine.process_event([(FeatureId.parse("env.x"), True)])
-    assert engine.trace.render() == "".join(ev.render() + "\n" for ev in engine.trace)
+    lines = "".join(ev.render() + "\n" for ev in engine.trace)
+    assert engine.trace.render() == lines
+    for chunk in (1, 2, 3):  # 8 lines: chunks that divide them, and one that leaves a part
+        monkeypatch.setattr(engine_module, "RENDER_CHUNK", chunk)
+        assert engine.trace.render() == lines
+
+
+def test_trace_render_longer_than_a_chunk():
+    trace = Trace()
+    assert trace.render() == ""
+    n = 2 * engine_module.RENDER_CHUNK + 3
+    trace.events.extend(TraceEvent(i // 7, i % 3, i % 5, KIND_PROP, f"PROP x.text {i}") for i in range(n))
+    assert trace.render() == "".join(ev.render() + "\n" for ev in trace)
+
+
+class TestSharedLineText:
+    """Plans, targets and conditions keep the text of the last line they
+    emitted and reuse it while the values are the same objects; equal values
+    that are other objects get their own text."""
+
+    RULES = (
+        "condition c: env.x == true\n"
+        "condition d: env.y == true\n"
+        "rule R when c do set_text(panel, \"on\") category Style\n"
+        "rule W when d do set_text(panel, \"mid\") category Style\n"
+    )
+
+    @staticmethod
+    def props(engine, start=0):
+        return [ev.body for ev in engine.trace.events[start:] if ev.kind == KIND_PROP]
+
+    def test_signed_zero_olds_of_a_feature_render_apart(self):
+        engine = basic_engine(
+            {"env.x": False, "env.f": -0.0},
+            "condition c: env.x == true\n"
+            "rule R when c do set_feature(env.f, 1.0) category Style\n",
+        )
+        x, f = FeatureId.parse("env.x"), FeatureId.parse("env.f")
+        for zero in (-0.0, 0.0, -0.0):
+            engine.process_event([(x, False), (f, zero)])
+            engine.process_event([(x, True)])
+        assert self.props(engine) == [
+            "PROP env.f -0.000000 -> 1.000000  writer=R",
+            "PROP env.f 0.000000 -> 1.000000  writer=R",
+            "PROP env.f -0.000000 -> 1.000000  writer=R",
+        ]
+
+    def test_restore_after_another_writer_shows_the_new_snapshot(self):
+        engine = basic_engine({"env.x": False, "env.y": False}, self.RULES)
+        x, y = FeatureId.parse("env.x"), FeatureId.parse("env.y")
+        for sets in ([(x, True)], [(x, False)], [(y, True)], [(x, True)], [(x, False)]):
+            engine.process_event(sets)
+        assert self.props(engine) == [
+            'PROP panel.text "" -> "on"  writer=R',
+            'PROP panel.text "on" -> ""  writer=R',
+            'PROP panel.text "" -> "mid"  writer=W',
+            'PROP panel.text "mid" -> "on"  writer=R',
+            'PROP panel.text "on" -> "mid"  writer=R',
+        ]
+
+    def test_equal_values_that_are_other_objects_get_their_own_text(self):
+        engine = basic_engine({"env.x": False, "env.y": False}, self.RULES)
+        x = FeatureId.parse("env.x")
+
+        def rewrite(parts):  # an outside writer leaves an equal text, another object
+            engine.scene.write_property("panel", "text", "tmp", "caller")
+            engine.scene.write_property("panel", "text", "".join(parts), "caller")
+
+        def toggle(while_active=None):
+            start = len(engine.trace)
+            engine.process_event([(x, True)])
+            if while_active:
+                rewrite(while_active)
+            engine.process_event([(x, False)])
+            return self.props(engine, start)
+
+        rewrite(["id", "le"])
+        first = toggle()
+        rewrite(["i", "dle"])
+        second = toggle()  # the write replaces, and the restore writes, another "idle"
+        third = toggle()  # the same objects as the second time
+        fourth = toggle(while_active=["o", "n"])  # the restore replaces another "on"
+        assert first == second == third == fourth == [
+            'PROP panel.text "idle" -> "on"  writer=R',
+            'PROP panel.text "on" -> "idle"  writer=R',
+        ]
+        assert first[0] is not second[0] and first[1] is not second[1]
+        assert third[0] is second[0] and third[1] is second[1]
+        assert fourth[0] is third[0] and fourth[1] is not third[1]
+
+    def test_a_second_toggle_reuses_the_first_toggles_bodies(self):
+        engine = engine_from_texts(
+            fixture_text("cascade/chain.rules"), fixture_text("cascade/chain.scene"),
+            {"env.trigger": False, "env.flag": False},
+        )
+        trigger, flag = FeatureId.parse("env.trigger"), FeatureId.parse("env.flag")
+        rounds = []
+        for _ in range(2):
+            start = len(engine.trace)
+            engine.process_event([(trigger, True)])
+            engine.process_event([(trigger, False), (flag, False)])
+            rounds.append([ev for ev in engine.trace.events[start:] if ev.kind != KIND_EVENT])
+        first, second = rounds
+        assert [ev[1:] for ev in first] == [ev[1:] for ev in second]
+        assert {ev.body.split()[0] for ev in first} == {"COND", "RULE", "PROP", "QUIESCENT"}
+        assert all(a.body is b.body for a, b in zip(first, second))

@@ -165,3 +165,56 @@ class TestCompareTraces:
     def test_missing_tail_line(self):
         v = compare_traces("a\n", "a\nb\n")
         assert not v.match and v.line == 2 and v.actual is None and v.expected == "b"
+
+    def test_crlf_and_lone_cr_on_either_side(self):
+        assert compare_traces("a\r\nb\r\n", "a\nb\n").match
+        assert compare_traces("a\rb\r", "a\r\nb") == compare_traces("a\nb", "a\nb")
+        v = compare_traces("a\r\nb\r\nc\r\n", "a\nb\nX\n")
+        assert (v.match, v.line, v.expected, v.actual) == (False, 3, "X", "c")
+
+    def test_trailing_newlines_on_either_side(self):
+        assert compare_traces("a\nb\n\n\n", "a\nb").match
+        assert compare_traces("a\nb\r\n\r\n", "a\nb\n").match
+
+    def test_two_empty_traces_match(self):
+        assert compare_traces("", "").match
+        assert compare_traces("\n\n", "\r\n").match
+
+    def test_empty_against_one_line(self):
+        v = compare_traces("", "a\n")
+        assert (v.match, v.line, v.expected, v.actual) == (False, 1, "a", None)
+
+    def test_mismatch_on_the_last_line(self):
+        v = compare_traces("a\nb\nc\n", "a\nb\nd")
+        assert (v.match, v.line, v.expected, v.actual) == (False, 3, "d", "c")
+
+    def test_extra_actual_line(self):
+        v = compare_traces("a\nb\nc\n", "a\nb\n")
+        assert (v.match, v.line, v.expected, v.actual) == (False, 3, None, "c")
+
+    def test_interior_blank_line_counts(self):
+        v = compare_traces("a\n\nb\n", "a\nb\n")
+        assert (v.match, v.line, v.expected, v.actual) == (False, 2, "b", "")
+
+    def test_verdicts_match_a_line_by_line_comparison(self):
+        """Every pair of short texts gets the verdict of normalising, splitting
+        into lines and comparing them in order."""
+        from itertools import product, zip_longest
+
+        from adaptkit import Verdict
+
+        def line_by_line(actual, golden):
+            def split(text):
+                text = text.replace("\r\n", "\n").replace("\r", "\n").rstrip("\n")
+                return text.split("\n") if text else []
+
+            pairs = zip_longest(split(actual), split(golden))
+            for i, (got, want) in enumerate(pairs, start=1):
+                if got != want:
+                    return Verdict(False, line=i, expected=want, actual=got)
+            return Verdict(True)
+
+        pieces = ("", "a", "b", "\n", "\r\n", "\r")
+        texts = {"".join(p) for p in product(pieces, repeat=3)}
+        for actual, golden in product(sorted(texts), repeat=2):
+            assert compare_traces(actual, golden) == line_by_line(actual, golden), (actual, golden)
