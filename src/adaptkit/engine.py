@@ -44,10 +44,16 @@ body of its last restore line; a line whose values are the same objects
 reuses the body. Reuse goes by identity, never by equality: equal values
 can render apart (``-0.0`` and ``0.0``), while one object, held by the
 cache, renders one way.
+A billboard line's old yaw is, unless another writer wrote the yaw since,
+the new yaw of that element's previous billboard line: the engine keeps
+the last yaw and text it wrote per element and reuses the text when the
+old value is that object. A rule's ``skipped_restore`` body is kept with
+the targets it skipped and reused while an unexecute skips the same ones.
 A condition's COND body for each value is made at its first change after
 its first evaluation and reused after that, and a QUIESCENT body once per
-cycle count. Each cache holds one entry per step, target, condition value
-or cycle count reached, so none grows with the length of a run.
+cycle count. Each cache holds one entry per step, target, rule, element,
+condition value or cycle count reached, so none grows with the length of
+a run.
 
 Conditions are compiled once, at construction, by dsl.compile_expr; the
 inputs each one reads were listed by the parser's walk, dsl.check_expr
@@ -67,7 +73,8 @@ Evaluation is dependency-driven. Each condition's inputs (features and
 scene properties) are indexed once, at construction. A cycle re-evaluates
 only the conditions that read an input written since their last
 evaluation -- context writes as the store's dirty set reports them, scene
-writes as SceneModel.write_property logs them -- and checks only the rules
+writes as SceneModel.write_property logs them, taken unsorted since they
+only name the conditions due -- and checks only the rules
 that list a condition whose value changed. Features are never unset and
 never change type, elements are never removed, and evaluation is pure and
 evaluates both sides of ``&&``/``||``, so every other condition would
@@ -182,7 +189,7 @@ class CycleReport:
     cycles: int
 
 
-_UNSEEN = object()  # the old value of a step or target that has not emitted yet
+_UNSEEN = object()  # the value a line cache holds before its first line
 
 
 @dataclass(slots=True)
@@ -235,6 +242,10 @@ class _RuleState:
     # aligned with plan.targets: the values before the rule executed; empty
     # while inactive
     snapshot: tuple = ()
+    # the target indices whose restore the last skipping unexecute skipped,
+    # and that unexecute's RULE line body
+    skipped: list[int] | None = None
+    skipped_body: str = ""
 
 
 class Engine:
@@ -301,6 +312,8 @@ class Engine:
         # bodies by cycle count
         self._cond_bodies: tuple[dict[str, str], dict[str, str]] = ({}, {})
         self._quiescent: dict[int, str] = {}
+        # element id -> [yaw, text]: the new yaw of its last billboard PROP line
+        self._yaw_texts: dict[str, list] = {}
 
     # -- trace plumbing ----------------------------------------------------
 
@@ -309,15 +322,33 @@ class Engine:
         line = (self._event, self._cycle, len(events) - self._start, kind, body)
         events.append(_tuple_new(TraceEvent, line))
 
-    def _emit_props(self, writes) -> None:
+    def _emit_props(self, writes, texts: dict[str, list] | None = None) -> None:
         """A PROP line for each applied billboard or workflow write, rendered
-        with its property's renderer, looked up once per write."""
+        with its property's renderer, looked up whenever the property differs
+        from the previous write's.
+
+        ``texts``, which the billboard pass gives for its yaw writes, maps an
+        element id to ``[value, text]``, the new value and its text on that
+        element's last line: a write whose old value is that object reuses
+        the text."""
         events = self.trace.events
         append = events.append
         e, c, start = self._event, self._cycle, self._start
+        last_prop = None
         for element_id, prop, old, new, writer in writes:
-            render = WRITABLE[prop].render
-            body = f"PROP {element_id}.{prop} {render(old)} -> {render(new)}  writer={writer}"
+            if prop is not last_prop:  # a billboard pass writes only yaws
+                render = WRITABLE[prop].render
+                last_prop = prop
+            new_text = render(new)
+            if texts is None:
+                old_text = render(old)
+            else:
+                last = texts.get(element_id)
+                if last is None:
+                    last = texts[element_id] = [_UNSEEN, ""]
+                old_text = last[1] if last[0] is old else render(old)
+                last[0], last[1] = new, new_text  # in place: no tuple per write
+            body = f"PROP {element_id}.{prop} {old_text} -> {new_text}  writer={writer}"
             append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
 
     def _begin_cycle(self, k: int) -> None:
@@ -459,10 +490,14 @@ class Engine:
             if current is written[i] or prop_values_equal(current, written[i]):
                 restores.append(i)
             else:
-                skipped.append(t.label)
+                skipped.append(i)
         body = plan.unexecuted
         if skipped:
-            body += " skipped_restore=" + ",".join(skipped)
+            if skipped != state.skipped:
+                state.skipped = skipped
+                labels = ",".join([targets[i].label for i in skipped])
+                state.skipped_body = f"{body} skipped_restore={labels}"
+            body = state.skipped_body
         self._emit(KIND_RULE_UNEXEC, body)
         append = events.append
         e, c, start = self._event, self._cycle, self._start
@@ -513,7 +548,7 @@ class Engine:
         for k in range(1, self.max_cascade_depth + 1):
             self._begin_cycle(k)
             full, self._full_cycle = self._full_cycle, False
-            props = self.scene.drain_dirty()
+            props = self.scene._take_dirty()  # only read into a set: no sort
 
             if full:
                 cond_ids = range(len(conditions))
@@ -562,7 +597,7 @@ class Engine:
                 if isinstance(user_pos, Vec3):  # a non-vec position cannot aim anything
                     writes = self.scene.refresh_billboards(user_pos)
                     if writes:
-                        self._emit_props(writes)
+                        self._emit_props(writes, self._yaw_texts)
                         activity = True
 
             if self.workflow is not None:

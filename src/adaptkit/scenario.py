@@ -153,7 +153,10 @@ def _normalize(text: str) -> str:
 
 def compare_traces(actual: str, golden: str) -> Verdict:
     """Byte comparison after normalizing line endings and trailing newlines.
-    The texts are split into lines only when they differ, to find the line."""
+    Equal texts are not copied; texts that differ are normalized, and split
+    into lines only when they still differ, to find the line."""
+    if actual == golden:
+        return Verdict(True)
     actual = _normalize(actual)
     golden = _normalize(golden)
     if actual == golden:

@@ -131,7 +131,7 @@ def _check_size(v):
 
 def _check_yaw(v):
     if type(v) is float and 0.0 <= v < TAU:  # normalize_yaw keeps it, -0.0 becoming 0.0
-        return v + 0.0
+        return v if v else 0.0
     v = _float(v)
     if not math.isfinite(v):  # normalize_yaw would make it NaN
         raise TypeMismatch("yaw must be a finite number")
@@ -241,6 +241,8 @@ class SceneModel:
         self._elements: dict[str, SceneElement] = {}
         self._dirty: set[tuple[str, str]] = set()
         self._sorted: list[SceneElement] | None = None  # elements() until add_element
+        # the billboard elements in id order, until add_element or a billboard write
+        self._billboards: list[SceneElement] | None = None
         self._aimed_at: Vec3 | None = None  # the user position of the last complete re-aim
         for e in elements or []:
             self.add_element(e)
@@ -250,6 +252,7 @@ class SceneModel:
             raise DuplicateId(0, f"duplicate element id {element.id!r}")
         self._elements[element.id] = element
         self._sorted = None
+        self._billboards = None
         self._aimed_at = None
 
     def element(self, element_id: str) -> SceneElement:
@@ -280,31 +283,35 @@ class SceneModel:
         as prop_values_equal tells them."""
         try:
             el = self._elements[element_id]
+            check, attr, _ = WRITABLE[prop]
         except KeyError:
-            raise UnknownElement(f"no element {element_id!r} in scene") from None
-        spec = WRITABLE.get(prop)
-        if spec is None:
-            raise UnknownProperty(f"{element_id} has no writable property {prop!r}")
-        value = spec.check(value)
-        attr = spec.attr
+            if element_id not in self._elements:
+                raise UnknownElement(f"no element {element_id!r} in scene") from None
+            raise UnknownProperty(f"{element_id} has no writable property {prop!r}") from None
+        value = check(value)
         old = getattr(el, attr)
-        if isinstance(value, float) and isinstance(old, float):
-            if float_bits(old) == float_bits(value):
-                return None
-        elif old == value:
+        # prop_values_equal's verdict: equal floats differ in bits only as 0.0
+        # and -0.0; no check returns a NaN, so two NaNs never meet here
+        if old == value and (value or type(value) is not float or float_bits(old) == float_bits(value)):
             return None
         setattr(el, attr, value)
         self._dirty.add((element_id, prop))
         if prop in _AIM_PROPS:
             self._aimed_at = None
+            if prop == "billboard":
+                self._billboards = None
         return _tuple_new(PropertyWrite, (element_id, prop, old, value, writer))
 
     def drain_dirty(self) -> list[tuple[str, str]]:
         """Return the (element, property) pairs written since the last drain
         and clear the log; lexicographic order, like ContextStore.drain_dirty."""
-        out = sorted(self._dirty)
-        self._dirty.clear()
-        return out
+        return sorted(self._take_dirty())
+
+    def _take_dirty(self) -> set[tuple[str, str]]:
+        """drain_dirty's pairs, unsorted: the log itself, swapped for an empty one."""
+        dirty = self._dirty
+        self._dirty = set()
+        return dirty
 
     def refresh_billboards(self, user_pos: Vec3) -> list[PropertyWrite]:
         """Re-aim every billboard element at the user; skips singular cases.
@@ -316,17 +323,22 @@ class SceneModel:
         which is cheaper than ``==`` and tells -0.0 from 0.0; the store
         keeps a position's object until a write changes it.
 
-        Each yaw is face_user_yaw's, computed inline.
+        The billboards are kept as a list in id order, made again after an
+        add_element or an applied write to a billboard property; like every
+        other attribute, a ``billboard`` assigned directly on a SceneElement
+        is not seen. Each yaw is face_user_yaw's, computed inline.
         """
         elements = self.elements()
         if user_pos is self._aimed_at:
             return []
+        billboards = self._billboards
+        if billboards is None:
+            billboards = self._billboards = [el for el in elements if el.billboard]
         writes = []
+        write_property = self.write_property
         ux, uz = user_pos.x, user_pos.z
         sqrt, atan2 = math.sqrt, math.atan2
-        for el in elements:
-            if not el.billboard:
-                continue
+        for el in billboards:
             pos = el.position
             dx = ux - pos.x
             dz = uz - pos.z
@@ -335,7 +347,7 @@ class SceneModel:
             yaw = atan2(dx, dz) % TAU  # normalize_yaw; % never returns -0.0
             if yaw >= TAU:
                 yaw = 0.0
-            w = self.write_property(el.id, "yaw", yaw, "billboard")
+            w = write_property(el.id, "yaw", yaw, "billboard")
             if w is not None:
                 writes.append(w)
         self._aimed_at = user_pos

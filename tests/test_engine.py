@@ -22,9 +22,13 @@ from adaptkit import (
 )
 
 from adaptkit import engine as engine_module
-from adaptkit.engine import KIND_EVENT, KIND_PROP, Trace, TraceEvent
+from adaptkit import scene as scene_module
+from adaptkit.engine import KIND_EVENT, KIND_PROP, USER_POSITION as USER, Trace, TraceEvent
+from adaptkit.scene import SceneElement, face_user_yaw
+from adaptkit.values import float_bits
 
 from conftest import engine_from_texts, fixture_text, scene_state, scene_states_equal, store_from
+from naive_engine import NaiveEngine
 
 BASIC_SCENE = """
 element panel at (0.0,1.0,0.0)
@@ -382,6 +386,155 @@ class TestBillboards:
         report = engine.process_event([])
         assert report.cycles == 1
         assert [ev.kind for ev in engine.trace.events[before:]] == ["quiescent"]
+
+
+def engine_pair(rules_text: str, scene_text: str, initial: dict) -> list[Engine]:
+    """An Engine and a NaiveEngine, each on its own parse, after E0."""
+    out = []
+    for cls in (Engine, NaiveEngine):
+        engine = cls(parse_rules(rules_text), parse_scene(scene_text), store_from(initial))
+        engine.process_event([])
+        out.append(engine)
+    return out
+
+
+class TestSkippedRestore:
+    def test_repeated_skips_share_their_body(self):
+        engines = engine_pair(
+            "condition a: env.a == true\n"
+            "rule A when a do set_text(panel, \"a\"); set_visible(hints, true) category Style\n",
+            BASIC_SCENE, {"env.a": False})
+        A = FeatureId.parse("env.a")
+        bodies = []
+        takes = [("panel", "text", "x")] * 2 + [("hints", "visible", False), ("panel", "text", "x")]
+        for element, prop, value in takes:  # a caller takes a property the rule wrote
+            for engine in engines:
+                engine.process_event([(A, True)])
+                engine.scene.write_property(element, prop, value, writer="caller")
+                engine.process_event([(A, False)])
+            assert engines[0].trace.render() == engines[1].trace.render()
+            bodies.append(next(ev.body for ev in reversed(engines[0].trace.events)
+                               if ev.kind == "rule_unexec"))
+        assert bodies[0] == bodies[3] == "RULE A UNEXECUTED skipped_restore=panel.text"
+        assert bodies[2] == "RULE A UNEXECUTED skipped_restore=hints.visible"
+        assert bodies[1] is bodies[0] and bodies[3] is not bodies[0]
+
+
+class TestBillboardPass:
+    """The billboard list the scene keeps and the yaw text the engine
+    reuses, against NaiveEngine (every element checked, every value
+    rendered, in every cycle) and face_user_yaw."""
+
+    SCENE = (
+        "element panel at (0.0,1.0,0.0) billboard true\n"
+        "element shelf at (-1.0,0.5,3.0) billboard true\n"
+        "element sign at (2.0,1.0,1.0)\n"
+    )
+    RULES = (
+        "condition on: env.on == true\n"
+        "condition off: env.off == true\n"
+        "rule On when on do set_billboard(sign, true) category Style\n"
+        "rule Off when off do set_billboard(panel, false) category Style\n"
+    )
+    START = {"env.on": False, "env.off": False, "user.position": Vec3(1.0, 1.6, 5.0)}
+
+    def engines(self):
+        return engine_pair(self.RULES, self.SCENE, self.START)
+
+    @staticmethod
+    def step(engines, fn, event=True) -> None:
+        """Apply fn to both engines; they must agree on the trace and the
+        scene, and after an event every billboard must face the user as
+        face_user_yaw says."""
+        for engine in engines:
+            fn(engine)
+        fast, naive = engines
+        assert fast.trace.render() == naive.trace.render()
+        assert scene_states_equal(scene_state(fast.scene), scene_state(naive.scene))
+        if not event:
+            return
+        user = fast.store.get_feature(USER)
+        for el in fast.scene.elements():
+            want = face_user_yaw(el.position, user)
+            if el.billboard and want is not None:
+                assert float_bits(el.yaw) == float_bits(want)
+
+    @staticmethod
+    def move(x, z):
+        return lambda engine: engine.process_event([(USER, Vec3(x, 1.6, z))])
+
+    @staticmethod
+    def event(**flags):
+        return lambda engine: engine.process_event(
+            [(FeatureId.parse(f"env.{name}"), value) for name, value in flags.items()])
+
+    def test_added_billboard_is_aimed(self):
+        engines = self.engines()
+        self.step(engines, self.move(3.0, 4.0))
+        self.step(engines, lambda e: e.scene.add_element(
+            SceneElement(id="board", position=Vec3(1.0, 2.0, -2.0), billboard=True)), event=False)
+        self.step(engines, lambda e: e.process_event([]))  # the same position: only board turns
+        assert engines[0].trace.events[-2].body.startswith("PROP board.yaw 0.000000 -> ")
+        self.step(engines, self.move(-2.0, 1.0))
+        assert engines[0].scene.element("board").yaw != 0.0
+
+    def test_rules_turn_billboards_on_and_off(self):
+        engines = self.engines()
+        self.step(engines, self.move(3.0, 4.0))
+        self.step(engines, self.event(on=True))  # sign turns in the cycle On executes
+        assert engines[0].scene.element("sign").yaw != 0.0
+        self.step(engines, self.move(2.5, 4.0))
+        self.step(engines, self.event(off=True))
+        panel_yaw = engines[0].scene.element("panel").yaw
+        self.step(engines, self.move(-3.0, 2.0))
+        assert engines[0].scene.element("panel").yaw == panel_yaw  # no longer a billboard
+        self.step(engines, self.event(on=False))  # sign stops: On restores billboard false
+        sign_yaw = engines[0].scene.element("sign").yaw
+        self.step(engines, self.move(-3.0, 6.0))
+        assert engines[0].scene.element("sign").yaw == sign_yaw
+        self.step(engines, self.event(off=False))  # panel turns again
+        self.step(engines, self.move(4.0, -1.0))
+
+    def test_library_billboard_writes_are_seen(self):
+        engines = self.engines()
+        self.step(engines, self.move(3.0, 4.0))
+        self.step(engines, lambda e: e.scene.write_property("sign", "billboard", True, writer="caller"),
+                  event=False)
+        self.step(engines, lambda e: e.process_event([]))
+        assert engines[0].trace.events[-2].body.startswith("PROP sign.yaw 0.000000 -> ")
+        self.step(engines, self.move(-1.0, 2.0))
+        self.step(engines, lambda e: e.scene.write_property("panel", "billboard", False, writer="caller"),
+                  event=False)
+        panel_yaw = engines[0].scene.element("panel").yaw
+        self.step(engines, self.move(-3.0, 0.5))
+        assert engines[0].scene.element("panel").yaw == panel_yaw
+
+    def test_yaw_written_between_reaims_is_the_old_value(self):
+        # no effector writes a yaw, so a library call stands in for other writers
+        engines = self.engines()
+        self.step(engines, self.move(3.0, 4.0))
+        self.step(engines, lambda e: e.scene.write_property("panel", "yaw", 1.0, writer="caller"), event=False)
+        self.step(engines, self.move(2.0, 4.0))
+        lines = [ev.body for ev in engines[0].trace.events if ev.body.startswith("PROP panel.yaw")]
+        assert lines[-1].startswith("PROP panel.yaw 1.000000 -> ")
+        self.step(engines, self.move(1.0, 4.0))
+
+    def test_each_reaim_renders_only_the_new_yaws(self, monkeypatch):
+        """A billboard line's old yaw is the new yaw of the element's last
+        billboard line: its text is reused, not rendered again."""
+        rendered = []
+        spec = scene_module.WRITABLE["yaw"]
+        monkeypatch.setitem(scene_module.WRITABLE, "yaw",
+                            spec._replace(render=lambda v: rendered.append(v) or spec.render(v)))
+        engine = self.engines()[0]
+        assert len(rendered) == 4  # E0 turns both billboards: the parsed yaws are rendered
+        rendered.clear()
+        engine.process_event([(USER, Vec3(2.0, 1.6, 4.0))])
+        assert len(rendered) == 2
+        engine.scene.write_property("panel", "yaw", 1.0, writer="caller")
+        rendered.clear()
+        engine.process_event([(USER, Vec3(1.0, 1.6, 4.0))])
+        assert len(rendered) == 3  # panel's old yaw is the caller's
 
 
 class TestDependencyDriven:

@@ -17,6 +17,8 @@ from adaptkit import (
     run_scenario,
 )
 
+from adaptkit import scenario as scenario_module
+
 from conftest import fixture_text, load_fixture_bundle, run_fixture, store_from
 
 
@@ -155,6 +157,11 @@ class TestCompareTraces:
         v = compare_traces("a\nb\nc\n", "a\nb\nX\n")
         assert not v.match
         assert (v.line, v.expected, v.actual) == (3, "X", "c")
+
+    def test_equal_texts_are_not_normalized(self, monkeypatch):
+        """Equal texts match without the copies normalizing makes."""
+        monkeypatch.setattr(scenario_module, "_normalize", lambda text: pytest.fail("normalized"))
+        assert compare_traces("a\r\nb\n\n", "a\r\nb\n\n").match
 
     def test_crlf_golden_matches_lf_actual(self):
         assert compare_traces("a\nb\n", "a\r\nb\r\n").match

@@ -139,8 +139,12 @@ class TestWriteProperty:
         with pytest.raises(UnknownElement):
             small_scene().write_property("ghost", "visible", True, writer="r")
 
+    def test_unknown_element_wins_over_unknown_property(self):
+        with pytest.raises(UnknownElement, match="^no element 'ghost' in scene$"):
+            small_scene().write_property("ghost", "altitude", True, writer="r")
+
     def test_unknown_property(self):
-        with pytest.raises(UnknownProperty):
+        with pytest.raises(UnknownProperty, match="^panel has no writable property 'altitude'$"):
             small_scene().write_property("panel", "altitude", 1.0, writer="r")
 
     def test_type_checked(self):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_props as ref
-from adaptkit import SceneElement, SceneModel, Vec3, face_user_yaw
-from adaptkit.scene import WRITABLE, DetailLevel, Modality
+from adaptkit import SceneElement, SceneModel, TypeMismatch, Vec3, face_user_yaw
+from adaptkit.scene import WRITABLE, DetailLevel, Modality, prop_values_equal
 from adaptkit.values import TAU, float_bits, format_float
 
 
@@ -160,3 +161,69 @@ def test_refresh_billboards_aims_as_face_user_yaw(element_at, user_at, start_yaw
     want = face_user_yaw(element_pos, user_pos)
     got = scene.element("b").yaw
     assert float_bits(got) == float_bits(start_yaw if want is None else want)
+
+
+# write_property decides a no-op without packing floats: equal non-zero
+# values are a no-op, unequal ones a change, and only zeros compare bits.
+# Its decision must be prop_values_equal's between the value an element
+# holds (here built directly, so it may be NaN, -0.0, an int or a
+# subnormal) and the value the property's check makes of the one written.
+NOOP_EDGES = [
+    (0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0),
+    (1.5, 1.5), (3.0, 3), (0, 0.0), (0, -0.0),
+    (5e-324, 5e-324), (5e-324, 1e-323), (2.2250738585072014e-308, 2.2250738585072014e-308),
+    (math.nan, 0.0), (math.nan, 1.5), (-math.nan, 5e-324), (math.inf, 1.0),
+    (-0.0, 5e-324), (math.nextafter(TAU, 0), math.nextafter(TAU, 0)), (TAU, 0.0),
+]
+
+
+def _noop_outcome(prop, held, written):
+    """(write_property's no-op verdict, prop_values_equal's), or None when
+    the check refuses the written value."""
+    try:
+        checked = WRITABLE[prop].check(written)
+    except TypeMismatch:
+        return None
+    scene = SceneModel([SceneElement(id="e", position=Vec3(0.0, 0.0, 0.0), **{WRITABLE[prop].attr: held})])
+    write = scene.write_property("e", prop, written, writer="t")
+    stored = getattr(scene.element("e"), WRITABLE[prop].attr)
+    if write is None:
+        assert stored is held
+    else:
+        assert _key(stored) == _key(checked)
+    return write is None, prop_values_equal(held, checked)
+
+
+@pytest.mark.parametrize("prop", ["yaw", "text_size"])
+@pytest.mark.parametrize("held, written", NOOP_EDGES)
+def test_float_noop_matches_prop_values_equal_on_edges(prop, held, written):
+    outcome = _noop_outcome(prop, held, written)
+    if outcome is not None:
+        assert outcome[0] == outcome[1]
+
+
+@pytest.mark.parametrize("prop, held, written", [
+    ("visible", False, False), ("billboard", False, False), ("visible", 0.0, False),
+    ("highlight", None, None), ("text", "", ""), ("text", "", "a"),
+])
+def test_falsy_noop_matches_prop_values_equal(prop, held, written):
+    outcome = _noop_outcome(prop, held, written)
+    assert outcome is not None and outcome[0] == outcome[1]
+
+
+@st.composite
+def _held_and_written(draw):
+    held = draw(st.floats())  # NaN, infinities, -0.0 and subnormals included
+    written = draw(st.one_of(
+        st.just(held), st.just(-held), st.just(abs(held)), st.floats(allow_nan=False),
+        st.floats(min_value=0.0, max_value=5e-308),
+    ))
+    return held, written
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["yaw", "text_size"]), _held_and_written())
+def test_float_noop_matches_prop_values_equal(prop, pair):
+    outcome = _noop_outcome(prop, *pair)
+    if outcome is not None:
+        assert outcome[0] == outcome[1]
