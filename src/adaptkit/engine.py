@@ -25,12 +25,11 @@ Rules run from plans. The first time a rule executes, its actions are
 resolved into a plan: each scene property it writes, as the SceneElement
 and attribute that hold it, in first-write order and in restore order
 (sorted by ``element.property``), and every constant it writes, as the
-property's check stores it, with its trace text. A constant the check
-refuses is kept as written, so its write raises the same error at the same
-point whenever it runs. What a rule leaves in a target is the checked
-constant of its last write there, so the plan holds that too, and
-unexecuting compares each target against it. Executing snapshots by
-reading those attributes and renders only the value each write replaced.
+property's check stores it. A constant the check refuses is kept as
+written, so its write raises the same error at the same point whenever it
+runs. What a rule leaves in a target is the checked constant of its last
+write there, so the plan holds that too, and unexecuting compares each
+target against it. Executing snapshots by reading those attributes.
 Every write still goes through SceneModel.write_property or
 ContextStore.set_feature, whose change logs drive the evaluation below; an
 applied scene write costs that one call and one trace append, with the
@@ -38,22 +37,22 @@ record built by ``tuple.__new__`` and its S number read from the trace.
 Elements are never removed or replaced, so a plan's element objects stay
 the scene's.
 
-Repeated lines share their text. Each plan step keeps the value its last
-PROP line replaced and that line's body, and each target the values and
-body of its last restore line; a line whose values are the same objects
-reuses the body. Reuse goes by identity, never by equality: equal values
-can render apart (``-0.0`` and ``0.0``), while one object, held by the
-cache, renders one way.
-A billboard line's old yaw is, unless another writer wrote the yaw since,
-the new yaw of that element's previous billboard line: the engine keeps
-the last yaw and text it wrote per element and reuses the text when the
-old value is that object. A rule's ``skipped_restore`` body is kept with
-the targets it skipped and reused while an unexecute skips the same ones.
-A condition's COND body for each value is made at its first change after
-its first evaluation and reused after that, and a QUIESCENT body once per
-cycle count. Each cache holds one entry per step, target, rule, element,
-condition value or cycle count reached, so none grows with the length of
-a run.
+Repeated lines share their text. Each PROP write site -- a plan step, a
+target's restores, and each (element, property) the billboard pass or the
+workflow writes -- keeps its last line's values, new-value text and body
+(_Line). A line whose values are the same objects as its site's last
+reuses the body; otherwise each value is rendered, unless it is the last
+line's new value, whose text is reused (_prop_body). So a step renders
+its constant once, a billboard's old yaw is its last new yaw, and a
+restore or workflow line renders only what changed. Reuse goes by
+identity, never by equality: equal values can render apart (``-0.0`` and
+``0.0``), while one object, held by the cache, renders one way. A rule's
+``skipped_restore`` body is kept with the targets it skipped and reused
+while an unexecute skips the same ones. A condition's COND body for each
+value is made at its first change after its first evaluation and reused
+after that, and a QUIESCENT body once per cycle count. Each cache holds
+one entry per step, target, rule, element, condition value or cycle count
+reached, so none grows with the length of a run.
 
 Conditions are compiled once, at construction, by dsl.compile_expr; the
 inputs each one reads were listed by the parser's walk, dsl.check_expr
@@ -124,7 +123,7 @@ from .errors import (
     ValidationFailed,
 )
 from .scene import WRITABLE, SceneElement, SceneModel, prop_values_equal
-from .values import Value, Vec3, check_value, render_value
+from .values import Value, Vec3, render_value
 from .workflow import Workflow, advance as workflow_advance, apply_step
 
 USER_POSITION = FeatureId.parse("user.position")
@@ -193,35 +192,39 @@ _UNSEEN = object()  # the value a line cache holds before its first line
 
 
 @dataclass(slots=True)
+class _Line:
+    """A PROP write site and its last line, ``PROP label old -> new  writer=writer``."""
+
+    label: str  # the written target, as the trace names it
+    render: Callable[[object], str]
+    writer: str
+    old: object = _UNSEEN
+    new: object = _UNSEEN
+    new_text: str = ""
+    body: str = ""
+
+
+@dataclass(slots=True)
 class _Target:
-    """A scene property a rule writes, resolved for direct reads. It keeps
-    the values and text of the last restore line it emitted."""
+    """A scene property a rule writes, resolved for direct reads."""
 
     element_id: str
     prop: str
     element: SceneElement
     attr: str  # the property's SceneElement attribute
-    label: str  # element.property, as the trace names it
-    old: object = _UNSEEN  # the value the last restore replaced
-    new: object = _UNSEEN  # the value it restored
-    body: str = ""  # its PROP line body
+    line: _Line  # its restores; label element.property
+    written: object = None  # the checked constant of the rule's last write to it
 
 
 @dataclass(slots=True)
 class _Step:
-    """A rule action, ready to run: a scene write (feature None) or a
-    feature write. Its PROP line is ``head + render(old) + tail``; the step
-    keeps the last old value it rendered and that line's body."""
+    """A rule action, ready to run: a scene write (feature None) or a feature write."""
 
     feature: FeatureId | None
     element_id: str | None
     prop: str | None
     value: object  # for a scene write, as its check stores it (unless the check refuses it)
-    render: Callable[[object], str]  # renders the value the write replaced
-    head: str  # "PROP <target> "
-    tail: str  # " -> <new value>  writer=<rule>"
-    old: object = _UNSEEN
-    body: str = ""
+    line: _Line
 
 
 class _Plan(NamedTuple):
@@ -229,7 +232,6 @@ class _Plan(NamedTuple):
 
     steps: tuple[_Step, ...]
     targets: tuple[_Target, ...]  # in first-write order
-    written: tuple  # aligned with targets: the checked constant of the last write to each
     restore: tuple[int, ...]  # indices into targets, by label
     executed: str  # the RULE line bodies
     unexecuted: str
@@ -312,8 +314,10 @@ class Engine:
         # bodies by cycle count
         self._cond_bodies: tuple[dict[str, str], dict[str, str]] = ({}, {})
         self._quiescent: dict[int, str] = {}
-        # element id -> [yaw, text]: the new yaw of its last billboard PROP line
-        self._yaw_texts: dict[str, list] = {}
+        # property -> element id -> the _Line of the billboard pass's or the
+        # workflow's writes there; the pass writes only yaw and the workflow
+        # only text and highlight, so each line has one writer
+        self._lines: dict[str, dict[str, _Line]] = {}
 
     # -- trace plumbing ----------------------------------------------------
 
@@ -322,33 +326,21 @@ class Engine:
         line = (self._event, self._cycle, len(events) - self._start, kind, body)
         events.append(_tuple_new(TraceEvent, line))
 
-    def _emit_props(self, writes, texts: dict[str, list] | None = None) -> None:
-        """A PROP line for each applied billboard or workflow write, rendered
-        with its property's renderer, looked up whenever the property differs
-        from the previous write's.
-
-        ``texts``, which the billboard pass gives for its yaw writes, maps an
-        element id to ``[value, text]``, the new value and its text on that
-        element's last line: a write whose old value is that object reuses
-        the text."""
+    def _emit_props(self, writes) -> None:
+        """A PROP line for each applied billboard or workflow write, from the
+        _Line of its (property, element)."""
         events = self.trace.events
         append = events.append
         e, c, start = self._event, self._cycle, self._start
         last_prop = None
         for element_id, prop, old, new, writer in writes:
             if prop is not last_prop:  # a billboard pass writes only yaws
-                render = WRITABLE[prop].render
+                lines = self._lines.setdefault(prop, {})
                 last_prop = prop
-            new_text = render(new)
-            if texts is None:
-                old_text = render(old)
-            else:
-                last = texts.get(element_id)
-                if last is None:
-                    last = texts[element_id] = [_UNSEEN, ""]
-                old_text = last[1] if last[0] is old else render(old)
-                last[0], last[1] = new, new_text  # in place: no tuple per write
-            body = f"PROP {element_id}.{prop} {old_text} -> {new_text}  writer={writer}"
+            line = lines.get(element_id)
+            if line is None:
+                line = lines[element_id] = _Line(f"{element_id}.{prop}", WRITABLE[prop].render, writer)
+            body = _prop_body(line, old, new)
             append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
 
     def _begin_cycle(self, k: int) -> None:
@@ -415,10 +407,10 @@ class Engine:
         write_property = self.scene.write_property
         store = self.store
         for step in plan.steps:
-            feature = step.feature
+            feature, value = step.feature, step.value
             if feature is None:
                 try:
-                    write = write_property(step.element_id, step.prop, step.value, rule_id)
+                    write = write_property(step.element_id, step.prop, value, rule_id)
                 except (UnknownElement, UnknownProperty, TypeMismatch) as err:
                     raise ActionError(f"rule {rule_id!r}: {err}") from err
                 if write is None:
@@ -427,50 +419,45 @@ class Engine:
             else:
                 old = store._values.get(feature)
                 try:
-                    flag = store.set_feature(feature, step.value)
+                    flag = store.set_feature(feature, value)
                 except TypeMismatch as err:
                     raise ActionError(f"rule {rule_id!r}: {err}") from err
                 if flag is not ChangeFlag.CHANGED:
                     continue
-            if old is not step.old:  # identity: equal values may render apart (-0.0, 0.0)
-                step.old = old
-                step.body = step.head + step.render(old) + step.tail
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, step.body)))
+            line = step.line
+            body = line.body if old is line.old and value is line.new else _prop_body(line, old, value)
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
         state.active = True
         state.snapshot = snapshot
         return events[emitted_from:]
 
     def _plan(self, rule_id: str) -> _Plan:
-        """Resolve a rule's targets, and check and render its constant values
-        once."""
+        """Resolve a rule's targets and check its constant values once."""
         rule = self.rules.rule_by_id[rule_id]
-        writer = f"  writer={rule_id}"
         steps = []
         targets: dict[tuple[str, str], _Target] = {}
-        written: dict[tuple[str, str], object] = {}  # same keys, same order
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
-                _, new = _checked_constant(check_value, render_value, action.value)
-                steps.append(_Step(action.feature, None, None, action.value, _render_prior,
-                                   f"PROP {action.feature} ", f" -> {new}{writer}"))
+                line = _Line(str(action.feature), _render_prior, rule_id)
+                steps.append(_Step(action.feature, None, None, action.value, line))
                 continue
             spec = WRITABLE[prop]
             label = f"{action.element}.{prop}"
-            if (action.element, prop) not in targets:
+            target = targets.get((action.element, prop))
+            if target is None:
                 try:
                     element = self.scene.element(action.element)
                 except UnknownElement as e:
                     raise ActionError(f"rule {rule_id!r}: {e}") from e
-                targets[action.element, prop] = _Target(action.element, prop, element, spec.attr, label)
-            value, new = _checked_constant(spec.check, spec.render, action.value)
-            written[action.element, prop] = value
-            steps.append(_Step(None, action.element, prop, value, spec.render,
-                               f"PROP {label} ", f" -> {new}{writer}"))
+                target = targets[action.element, prop] = _Target(
+                    action.element, prop, element, spec.attr, _Line(label, spec.render, rule_id))
+            target.written = _checked_constant(spec.check, action.value)
+            steps.append(_Step(None, action.element, prop, target.written,
+                               _Line(label, spec.render, rule_id)))
         order = tuple(targets.values())
-        restore = tuple(sorted(range(len(order)), key=lambda i: order[i].label))
-        return _Plan(tuple(steps), order, tuple(written.values()), restore,
-                     f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
+        restore = tuple(sorted(range(len(order)), key=lambda i: order[i].line.label))
+        return _Plan(tuple(steps), order, restore, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
 
     def unexecute_rule(self, rule_id: str) -> list[TraceEvent]:
         """Restore snapshotted properties this rule still owns; mark inactive."""
@@ -481,13 +468,13 @@ class Engine:
         events = self.trace.events
         emitted_from = len(events)
         plan, snapshot = state.plan, state.snapshot
-        targets, written = plan.targets, plan.written
+        targets = plan.targets
         restores = []
         skipped = []
         for i in plan.restore:
             t = targets[i]
             current = getattr(t.element, t.attr)
-            if current is written[i] or prop_values_equal(current, written[i]):
+            if current is t.written or prop_values_equal(current, t.written):
                 restores.append(i)
             else:
                 skipped.append(i)
@@ -495,7 +482,7 @@ class Engine:
         if skipped:
             if skipped != state.skipped:
                 state.skipped = skipped
-                labels = ",".join([targets[i].label for i in skipped])
+                labels = ",".join([targets[i].line.label for i in skipped])
                 state.skipped_body = f"{body} skipped_restore={labels}"
             body = state.skipped_body
         self._emit(KIND_RULE_UNEXEC, body)
@@ -507,12 +494,9 @@ class Engine:
             write = write_property(t.element_id, t.prop, snapshot[i], rule_id)
             if write is None:
                 continue
-            old, new = write.old, write.new
-            if old is not t.old or new is not t.new:  # identity, as in execute_rule
-                render = WRITABLE[t.prop].render
-                t.old, t.new = old, new
-                t.body = f"PROP {t.label} {render(old)} -> {render(new)}  writer={rule_id}"
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, t.body)))
+            old, new, line = write.old, write.new, t.line
+            body = line.body if old is line.old and new is line.new else _prop_body(line, old, new)
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
         state.active = False
         state.snapshot = ()
         return events[emitted_from:]
@@ -597,7 +581,7 @@ class Engine:
                 if isinstance(user_pos, Vec3):  # a non-vec position cannot aim anything
                     writes = self.scene.refresh_billboards(user_pos)
                     if writes:
-                        self._emit_props(writes, self._yaw_texts)
+                        self._emit_props(writes)
                         activity = True
 
             if self.workflow is not None:
@@ -630,15 +614,30 @@ class Engine:
         return True
 
 
-def _checked_constant(check, render, value) -> tuple[object, str]:
-    """An action's constant value as its write stores it, and its trace text.
-    A value its check refuses is kept as it is, with no text: that write
-    raises the check's error whenever it runs."""
+def _prop_body(line: _Line, old, new) -> str:
+    """The body of the next PROP line at ``line``'s site, which ``line`` then
+    keeps. Values are matched by identity: ``-0.0`` and ``0.0`` render apart."""
+    last = line.new
+    if old is line.old and new is last:
+        return line.body
+    text = line.new_text
+    old_text = text if old is last else line.render(old)
+    if new is not last:
+        text = line.new_text = line.render(new)
+        line.new = new
+    line.old = old
+    line.body = body = f"PROP {line.label} {old_text} -> {text}  writer={line.writer}"
+    return body
+
+
+def _checked_constant(check, value):
+    """An action's constant value as its write stores it. A value its check
+    refuses is kept as it is: that write raises the check's error whenever
+    it runs."""
     try:
-        value = check(value)
+        return check(value)
     except TypeMismatch:
-        return value, ""
-    return value, render(value)
+        return value
 
 
 def _render_prior(value) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from adaptkit import (
     ContextStore,
@@ -19,6 +20,12 @@ from adaptkit import (
 from adaptkit.values import values_equal
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Hypothesis's defaults, but a failing example also prints the
+# @reproduce_failure blob that replays it; an st.randoms() case cannot be
+# pasted back as an @example, so the blob is how it is replayed.
+settings.register_profile("adaptkit", print_blob=True)
+settings.load_profile("adaptkit")
 
 
 def fixture_text(rel: str) -> str:

@@ -784,7 +784,7 @@ def test_trace_render_longer_than_a_chunk():
 
 
 class TestSharedLineText:
-    """Plans, targets and conditions keep the text of the last line they
+    """PROP write sites and conditions keep the text of the last line they
     emitted and reuse it while the values are the same objects; equal values
     that are other objects get their own text."""
 
@@ -798,6 +798,70 @@ class TestSharedLineText:
     @staticmethod
     def props(engine, start=0):
         return [ev.body for ev in engine.trace.events[start:] if ev.kind == KIND_PROP]
+
+    @staticmethod
+    def spy(monkeypatch, prop):
+        """The values WRITABLE[prop].render is called with from now on."""
+        rendered = []
+        spec = scene_module.WRITABLE[prop]
+        monkeypatch.setitem(scene_module.WRITABLE, prop,
+                            spec._replace(render=lambda v: rendered.append(v) or spec.render(v)))
+        return rendered
+
+    def test_an_old_value_equal_to_the_last_new_one_renders_apart(self):
+        engine = basic_engine(
+            {"env.x": False, "env.f": 1.0},
+            "condition c: env.x == true\n"
+            "rule R when c do set_feature(env.f, 0.0) category Style\n",
+        )
+        x, f = FeatureId.parse("env.x"), FeatureId.parse("env.f")
+        engine.process_event([(x, True)])
+        engine.process_event([(x, False), (f, -0.0)])
+        engine.process_event([(x, True)])
+        assert self.props(engine) == [
+            "PROP env.f 1.000000 -> 0.000000  writer=R",
+            "PROP env.f -0.000000 -> 0.000000  writer=R",
+        ]
+
+    def test_a_workflow_advance_renders_only_its_new_values(self, monkeypatch):
+        """The instruction's and the cleared highlight's old values are the
+        new values of their last workflow lines: their text is reused."""
+        texts, highlights = self.spy(monkeypatch, "text"), self.spy(monkeypatch, "highlight")
+        engine = engine_from_texts(
+            "condition a: env.a == true\n",
+            'element marker at (0.0,0.0,0.0)\nelement instruction_panel at (0.0,1.6,0.5) text ""\n',
+            {"env.a": False},
+            'workflow w\nstep one "Do one" target marker until a goto two\nstep two "Do two" terminal\n',
+        )
+        assert len(texts) == 2 and len(highlights) == 2  # E0 applies step one: old and new rendered
+        texts.clear()
+        highlights.clear()
+        start = len(engine.trace)
+        engine.process_event([(FeatureId.parse("env.a"), True)])
+        assert self.props(engine, start) == [
+            'PROP instruction_panel.text "Do one" -> "Do two"  writer=workflow',
+            "PROP marker.highlight (0,255,0) -> none  writer=workflow",
+        ]
+        assert texts == ["Do two"] and highlights == [None]
+
+    def test_a_restore_renders_only_the_value_it_replaced(self, monkeypatch):
+        rendered = self.spy(monkeypatch, "text")
+        engine = basic_engine({"env.x": False, "env.y": False}, self.RULES)
+        x = FeatureId.parse("env.x")
+        engine.scene.write_property("panel", "text", "idle", "caller")
+        for _ in range(2):
+            engine.process_event([(x, True)])
+            engine.process_event([(x, False)])
+        rendered.clear()
+        engine.process_event([(x, True)])
+        assert rendered == []  # the step's values are the same objects as last time
+        other_on = "".join(["o", "n"])
+        engine.scene.write_property("panel", "text", "tmp", "caller")
+        engine.scene.write_property("panel", "text", other_on, "caller")
+        engine.process_event([(x, False)])
+        # it restores the object its last restore line restored
+        assert len(rendered) == 1 and rendered[0] is other_on
+        assert self.props(engine)[-1] == 'PROP panel.text "on" -> "idle"  writer=R'
 
     def test_signed_zero_olds_of_a_feature_render_apart(self):
         engine = basic_engine(
