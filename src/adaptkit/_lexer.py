@@ -5,7 +5,7 @@ One master regular expression, with a named group per token kind, reads a
 line (the tokenizer recipe of the ``re`` documentation). The kinds are:
 
 * ``ref``: an identifier, or several joined by dots (``env.luminance``);
-* ``num``: ``-?digits[.digits][e[+-]digits]``;
+* ``num``: ``-?digits[.digits][e[+-]digits]``, in ASCII digits;
 * ``vec``: ``(x, y, z)``, three numbers;
 * ``op``: ``<= >= == != && || < > ! ( ) , : ; =``;
 * ``str``: a double-quoted string whose only escapes are ``\\"`` and ``\\\\``;
@@ -30,7 +30,7 @@ import re
 
 from .errors import DslSyntaxError
 
-_NUM = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_NUM = r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _TOKEN_RE = re.compile(
     rf"""
     \s*

@@ -163,8 +163,7 @@ def _run(args) -> tuple[int, str]:
         scenario = _parse(args.scenario, parse_scenario)
     except _InputError:
         return EXIT_INPUT_ERROR, ""
-    diags = validate(rules, scene, workflow)
-    if _report_diagnostics(args, diags):
+    if _report_diagnostics(args, validate(rules, scene, workflow)):
         return EXIT_INPUT_ERROR, ""
     store = ContextStore()
     try:
@@ -180,7 +179,6 @@ def _run(args) -> tuple[int, str]:
             workflow=workflow,
             store=store,
             max_cascade_depth=args.max_cascade,
-            diagnostics=diags,
         )
         code, text = EXIT_OK, trace.render()
     except AdaptError as e:

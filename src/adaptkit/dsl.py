@@ -783,20 +783,14 @@ class Diagnostic:
     message: str
     line: int
     source: str = "rules"  # 'rules' | 'workflow'
-    # False for an error a library engine still runs with: it fails only
-    # when a rule makes the write, as an ActionError
-    blocks_engine: bool = True
 
 
-def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> list[Diagnostic]:
-    """Cross-check a rule set (and optional workflow) against a scene.
-
-    Errors block engine construction, but for a feature that set_feature
-    constants write with two types (the CLI refuses that too); warnings
-    (static write-write conflicts, unreachable workflow steps) do not.
-    """
+def unresolved(rules: RuleSet, scene: SceneModel | None, workflow=None) -> list[Diagnostic]:
+    """An error for each element and condition the rules or the workflow
+    name that does not exist, and for a workflow without its instruction
+    element: the rules' errors, then the workflow's. Elements are checked
+    only with a scene. This is the one check an Engine makes."""
     diags: list[Diagnostic] = []
-
     if scene is not None:
         for cond in rules.conditions:
             for ref in cond.reads:
@@ -818,46 +812,8 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
                             rule.line,
                         )
                     )
-
-    writers: dict[tuple[str, str], list[RuleDef]] = {}
-    # feature -> the type of the first constant set_feature writes to it, and
-    # that rule: a constant of another type would fail when its rule executes
-    feature_types: dict[FeatureId, tuple[str, RuleDef]] = {}
-    for rule in rules.rules:
-        targets = set()
-        for action in rule.actions:
-            prop = EFFECTOR_PROPERTY[action.effector]
-            if prop is not None:
-                targets.add((action.element, prop))
-                continue
-            kind = type_name(action.value)
-            first_kind, first = feature_types.setdefault(action.feature, (kind, rule))
-            if kind != first_kind:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"set_feature writes {action.feature} as {first_kind} in rule {first.id!r}"
-                        f" and as {kind} in rule {rule.id!r}",
-                        rule.line,
-                        blocks_engine=False,
-                    )
-                )
-        for key in sorted(targets):
-            writers.setdefault(key, []).append(rule)
-    # one warning per property: its writers in the order they execute
-    # (ascending priority, then definition order), at the last definition
-    for (elem, prop), rlist in sorted(writers.items()):
-        if len(rlist) > 1:
-            names = ", ".join(f"{r.id} (priority {r.priority})" for r in sorted(rlist, key=lambda r: r.priority))
-            diags.append(Diagnostic("warning", f"write-write conflict on {elem}.{prop}: {names}", rlist[-1].line))
-
-    if workflow is not None:
-        diags.extend(_validate_workflow(rules, scene, workflow))
-    return diags
-
-
-def _validate_workflow(rules: RuleSet, scene: SceneModel | None, workflow) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
+    if workflow is None:
+        return diags
     for step in workflow.steps:
         cond_ids = []
         if step.completion is not None:
@@ -891,15 +847,61 @@ def _validate_workflow(rules: RuleSet, scene: SceneModel | None, workflow) -> li
                 source="workflow",
             )
         )
-    for step in workflow.unreachable_steps():
-        diags.append(
-            Diagnostic(
-                "warning",
-                f"step {step.id!r} is unreachable from the initial step",
-                step.line,
-                source="workflow",
+    return diags
+
+
+def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> list[Diagnostic]:
+    """Cross-check a rule set (and optional workflow) against a scene.
+
+    Only unresolved()'s errors block an engine; a feature that set_feature
+    constants write with two types is an error only here. Warnings (static
+    write-write conflicts, unreachable workflow steps) block nothing.
+    """
+    found = unresolved(rules, scene, workflow)
+    diags = [d for d in found if d.source == "rules"]
+
+    writers: dict[tuple[str, str], list[RuleDef]] = {}
+    # feature -> the type of the first constant set_feature writes to it, and
+    # that rule: a constant of another type would fail when its rule executes
+    feature_types: dict[FeatureId, tuple[str, RuleDef]] = {}
+    for rule in rules.rules:
+        targets = set()
+        for action in rule.actions:
+            prop = EFFECTOR_PROPERTY[action.effector]
+            if prop is not None:
+                targets.add((action.element, prop))
+                continue
+            kind = type_name(action.value)
+            first_kind, first = feature_types.setdefault(action.feature, (kind, rule))
+            if kind != first_kind:
+                diags.append(
+                    Diagnostic(
+                        "error",
+                        f"set_feature writes {action.feature} as {first_kind} in rule {first.id!r}"
+                        f" and as {kind} in rule {rule.id!r}",
+                        rule.line,
+                    )
+                )
+        for key in sorted(targets):
+            writers.setdefault(key, []).append(rule)
+    # one warning per property: its writers in the order they execute
+    # (ascending priority, then definition order), at the last definition
+    for (elem, prop), rlist in sorted(writers.items()):
+        if len(rlist) > 1:
+            names = ", ".join(f"{r.id} (priority {r.priority})" for r in sorted(rlist, key=lambda r: r.priority))
+            diags.append(Diagnostic("warning", f"write-write conflict on {elem}.{prop}: {names}", rlist[-1].line))
+
+    diags.extend(d for d in found if d.source == "workflow")
+    if workflow is not None:
+        for step in workflow.unreachable_steps():
+            diags.append(
+                Diagnostic(
+                    "warning",
+                    f"step {step.id!r} is unreachable from the initial step",
+                    step.line,
+                    source="workflow",
+                )
             )
-        )
     return diags
 
 

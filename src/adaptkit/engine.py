@@ -62,8 +62,9 @@ distance with a number is an atom with its type check hoisted, and
 other node runs eval_expr, the reference evaluator. A compiled condition
 returns the value eval_expr returns and raises the same error, with the
 same message, in the same order. Scene elements are bound when compiling,
-which holds because elements are never removed or replaced; an atom whose
-element is missing then runs eval_expr, so a later add_element is seen.
+which holds because elements are never removed or replaced. An engine is
+never built over a missing element: every element a condition or rule
+names must exist (dsl.unresolved).
 
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
@@ -110,7 +111,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .context import ChangeFlag, ContextStore, FeatureId
-from .dsl import EFFECTOR_PROPERTY, Diagnostic, Odometer, RuleSet, compile_expr, validate
+from .dsl import EFFECTOR_PROPERTY, Odometer, RuleSet, compile_expr, unresolved
 from .errors import (
     ActionError,
     AdaptError,
@@ -260,13 +261,10 @@ class Engine:
         store: ContextStore,
         workflow: Workflow | None = None,
         max_cascade_depth: int = DEFAULT_MAX_CASCADE_DEPTH,
-        diagnostics: list[Diagnostic] | None = None,
     ):
-        """``diagnostics`` are ``validate(rules, scene, workflow)``'s, when the
-        caller has them already; without them the engine validates."""
-        if diagnostics is None:
-            diagnostics = validate(rules, scene, workflow)
-        errors = [d for d in diagnostics if d.severity == "error" and d.blocks_engine]
+        """Raises ValidationFailed when a name the rules or the workflow use
+        does not resolve (dsl.unresolved); the engine checks nothing else."""
+        errors = unresolved(rules, scene, workflow)
         if errors:
             raise ValidationFailed("; ".join(d.message for d in errors))
         self.rules = rules
@@ -446,10 +444,7 @@ class Engine:
             label = f"{action.element}.{prop}"
             target = targets.get((action.element, prop))
             if target is None:
-                try:
-                    element = self.scene.element(action.element)
-                except UnknownElement as e:
-                    raise ActionError(f"rule {rule_id!r}: {e}") from e
+                element = self.scene.element(action.element)
                 target = targets[action.element, prop] = _Target(
                     action.element, prop, element, spec.attr, _Line(label, spec.render, rule_id))
             target.written = _checked_constant(spec.check, action.value)
@@ -661,13 +656,12 @@ def init_engine(
     store: ContextStore,
     workflow: Workflow | None = None,
     max_cascade_depth: int = DEFAULT_MAX_CASCADE_DEPTH,
-    diagnostics: list[Diagnostic] | None = None,
 ) -> Engine:
     """Build an engine and immediately process the initialization event (E0).
 
     Rules whose conditions already hold execute during initialization,
-    before the first scenario event. ``diagnostics`` are passed to Engine.
+    before the first scenario event.
     """
-    engine = Engine(rules, scene, store, workflow, max_cascade_depth, diagnostics)
+    engine = Engine(rules, scene, store, workflow, max_cascade_depth)
     engine.process_event([])
     return engine

@@ -85,7 +85,8 @@ class FeatureTypeChange(ParseError):
 
 
 class ValidationFailed(AdaptError):
-    """Engine construction refused because validate() reported errors."""
+    """Engine construction refused: a name the rules or the workflow use does
+    not resolve (dsl.unresolved)."""
 
 
 class EvaluationError(AdaptError):

@@ -19,7 +19,7 @@ from itertools import zip_longest
 
 from ._lexer import NUM, OP, REF, Cursor, lines, literal, text_of
 from .context import ContextStore, FeatureId
-from .dsl import Diagnostic, RuleSet
+from .dsl import RuleSet
 from .engine import DEFAULT_MAX_CASCADE_DEPTH, Trace, init_engine
 from .errors import (
     DecreasingTimestamp,
@@ -117,20 +117,18 @@ def run_scenario(
     workflow: Workflow | None = None,
     store: ContextStore | None = None,
     max_cascade_depth: int = DEFAULT_MAX_CASCADE_DEPTH,
-    diagnostics: list[Diagnostic] | None = None,
 ) -> Trace:
     """Replay a scenario against fresh engine state and return the trace.
 
     The t=0 block is written to the store before engine initialization, so
     it never produces EVENT lines. Engine errors propagate with the
-    partial trace attached to the exception. ``diagnostics`` are passed to
-    the Engine, which validates only without them.
+    partial trace attached to the exception.
     """
     if store is None:
         store = ContextStore()
     for feature, value in scenario.initial:
         store.set_feature(feature, value)
-    engine = init_engine(rules, scene, store, workflow, max_cascade_depth, diagnostics)
+    engine = init_engine(rules, scene, store, workflow, max_cascade_depth)
     for event in scenario.events:
         engine.process_event(list(event.sets))
     return engine.trace

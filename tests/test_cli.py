@@ -26,7 +26,6 @@ def run_cli(*argv) -> int:
 
 def test_run_validates_once(monkeypatch, capsys):
     import adaptkit.cli
-    import adaptkit.engine
 
     calls = []
     validate = adaptkit.cli.validate
@@ -36,7 +35,6 @@ def test_run_validates_once(monkeypatch, capsys):
         return validate(*args)
 
     monkeypatch.setattr(adaptkit.cli, "validate", counting)
-    monkeypatch.setattr(adaptkit.engine, "validate", counting)
     code = run_cli(
         "run", "--rules", PRINTER / "printer.rules", "--scene", PRINTER / "printer.scene",
         "--scenario", PRINTER / "dark_switch.scenario",
@@ -268,6 +266,38 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"{bad}: error: 'utf-8' codec can't decode byte 0xff")
         assert bad.read_bytes() == b"\xff\n"
+
+    @pytest.mark.parametrize(
+        "which, text, error",
+        [
+            ("rules", "condition c: env.x < \u0663\n", ":1: error: unexpected character '\u0663'"),
+            ("scenario", "scenario s\nat 0 set env.x = 1\nat \u0665 set env.x = 7\n",
+             ":3: error: unexpected character '\u0665'"),
+            ("state", "env.x=\u0661\u0662\n", ": error: line 1: unexpected character '\u0661'"),
+        ],
+    )
+    def test_non_ascii_digit_exits_two(self, tmp_path, capsys, which, text, error):
+        """Numbers are ASCII digits: the inputs run with these as 3, 5 and 12
+        and fail with Arabic-Indic digits in their place."""
+        texts = {
+            "rules": "condition c: env.x < 3\n",
+            "scenario": "scenario s\nat 0 set env.x = 1\nat 5 set env.x = 7\n",
+            "state": "env.x=12\n",
+        }
+        paths = {name: tmp_path / f"f.{name}" for name in texts}
+        for name, path in paths.items():
+            path.write_text(texts[name], encoding="utf-8")
+        scene = tmp_path / "f.scene"
+        scene.write_text("element a at (0.0,0.0,0.0)\n")
+        argv = ["run", "--rules", paths["rules"], "--scene", scene, "--scenario", paths["scenario"],
+                "--state-file", paths["state"]]
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        paths[which].write_text(text, encoding="utf-8")
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{paths[which]}{error}\n"
 
     def test_unset_feature_exits_three(self, capsys):
         # first_uses references user.app_use_count but no state file provides it

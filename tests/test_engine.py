@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from adaptkit import (
@@ -17,8 +19,10 @@ from adaptkit import (
     Vec3,
     init_engine,
     parse_rules,
+    parse_scenario,
     parse_scene,
-    validate,
+    parse_workflow,
+    run_scenario,
 )
 
 from adaptkit import engine as engine_module
@@ -613,18 +617,73 @@ class TestDependencyDriven:
 
 
 class TestDiagnostics:
-    RULES = "condition c: env.x == true\nrule R when c do set_visible(ghost, true) category Style\n"
+    """An engine checks only that the elements and conditions its rules and
+    workflow name exist (dsl.unresolved); it never calls validate."""
 
-    def test_given_diagnostics_skip_validation(self, monkeypatch):
-        rules, scene = parse_rules("condition c: env.x == true\n"), parse_scene(BASIC_SCENE)
-        diags = validate(rules, scene)
-        monkeypatch.setattr("adaptkit.engine.validate", lambda *a: pytest.fail("validated again"))
-        init_engine(rules, scene, store_from({"env.x": True}), diagnostics=diags)
+    SCENE = BASIC_SCENE + 'element instruction_panel at (0.0,1.6,0.5) text ""\n'
+    WORKFLOW = 'workflow w\nstep s1 "x" target panel until c goto fin\nstep fin "y" terminal\n'
 
-    def test_given_errors_still_block_init(self):
-        rules, scene = parse_rules(self.RULES), parse_scene(BASIC_SCENE)
-        with pytest.raises(ValidationFailed):
-            Engine(rules, scene, store_from({"env.x": True}), diagnostics=validate(rules, scene))
+    @pytest.fixture(autouse=True)
+    def no_validate(self, monkeypatch):
+        """validate fails wherever the package binds it."""
+        validate = sys.modules["adaptkit.dsl"].validate
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "adaptkit" and getattr(module, "validate", None) is validate:
+                monkeypatch.setattr(module, "validate", lambda *a: pytest.fail("validate called"))
+
+    def test_engine_never_validates(self):
+        rules, scene = parse_rules("condition c: env.x == true\n"), parse_scene(self.SCENE)
+        workflow = parse_workflow(self.WORKFLOW)
+        Engine(rules, scene, store_from({"env.x": True}), workflow)
+        init_engine(rules, scene, store_from({"env.x": True}), workflow)
+        scenario = parse_scenario("scenario s\nat 0 set env.x = false\nat 5 set env.x = true\n")
+        assert run_scenario(rules, scene, scenario, workflow).render().endswith("QUIESCENT cycles=2\n")
+
+    @pytest.mark.parametrize(
+        "rules_text, workflow_text, scene_text, message",
+        [
+            ("condition c: scene.ghost.visible == true\n", None, SCENE,
+             "condition 'c' references unknown element 'ghost'"),
+            ("condition c: env.x == true\nrule R when c do set_visible(nope, true) category Style\n", None, SCENE,
+             "rule 'R' targets unknown element 'nope'"),
+            ("condition c: env.x == true\n", 'workflow w\nstep s1 "x" until nocond goto fin\nstep fin "y" terminal\n',
+             SCENE, "step 's1' references unknown condition 'nocond'"),
+            ("condition c: env.x == true\n", WORKFLOW.replace("panel", "zz"), SCENE,
+             "step 's1' targets unknown element 'zz'"),
+            ("condition c: env.x == true\n", WORKFLOW, BASIC_SCENE,
+             "workflow needs an 'instruction_panel' element in the scene"),
+        ],
+        ids=["condition-element", "rule-element", "step-condition", "step-target", "instruction-panel"],
+    )
+    def test_each_unresolved_name_blocks_init(self, rules_text, workflow_text, scene_text, message):
+        workflow = parse_workflow(workflow_text) if workflow_text else None
+        with pytest.raises(ValidationFailed) as info:
+            init_engine(parse_rules(rules_text), parse_scene(scene_text), store_from({"env.x": True}), workflow)
+        assert str(info.value) == message
+
+    def test_all_unresolved_names_in_one_message(self):
+        rules = parse_rules(
+            "condition a: scene.ghost.visible == true\n"
+            "rule R when a do set_visible(nope, true) category Style\n"
+        )
+        workflow = parse_workflow('workflow w\nstep s1 "x" target zz until nocond goto fin\nstep fin "y" terminal\n')
+        with pytest.raises(ValidationFailed) as info:
+            Engine(rules, parse_scene(BASIC_SCENE), ContextStore(), workflow)
+        assert str(info.value) == (
+            "condition 'a' references unknown element 'ghost'; rule 'R' targets unknown element 'nope'; "
+            "step 's1' references unknown condition 'nocond'; step 's1' targets unknown element 'zz'; "
+            "workflow needs an 'instruction_panel' element in the scene"
+        )
+
+    def test_feature_of_two_types_builds_and_fails_at_the_write(self):
+        rules = parse_rules(
+            "condition c: env.x == true\n"
+            "rule S when c do set_feature(env.f, 1) category Style\n"
+            "rule T when c do set_feature(env.f, 1.0) category Style\n"
+        )
+        Engine(rules, parse_scene(BASIC_SCENE), store_from({"env.x": True}))
+        with pytest.raises(ActionError, match="rule 'T': env.f holds int, cannot set float"):
+            init_engine(rules, parse_scene(BASIC_SCENE), store_from({"env.x": True}))
 
 
 def test_trace_indices_strictly_increase():

@@ -393,3 +393,33 @@ def test_far_thresholds_match_naive_loop():
         outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
         assert outcomes[0] == outcomes[1]
         _assert_same(*engines)
+
+
+# ---------------------------------------------------------------------------
+# The PROP line cache at one write site: a restore of the one text a rule
+# writes goes back to whichever text a caller left before it executed, and
+# a feature write replaces 0.0, -0.0 or 1.0, which render apart although
+# two of them are equal.
+
+LINE_CACHE_RULES = 'condition on: env.b0\nrule R when on do set_text(e0, "b"); set_feature(env.f0, 1.0) category Style\n'
+LINE_CACHE_SCENE = 'element e0 at (0.0,0.0,0.0) text "a"\n'
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((None, "a", "b", "c")), st.sampled_from((None, 0.0, -0.0, 1.0))),
+                min_size=1, max_size=12))
+def test_line_cache_matches_naive_loop(steps):
+    texts = (LINE_CACHE_RULES, LINE_CACHE_SCENE, None)
+    engines = [_build(cls, texts, [("env.b0", False), ("env.f0", 0.0)], 4) for cls in (Engine, NaiveEngine)]
+    for e in engines:
+        e.process_event([])
+    for i, (text, f0) in enumerate(steps):
+        if text is not None:
+            for e in engines:
+                e.scene.write_property("e0", "text", text, writer="caller")
+        events = [[(FeatureId.parse("env.f0"), f0)]] if f0 is not None else []
+        events.append([(FeatureId.parse("env.b0"), i % 2 == 0)])  # the rule toggles
+        for sets in events:
+            outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
+            assert outcomes[0] == outcomes[1]
+        _assert_same(*engines)
