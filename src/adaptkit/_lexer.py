@@ -12,11 +12,12 @@ line (the tokenizer recipe of the ``re`` documentation). The kinds are:
 * ``comment``: ``#`` outside a string, up to the end of the line;
 * ``bad``: a character that starts no other kind, and the rest after it.
 
-Whitespace between tokens is free and yields no token. A token is the
-plain tuple ``re.findall`` makes of a match: one string per kind, in the
-order above, all empty but its own kind's text. So ``tok[REF] == "rule"``
-asks for the identifier ``rule`` and ``tok[NUM]`` is the text of a number
-or empty. A ``bad`` token is a DslSyntaxError.
+ASCII whitespace between tokens is free and yields no token; any other
+space, such as U+00A0, is ``bad``. A token is the plain tuple
+``re.findall`` makes of a match: one string per kind, in the order above,
+all empty but its own kind's text. So ``tok[REF] == "rule"`` asks for the
+identifier ``rule`` and ``tok[NUM]`` is the text of a number or empty. A
+``bad`` token is a DslSyntaxError.
 
 :func:`literal` is the one reader of literal values: integers and
 floats (each must be finite as a float), ``true``/``false``, strings, and
@@ -44,7 +45,7 @@ _TOKEN_RE = re.compile(
     | (?P<bad>(?s:\S.*))
     )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 # Every match starts with the whitespace before its token, so findall
 # yields one tuple per token and skips nothing but trailing whitespace.

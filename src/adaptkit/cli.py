@@ -225,11 +225,8 @@ def cmd_verify(args) -> int:
 
 
 def _cascade_depth(text: str) -> int:
-    """argparse type of --max-cascade: an integer of at least 1."""
-    try:
-        depth = int(text)
-    except ValueError:
-        depth = 0
+    """argparse type of --max-cascade: an integer of at least 1, in ASCII digits."""
+    depth = int(text) if text.isascii() and text.isdigit() else 0
     if depth < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return depth

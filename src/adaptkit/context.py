@@ -15,6 +15,7 @@ are immutable, so reads handed to other threads stay safe.
 from __future__ import annotations
 
 import enum
+import string
 import weakref
 from dataclasses import dataclass, field
 
@@ -159,18 +160,19 @@ def save_state(store: ContextStore, keys: list[FeatureId]) -> str:
 
 
 def load_state(text: str) -> ContextStore:
-    """Parse a state file back into a (partial) store."""
+    """Parse a state file back into a (partial) store. Lines and keys are
+    stripped of ASCII whitespace only, the whitespace the tokenizer skips."""
     store = ContextStore()
     seen: set[FeatureId] = set()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
-        if not line.strip():
+        if not line.strip(string.whitespace):
             continue
         key, eq, value_text = line.partition("=")
         if not eq:
             raise MalformedStateFile(f"line {lineno}: missing '=' in {line!r}")
         try:
-            fid = FeatureId.parse(key.strip())
+            fid = FeatureId.parse(key.strip(string.whitespace))
         except ValueError as e:
             raise MalformedStateFile(f"line {lineno}: {e}") from None
         if fid in seen:

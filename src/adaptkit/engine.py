@@ -103,6 +103,7 @@ still calls the re-aim in every cycle.
 Trace lines are byte-stable: ``E<event> C<cycle> S<seq> <body>`` with the
 sequence number restarting at 0 in each cycle. The number is read from the
 trace: a line's S is the count of lines appended since its cycle began.
+A TraceEvent holds those four; its ``kind`` is read from the body (line_kind).
 """
 
 from __future__ import annotations
@@ -135,25 +136,28 @@ DEFAULT_MAX_CASCADE_DEPTH = 16
 
 RENDER_CHUNK = 4096  # trace lines Trace.render joins at a time
 
-KIND_EVENT = "event"
-KIND_COND = "cond"
-KIND_RULE_EXEC = "rule_exec"
-KIND_RULE_UNEXEC = "rule_unexec"
-KIND_PROP = "prop"
-KIND_WORKFLOW = "workflow"
-KIND_QUIESCENT = "quiescent"
-KIND_NONQUIESCENT = "nonquiescent"
+
+def line_kind(body: str) -> str:
+    """A trace line's kind: its body's first word, lowercased, except that a
+    RULE line is rule_exec or rule_unexec by its third word."""
+    words = body.split(" ", 3)
+    if words[0] == "RULE":
+        return "rule_exec" if words[2] == "EXECUTED" else "rule_unexec"
+    return words[0].lower()
 
 
 class TraceEvent(NamedTuple):
-    """One trace line. The engine builds it with ``tuple.__new__``, which
-    skips the generated ``__new__``."""
+    """One trace line: its numbers and its body. The engine builds it with
+    ``tuple.__new__``, which skips the generated ``__new__``."""
 
     event: int
     cycle: int
     seq: int
-    kind: str
     body: str
+
+    @property
+    def kind(self) -> str:
+        return line_kind(self.body)
 
     def render(self) -> str:
         return f"E{self.event} C{self.cycle} S{self.seq} {self.body}"
@@ -179,7 +183,7 @@ class Trace:
         many line strings are alive at once besides the text."""
         events = self.events
         return "".join([
-            "".join([f"E{e} C{c} S{s} {body}\n" for e, c, s, _, body in events[i:i + RENDER_CHUNK]])
+            "".join([f"E{e} C{c} S{s} {body}\n" for e, c, s, body in events[i:i + RENDER_CHUNK]])
             for i in range(0, len(events), RENDER_CHUNK)
         ])
 
@@ -319,10 +323,9 @@ class Engine:
 
     # -- trace plumbing ----------------------------------------------------
 
-    def _emit(self, kind: str, body: str) -> None:
+    def _emit(self, body: str) -> None:
         events = self.trace.events
-        line = (self._event, self._cycle, len(events) - self._start, kind, body)
-        events.append(_tuple_new(TraceEvent, line))
+        events.append(_tuple_new(TraceEvent, (self._event, self._cycle, len(events) - self._start, body)))
 
     def _emit_props(self, writes) -> None:
         """A PROP line for each applied billboard or workflow write, from the
@@ -339,7 +342,7 @@ class Engine:
             if line is None:
                 line = lines[element_id] = _Line(f"{element_id}.{prop}", WRITABLE[prop].render, writer)
             body = _prop_body(line, old, new)
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, body)))
 
     def _begin_cycle(self, k: int) -> None:
         self._cycle = k
@@ -382,12 +385,12 @@ class Engine:
                 body = f"COND {cond_id} -> {'true' if value else 'false'}"
                 if last is not None:  # a first evaluation's line comes once: not worth an entry
                     bodies[cond_id] = body
-            self._emit(KIND_COND, body)
+            self._emit(body)
         return value, changed
 
     # -- rule lifecycle ------------------------------------------------------
 
-    def execute_rule(self, rule_id: str) -> list[TraceEvent]:
+    def execute_rule(self, rule_id: str) -> None:
         """Snapshot, apply actions in order, mark active. RULE then PROP lines."""
         if not self._busy:
             self._full_cycle = True
@@ -397,11 +400,10 @@ class Engine:
         if plan is None:
             plan = state.plan = self._plan(rule_id)
         events = self.trace.events
-        emitted_from = len(events)
         append = events.append
         snapshot = tuple([getattr(t.element, t.attr) for t in plan.targets])
         e, c, start = self._event, self._cycle, self._start
-        append(_tuple_new(TraceEvent, (e, c, emitted_from - start, KIND_RULE_EXEC, plan.executed)))
+        append(_tuple_new(TraceEvent, (e, c, len(events) - start, plan.executed)))
         write_property = self.scene.write_property
         store = self.store
         for step in plan.steps:
@@ -424,10 +426,9 @@ class Engine:
                     continue
             line = step.line
             body = line.body if old is line.old and value is line.new else _prop_body(line, old, value)
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, body)))
         state.active = True
         state.snapshot = snapshot
-        return events[emitted_from:]
 
     def _plan(self, rule_id: str) -> _Plan:
         """Resolve a rule's targets and check its constant values once."""
@@ -454,14 +455,13 @@ class Engine:
         restore = tuple(sorted(range(len(order)), key=lambda i: order[i].line.label))
         return _Plan(tuple(steps), order, restore, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
 
-    def unexecute_rule(self, rule_id: str) -> list[TraceEvent]:
+    def unexecute_rule(self, rule_id: str) -> None:
         """Restore snapshotted properties this rule still owns; mark inactive."""
         if not self._busy:
             self._full_cycle = True
         state = self._rule_states[rule_id]
         assert state.active, f"rule {rule_id} is not active"
         events = self.trace.events
-        emitted_from = len(events)
         plan, snapshot = state.plan, state.snapshot
         targets = plan.targets
         restores = []
@@ -480,7 +480,7 @@ class Engine:
                 labels = ",".join([targets[i].line.label for i in skipped])
                 state.skipped_body = f"{body} skipped_restore={labels}"
             body = state.skipped_body
-        self._emit(KIND_RULE_UNEXEC, body)
+        self._emit(body)
         append = events.append
         e, c, start = self._event, self._cycle, self._start
         write_property = self.scene.write_property
@@ -491,10 +491,9 @@ class Engine:
                 continue
             old, new, line = write.old, write.new, t.line
             body = line.body if old is line.old and new is line.new else _prop_body(line, old, new)
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, KIND_PROP, body)))
+            append(_tuple_new(TraceEvent, (e, c, len(events) - start, body)))
         state.active = False
         state.snapshot = ()
-        return events[emitted_from:]
 
     # -- the loop --------------------------------------------------------------
 
@@ -518,7 +517,7 @@ class Engine:
         self._begin_cycle(0)
         for feature, value in sets:
             self.store.set_feature(feature, value)
-            self._emit(KIND_EVENT, f"EVENT set {feature} = {render_value(value)}")
+            self._emit(f"EVENT set {feature} = {render_value(value)}")
         # event writes (and any made since the last event) are inputs, not cycle activity
         features = self.store.drain_dirty()
 
@@ -590,10 +589,10 @@ class Engine:
                 body = self._quiescent.get(k)
                 if body is None:
                     body = self._quiescent[k] = f"QUIESCENT cycles={k}"
-                self._emit(KIND_QUIESCENT, body)
+                self._emit(body)
                 return CycleReport(cycles=k)
 
-        self._emit(KIND_NONQUIESCENT, f"NONQUIESCENT depth={self.max_cascade_depth}")
+        self._emit(f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)
 
     def _workflow_phase(self, cond_values: dict[str, bool]) -> bool:
@@ -604,7 +603,7 @@ class Engine:
         if moved is None:
             return False
         from_id, to_id, writes = moved
-        self._emit(KIND_WORKFLOW, f"WORKFLOW step {from_id} -> {to_id}")
+        self._emit(f"WORKFLOW step {from_id} -> {to_id}")
         self._emit_props(writes)
         return True
 

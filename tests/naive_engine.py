@@ -21,18 +21,7 @@ from dataclasses import dataclass, field
 
 from adaptkit.context import ChangeFlag
 from adaptkit.dsl import EFFECTOR_PROPERTY, eval_expr
-from adaptkit.engine import (
-    KIND_COND,
-    KIND_EVENT,
-    KIND_NONQUIESCENT,
-    KIND_PROP,
-    KIND_QUIESCENT,
-    KIND_RULE_EXEC,
-    KIND_RULE_UNEXEC,
-    USER_POSITION,
-    CycleReport,
-    Engine,
-)
+from adaptkit.engine import USER_POSITION, CycleReport, Engine
 from adaptkit.errors import (
     ActionError,
     EvaluationError,
@@ -67,10 +56,7 @@ class NaiveEngine(Engine):
     def _emit_prop(self, write) -> None:
         render = REFERENCE_PROPS[write.prop][1]
         old, new = render(write.old), render(write.new)
-        self._emit(
-            KIND_PROP,
-            f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}",
-        )
+        self._emit(f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}")
 
     def evaluate_condition(self, cond_id: str) -> tuple[bool, bool]:
         if not self._busy:
@@ -85,7 +71,7 @@ class NaiveEngine(Engine):
         changed = self.cond_last[cond_id] is None or self.cond_last[cond_id] != value
         self.cond_last[cond_id] = value
         if changed:
-            self._emit(KIND_COND, f"COND {cond_id} -> {'true' if value else 'false'}")
+            self._emit(f"COND {cond_id} -> {'true' if value else 'false'}")
         return value, changed
 
     def execute_rule(self, rule_id: str):
@@ -94,7 +80,6 @@ class NaiveEngine(Engine):
         rule = self.rules.rule_by_id[rule_id]
         state = self._rule_states[rule_id]
         assert not state.active, f"rule {rule_id} is already active"
-        emitted_from = len(self.trace)
         snapshot = {}
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
@@ -106,13 +91,12 @@ class NaiveEngine(Engine):
                     snapshot[key] = self.scene.get_property(*key)
                 except (UnknownElement, UnknownProperty) as e:
                     raise ActionError(f"rule {rule_id!r}: {e}") from e
-        self._emit(KIND_RULE_EXEC, f"RULE {rule_id} EXECUTED")
+        self._emit(f"RULE {rule_id} EXECUTED")
         for action in rule.actions:
             self._apply_action(rule, action)
         state.active = True
         state.snapshot = snapshot
         state.written = {key: self.scene.get_property(*key) for key in snapshot}
-        return self.trace.events[emitted_from:]
 
     def _apply_action(self, rule, action) -> None:
         if action.effector == "set_feature":
@@ -127,11 +111,8 @@ class NaiveEngine(Engine):
                 raise ActionError(f"rule {rule.id!r}: {e}") from e
             if flag is ChangeFlag.CHANGED:
                 old_text = "unset" if old is None else render_value(old)
-                self._emit(
-                    KIND_PROP,
-                    f"PROP {action.feature} {old_text} -> {render_value(action.value)}"
-                    f"  writer={rule.id}",
-                )
+                self._emit(f"PROP {action.feature} {old_text} -> {render_value(action.value)}"
+                           f"  writer={rule.id}")
             return
         prop = EFFECTOR_PROPERTY[action.effector]
         try:
@@ -146,7 +127,6 @@ class NaiveEngine(Engine):
             self._full_cycle = True
         state = self._rule_states[rule_id]
         assert state.active, f"rule {rule_id} is not active"
-        emitted_from = len(self.trace)
         restores = []
         skipped = []
         for key in sorted(state.snapshot, key=lambda k: f"{k[0]}.{k[1]}"):
@@ -158,7 +138,7 @@ class NaiveEngine(Engine):
         suffix = ""
         if skipped:
             suffix = " skipped_restore=" + ",".join(f"{e}.{p}" for e, p in skipped)
-        self._emit(KIND_RULE_UNEXEC, f"RULE {rule_id} UNEXECUTED{suffix}")
+        self._emit(f"RULE {rule_id} UNEXECUTED{suffix}")
         for (element, prop), old in restores:
             write = self.scene.write_property(element, prop, old, writer=rule_id)
             if write is not None:
@@ -166,7 +146,6 @@ class NaiveEngine(Engine):
         state.active = False
         state.snapshot = {}
         state.written = {}
-        return self.trace.events[emitted_from:]
 
     def _process_event(self, sets) -> CycleReport:
         e = self._next_event
@@ -175,7 +154,7 @@ class NaiveEngine(Engine):
         self._begin_cycle(0)
         for feature, value in sets:
             self.store.set_feature(feature, value)
-            self._emit(KIND_EVENT, f"EVENT set {feature} = {render_value(value)}")
+            self._emit(f"EVENT set {feature} = {render_value(value)}")
         self.store.drain_dirty()  # event writes are inputs, not cycle activity
 
         for k in range(1, self.max_cascade_depth + 1):
@@ -220,10 +199,10 @@ class NaiveEngine(Engine):
                 activity = True
 
             if not activity:
-                self._emit(KIND_QUIESCENT, f"QUIESCENT cycles={k}")
+                self._emit(f"QUIESCENT cycles={k}")
                 return CycleReport(cycles=k)
 
-        self._emit(KIND_NONQUIESCENT, f"NONQUIESCENT depth={self.max_cascade_depth}")
+        self._emit(f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)
 
     def _aim_billboards(self, user_pos: Vec3) -> list:

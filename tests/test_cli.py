@@ -184,6 +184,23 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == "" and "--max-cascade" in captured.err
 
+    @pytest.mark.parametrize("depth", ["\u0663", "1_0", " 7", "+4", "0", "x"])
+    def test_max_cascade_takes_ascii_digits_only(self, depth, capsys):
+        """The chain settles in three cycles: 3 runs, and no other spelling of
+        a number (Arabic-Indic three, an underscore, padding, a sign) does."""
+        argv = [
+            "run",
+            "--rules", CASCADE / "chain.rules",
+            "--scene", CASCADE / "chain.scene",
+            "--scenario", CASCADE / "chain.scenario",
+        ]
+        assert run_cli(*argv, "--max-cascade", "3") == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--max-cascade", depth) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"argument --max-cascade: expected an integer >= 1, got {depth!r}\n")
+
     def test_parse_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.scenario"
         bad.write_text("scenario s\nat 10 set env.a = 1\nat 5 set env.a = 2\n")
@@ -298,6 +315,49 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{paths[which]}{error}\n"
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000"], ids=["no-break", "em", "ideographic"])
+    @pytest.mark.parametrize(
+        "which, marked, error",
+        [
+            ("rules", "condition c: env.x <|3\n", ":1: error: unexpected character {!r}"),
+            ("scene", 'element a at (0.0,0.0,0.0)\nelement instruction_panel|at (0.0,1.5,0.0) text ""\n',
+             ":2: error: unexpected character {!r}"),
+            ("workflow", 'workflow w\nstep s0 "go" target a until|c goto s1\nstep s1 "done" terminal\n',
+             ":2: error: unexpected character {!r}"),
+            ("scenario", "scenario s\nat 0 set env.x = 1\nat 5 set env.x =|7\n",
+             ":3: error: unexpected character {!r}"),
+            ("state", "env.x =|12\n", ": error: line 1: unexpected character {!r}"),
+            ("state", "|env.x=12\n", ": error: line 1: invalid feature id: {!r}"),
+        ],
+        ids=["rules", "scene", "workflow", "scenario", "state-value", "state-key"],
+    )
+    def test_non_ascii_space_between_tokens_exits_two(self, tmp_path, capsys, which, marked, error, space):
+        """Whitespace between tokens is ASCII: the inputs run with a space at
+        the mark and fail with a Unicode space there, the state file untouched."""
+        texts = {
+            "rules": "condition c: env.x < 3\n",
+            "scene": 'element a at (0.0,0.0,0.0)\nelement instruction_panel at (0.0,1.5,0.0) text ""\n',
+            "workflow": 'workflow w\nstep s0 "go" target a until c goto s1\nstep s1 "done" terminal\n',
+            "scenario": "scenario s\nat 0 set env.x = 1\nat 5 set env.x = 7\n",
+            "state": "env.x=12\n",
+        }
+        texts[which] = marked.replace("|", " ")
+        paths = {name: tmp_path / f"f.{name}" for name in texts}
+        for name, path in paths.items():
+            path.write_text(texts[name], encoding="utf-8")
+        argv = ["run", "--rules", paths["rules"], "--scene", paths["scene"], "--workflow", paths["workflow"],
+                "--scenario", paths["scenario"], "--state-file", paths["state"]]
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        paths[which].write_text(marked.replace("|", space), encoding="utf-8")
+        state = paths["state"].read_bytes()
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bad = space + "env.x" if marked.startswith("|") else space
+        assert captured.err == f"{paths[which]}{error.format(bad)}\n"
+        assert paths["state"].read_bytes() == state
 
     def test_unset_feature_exits_three(self, capsys):
         # first_uses references user.app_use_count but no state file provides it

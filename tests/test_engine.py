@@ -27,11 +27,19 @@ from adaptkit import (
 
 from adaptkit import engine as engine_module
 from adaptkit import scene as scene_module
-from adaptkit.engine import KIND_EVENT, KIND_PROP, USER_POSITION as USER, Trace, TraceEvent
+from adaptkit.engine import USER_POSITION as USER, Trace, TraceEvent
 from adaptkit.scene import SceneElement, face_user_yaw
 from adaptkit.values import float_bits
 
-from conftest import engine_from_texts, fixture_text, scene_state, scene_states_equal, store_from
+from conftest import (
+    FIXTURES,
+    engine_from_texts,
+    fixture_text,
+    run_fixture,
+    scene_state,
+    scene_states_equal,
+    store_from,
+)
 from naive_engine import NaiveEngine
 
 BASIC_SCENE = """
@@ -838,8 +846,96 @@ def test_trace_render_longer_than_a_chunk():
     trace = Trace()
     assert trace.render() == ""
     n = 2 * engine_module.RENDER_CHUNK + 3
-    trace.events.extend(TraceEvent(i // 7, i % 3, i % 5, KIND_PROP, f"PROP x.text {i}") for i in range(n))
+    trace.events.extend(TraceEvent(i // 7, i % 3, i % 5, f"PROP x.text {i}") for i in range(n))
     assert trace.render() == "".join(ev.render() + "\n" for ev in trace)
+
+
+KINDS = {"event", "cond", "rule_exec", "rule_unexec", "prop", "workflow", "quiescent", "nonquiescent"}
+
+# each fixture golden and what replays it: rules, scene, scenario, workflow, initial store
+GOLDENS = {
+    "cascade/golden/chain.trace": (
+        "cascade/chain.rules", "cascade/chain.scene", "cascade/chain.scenario", None, {}),
+    **{
+        f"printer/golden/{name}.trace": (
+            "printer/printer.rules", "printer/printer.scene", f"printer/{scenario}.scenario", None, initial)
+        for name, scenario, initial in (
+            ("dark_switch", "dark_switch", {}),
+            ("face_user", "face_user", {}),
+            ("first_uses_new", "first_uses", {"user.app_use_count": 1}),
+            ("first_uses_experienced", "first_uses", {"user.app_use_count": 6}),
+            ("walk_away", "walk_away", {}),
+        )
+    },
+    **{
+        f"warehouse/golden/{scenario}.trace": (
+            "warehouse/warehouse.rules", "warehouse/warehouse.scene", f"warehouse/{scenario}.scenario",
+            f"warehouse/{workflow}.workflow", {})
+        for scenario, workflow in (
+            ("single_order", "single_order"),
+            ("multi_order_complete", "multi_order"),
+            ("multi_order_exception", "multi_order"),
+        )
+    },
+}
+
+
+class TestLineKind:
+    """A line's kind is read from its body, so a golden's text and a
+    replay's records classify alike."""
+
+    def test_a_trace_event_is_its_numbers_and_its_body(self):
+        assert TraceEvent._fields == ("event", "cycle", "seq", "body")
+        assert TraceEvent(1, 2, 3, "RULE R EXECUTED").kind == "rule_exec"
+
+    @pytest.mark.parametrize(
+        "body, kind",
+        [
+            ("EVENT set env.x = 1.000000", "event"),
+            ("COND c -> true", "cond"),
+            ("RULE R EXECUTED", "rule_exec"),
+            ("RULE R UNEXECUTED", "rule_unexec"),
+            ("RULE R UNEXECUTED skipped_restore=a.text", "rule_unexec"),
+            ("RULE UNEXECUTED EXECUTED", "rule_exec"),
+            ("RULE EXECUTED UNEXECUTED", "rule_unexec"),
+            ("RULE EXECUTED UNEXECUTED skipped_restore=a.text", "rule_unexec"),
+            ('PROP a.text "RULE R UNEXECUTED" -> ""  writer=UNEXECUTED', "prop"),
+            ("PROP env.flag false -> true  writer=EXECUTED", "prop"),
+            ("WORKFLOW step s0 -> s1", "workflow"),
+            ("QUIESCENT cycles=2", "quiescent"),
+            ("NONQUIESCENT depth=16", "nonquiescent"),
+        ],
+    )
+    def test_each_body_form(self, body, kind):
+        assert engine_module.line_kind(body) == kind
+
+    def test_rules_named_like_the_rule_words(self):
+        engine = basic_engine(
+            {"env.x": True},
+            "condition c: env.x == true\n"
+            "rule EXECUTED when c do set_text(panel, \"a\") category Style\n"
+            "rule UNEXECUTED when c do set_visible(hints, true) category Style\n",
+        )
+        engine.scene.write_property("panel", "text", "b", "caller")
+        start = len(engine.trace)
+        assert engine.unexecute_rule("EXECUTED") is None
+        assert engine.unexecute_rule("UNEXECUTED") is None
+        assert engine.execute_rule("UNEXECUTED") is None
+        assert [(ev.body, ev.kind) for ev in engine.trace.events[start:] if ev.body.startswith("RULE")] == [
+            ("RULE EXECUTED UNEXECUTED skipped_restore=panel.text", "rule_unexec"),
+            ("RULE UNEXECUTED UNEXECUTED", "rule_unexec"),
+            ("RULE UNEXECUTED EXECUTED", "rule_exec"),
+        ]
+
+    def test_fixture_goldens(self):
+        assert sorted(GOLDENS) == sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.glob("*/golden/*.trace"))
+        for golden, (rules, scene, scenario, workflow, initial) in GOLDENS.items():
+            text = fixture_text(golden)
+            kinds = [engine_module.line_kind(line.split(" ", 3)[3]) for line in text.splitlines()]
+            assert set(kinds) <= KINDS, golden
+            trace = run_fixture(rules, scene, scenario, workflow, store=store_from(initial))
+            assert trace.render() == text, golden
+            assert [ev.kind for ev in trace] == kinds, golden
 
 
 class TestSharedLineText:
@@ -856,7 +952,7 @@ class TestSharedLineText:
 
     @staticmethod
     def props(engine, start=0):
-        return [ev.body for ev in engine.trace.events[start:] if ev.kind == KIND_PROP]
+        return [ev.body for ev in engine.trace.events[start:] if ev.kind == "prop"]
 
     @staticmethod
     def spy(monkeypatch, prop):
@@ -992,7 +1088,7 @@ class TestSharedLineText:
             start = len(engine.trace)
             engine.process_event([(trigger, True)])
             engine.process_event([(trigger, False), (flag, False)])
-            rounds.append([ev for ev in engine.trace.events[start:] if ev.kind != KIND_EVENT])
+            rounds.append([ev for ev in engine.trace.events[start:] if ev.kind != "event"])
         first, second = rounds
         assert [ev[1:] for ev in first] == [ev[1:] for ev in second]
         assert {ev.body.split()[0] for ev in first} == {"COND", "RULE", "PROP", "QUIESCENT"}

@@ -140,8 +140,6 @@ def _outcome(fn):
         result = fn()
     except AdaptError as e:
         return type(e).__name__, str(e)
-    if isinstance(result, list):  # trace events of a rule transition
-        return "ok", [ev.render() for ev in result]
     return "ok", result
 
 
