@@ -553,11 +553,24 @@ def _check(expr: Expr, reads: list, errors: list[str]) -> str | None:
 # ---------------------------------------------------------------------------
 # compilation
 
+class Conjunct(NamedTuple):
+    """An operand of the ``&&`` chain at the top of a compiled expression."""
+
+    reads: tuple  # check_expr's reads of it
+    dist_atoms: tuple["_DistAtom", ...]  # the dist() atoms it evaluates through, in reading order
+
+
 class Compiled(NamedTuple):
     """An expression compiled against a store and a scene."""
 
     evaluate: Callable[[], Value]  # eval_expr(expr, store, scene), compiled
     dist_atoms: tuple["_DistAtom", ...]  # the dist() atoms it evaluates through, in reading order
+    # for a top-level && chain of two or more operands that compiled: the
+    # operands, left to right, and a one-item list that evaluate keeps the
+    # index of the first of them that returned false in (None if none did,
+    # or before the first evaluation); () and None for any other expression
+    conjuncts: tuple[Conjunct, ...] = ()
+    first_false: list | None = None
 
 
 # nodes whose evaluators always return a bool or raise
@@ -585,30 +598,91 @@ def compile_expr(
     cannot have crossed the constant (see _DistAtom); ``odometers`` holds
     the feature -> Odometer map its atoms share, and gains one for each
     feature not yet in it.
+
+    Returns ``Compiled(evaluate, dist_atoms, conjuncts, first_false)``.
+    When the expression is a chain of two or more operands joined by ``&&``
+    nodes that compile (_conjuncts), ``conjuncts`` lists the operands, each
+    with its reads and its dist() atoms, and ``evaluate`` also keeps the
+    index of the first operand that returned false in ``first_false[0]``.
     """
     if odometers is None:
         odometers = {}
     dist_atoms: list[_DistAtom] = []
+    if not _compiled_and(expr):
+        return Compiled(_build(expr, store, scene, odometers, dist_atoms), tuple(dist_atoms))
+    conjuncts = []
+    parts = []
+    for operand in _conjuncts(expr):
+        start = len(dist_atoms)
+        parts.append(_build(operand, store, scene, odometers, dist_atoms))
+        conjuncts.append(Conjunct(tuple(check_expr(operand)[1]), tuple(dist_atoms[start:])))
+    evaluate, first_false = parts[-1], None
+    for left in reversed(parts[:-1]):
+        evaluate, first_false = _and(left, evaluate, first_false)
+    return Compiled(evaluate, tuple(dist_atoms), tuple(conjuncts), first_false)
 
-    def build(node: Expr) -> Callable[[], Value]:
-        if isinstance(node, Compare):
-            atom = _atom(node, store, scene, odometers)
-            if atom is not None:
-                if isinstance(atom, _DistAtom):
-                    dist_atoms.append(atom)
-                return atom.evaluate
-        elif isinstance(node, BoolOp):
-            if node.op == "&&" and isinstance(node.left, _BOOL_NODES) and isinstance(node.right, _BOOL_NODES):
-                left, right = build(node.left), build(node.right)
-                return lambda: left() & right()  # both sides, left first
-        elif isinstance(node, Not):
-            operand = build(node.operand)
-            return lambda: _not(operand())
-        elif isinstance(node, FeatureRef):
-            return partial(store.get_feature, node.feature)
-        return partial(eval_expr, node, store, scene)
 
-    return Compiled(build(expr), tuple(dist_atoms))
+def _build(
+    node: Expr, store: ContextStore, scene: SceneModel, odometers: dict, dist_atoms: list
+) -> Callable[[], Value]:
+    """compile_expr's evaluator for ``node``; each dist() atom made is appended
+    to ``dist_atoms``. A module function, not a closure that calls itself,
+    so that compiling leaves no reference cycle for the collector."""
+    if isinstance(node, Compare):
+        atom = _atom(node, store, scene, odometers)
+        if atom is not None:
+            if isinstance(atom, _DistAtom):
+                dist_atoms.append(atom)
+            return atom.evaluate
+    elif _compiled_and(node):
+        left = _build(node.left, store, scene, odometers, dist_atoms)
+        right = _build(node.right, store, scene, odometers, dist_atoms)
+        return lambda: left() & right()  # both sides, left first
+    elif isinstance(node, Not):
+        operand = _build(node.operand, store, scene, odometers, dist_atoms)
+        return lambda: _not(operand())
+    elif isinstance(node, FeatureRef):
+        return partial(store.get_feature, node.feature)
+    return partial(eval_expr, node, store, scene)
+
+
+def _and(left, right, rest: list | None) -> tuple[Callable[[], bool], list]:
+    """``left && right`` at the top of a compiled ``&&`` chain, where ``right``
+    evaluates the operands after ``left``: the chain of them, whose
+    ``first_false`` is ``rest``, or the last operand alone (``rest`` None).
+    Returns its evaluator, which evaluates both sides, left first, as the
+    nested ``&&`` does, and its ``first_false``: a one-item list holding the
+    index, in the chain from ``left`` on, of the first operand that returned
+    false; None if none did, or before the first evaluation."""
+    first_false: list = [None]
+
+    # bound as defaults, not closed over: one tuple where cells take an object each
+    def evaluate(left=left, right=right, rest=rest, first_false=first_false) -> bool:
+        if not left():
+            right()
+            first_false[0] = 0
+            return False
+        if right():
+            first_false[0] = None
+            return True
+        first_false[0] = 1 if rest is None else 1 + rest[0]
+        return False
+
+    return evaluate, first_false
+
+
+def _compiled_and(node: Expr) -> bool:
+    """Whether compile_expr compiles ``node`` as an ``&&``: both its sides are bool nodes."""
+    return (isinstance(node, BoolOp) and node.op == "&&"
+            and isinstance(node.left, _BOOL_NODES) and isinstance(node.right, _BOOL_NODES))
+
+
+def _conjuncts(node: Expr) -> list[Expr]:
+    """The operands of the compiled ``&&`` chain at the top of ``node``, left
+    to right; ``[node]`` if it is no such ``&&``."""
+    if _compiled_and(node):
+        return _conjuncts(node.left) + _conjuncts(node.right)
+    return [node]
 
 
 def _atom(expr: Compare, store: ContextStore, scene: SceneModel, odometers: dict) -> "_Atom | None":

@@ -86,6 +86,16 @@ was called from outside process_event evaluates every condition and checks
 every rule. Scene state must change through SceneModel.write_property: an
 attribute assigned directly on a SceneElement is not seen.
 
+A false ``&&`` chain is due only through its first false operand, the
+watched literal of Chaff (Moskewicz et al., DAC 2001): while one was false
+at its last evaluation, a chain compile_expr compiled is indexed by that
+operand's inputs and atoms alone, and it stays false until one of those is
+written or due. No error hides there: every operand evaluated then without
+one, features keep their type and stay set (ContextStore.set_feature),
+WRITABLE fixes scene property types and positions are fixed. A condition
+never evaluated, or whose evaluation raised, is evaluated and re-indexed
+in a full cycle first.
+
 Distance thresholds have safe regions. Each feature a
 ``dist(feature, scene.X.position) op r`` atom reads has one Odometer,
 shared by its atoms, that sums how far the feature's value moved; an atom
@@ -287,7 +297,9 @@ class Engine:
         # (condition index, atom) pairs of those conditions. _readers maps
         # every other input (FeatureId or (element, property)) to the indices
         # of the conditions reading it, _listed_by a condition id to the
-        # indices of the rules listing it.
+        # indices of the rules listing it. _chains maps a chain's index to its
+        # first_false, the operand it is indexed by (None: all; _watch), and
+        # each operand's inputs and atoms in _guarded (None if it has none).
         guarded: dict[FeatureId, list] = {}
         only: dict[int, set] = {}  # condition index -> the features it is guarded on
         for i, (c, k) in enumerate(zip(rules.conditions, compiled)):
@@ -302,6 +314,13 @@ class Engine:
             (key, i) for i, c in enumerate(rules.conditions) for key in c.reads if key not in only.get(i, ())
         )
         self._guarded = {f: (odometers[f], tuple(pairs)) for f, pairs in guarded.items()}
+        self._chains = {}
+        for i, k in enumerate(compiled):
+            if k.first_false is not None:  # a feature the chain is guarded on is no operand's input
+                on = only.get(i, ())
+                keys = [tuple([r for r in part.reads if r not in on]) if on else part.reads for part in k.conjuncts]
+                atoms = tuple([tuple([a for a in part.dist_atoms if a.feature in on]) for part in k.conjuncts])
+                self._chains[i] = [k.first_false, None, tuple(keys), atoms if k.dist_atoms else None]
         self._listed_by = _index(
             (cid, j) for j, r in enumerate(rules.rules) for cid in r.conditions
         )
@@ -545,6 +564,10 @@ class Engine:
                 cond_id = conditions[i].id
                 if self.evaluate_condition(cond_id)[1]:
                     flipped.append(cond_id)
+            for i in cond_ids if self._chains else ():
+                entry = self._chains.get(i)
+                if entry is not None and entry[0][0] != entry[1]:
+                    self._watch(i, entry)
             activity = bool(flipped)
 
             if full:
@@ -594,6 +617,23 @@ class Engine:
 
         self._emit(f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)
+
+    def _watch(self, i: int, entry: list) -> None:
+        """Index chain ``i`` by its first false operand, or by all if none was false."""
+        first_false, old, keys_by_operand, atoms_by_operand = entry
+        new = entry[1] = first_false[0]
+        readers, guarded = self._readers, self._guarded
+        for j, keys in enumerate(keys_by_operand):
+            now = new is None or new == j
+            if now != (old is None or old == j):
+                for key in keys:  # an input the watched operand reads too stays
+                    found = readers[key]
+                    if now != (i in found) and (now or key not in keys_by_operand[new]):
+                        readers[key] = found + (i,) if now else tuple([x for x in found if x != i])
+                for atom in atoms_by_operand[j] if atoms_by_operand else ():
+                    odometer, pairs = guarded[atom.feature]
+                    pairs = tuple([p for p in pairs if p[1] is not atom])
+                    guarded[atom.feature] = (odometer, pairs + ((i, atom),) if now else pairs)
 
     def _workflow_phase(self, cond_values: dict[str, bool]) -> bool:
         if not self.workflow.applied:

@@ -417,6 +417,22 @@ class TestStateFile:
         assert state.read_text() == "env.calibration=1.250000\nuser.app_use_count=8\n"
         capsys.readouterr()
 
+    def test_runtime_error_still_saves_the_state_file(self, tmp_path, capsys):
+        """The oscillator never quiesces: run exits 3 and still saves the
+        state, the use counter bumped."""
+        state = tmp_path / "app.state"
+        state.write_text("user.app_use_count=4\n")
+        code = run_cli(
+            "run",
+            "--rules", CASCADE / "oscillator.rules",
+            "--scene", CASCADE / "oscillator.scene",
+            "--scenario", CASCADE / "oscillator.scenario",
+            "--state-file", state,
+        )
+        assert code == 3
+        assert "runtime error" in capsys.readouterr().err
+        assert state.read_text() == "user.app_use_count=5\n"
+
     def test_malformed_state_file_exits_two(self, tmp_path, capsys):
         state = tmp_path / "app.state"
         state.write_text("user.app_use_count\n")

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import adaptkit
 
 from adaptkit import (
     ActionError,
@@ -722,6 +729,87 @@ def test_determinism_double_run_byte_equality():
         return engine.trace.render()
 
     assert run() == run()
+
+
+# A subprocess replay of a fixture and of the benchmark's head-tracking
+# walk, cut to its first 60 events; it prints the SHA-256 of both traces.
+REPLAY = """
+import dataclasses, hashlib, importlib.util, sys
+from pathlib import Path
+from adaptkit import parse_rules, parse_scenario, parse_scene, parse_workflow, run_scenario
+root = Path(sys.argv[1])
+spec = importlib.util.spec_from_file_location("bench_gen", root / "bench" / "gen.py")
+gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+spec.loader.exec_module(gen)
+walk = gen.gen_tracking_stream(1)
+read = lambda name: (root / "fixtures" / "warehouse" / name).read_text(encoding="utf-8")
+digest = hashlib.sha256()
+for rules, scene, workflow, scenario, events in (
+    (read("warehouse.rules"), read("warehouse.scene"), read("multi_order.workflow"),
+     read("multi_order_exception.scenario"), None),
+    (walk.rules, walk.scene, walk.workflow, walk.scenario, 60),
+):
+    parsed = parse_scenario(scenario)
+    parsed = dataclasses.replace(parsed, events=parsed.events[:events])
+    trace = run_scenario(parse_rules(rules), parse_scene(scene), parsed, workflow=parse_workflow(workflow))
+    digest.update(trace.render().encode())
+print(digest.hexdigest())
+"""
+
+
+def test_traces_do_not_depend_on_the_hash_seed():
+    """String hashes, and so set and dict orders, change with PYTHONHASHSEED;
+    the engine's tables are built from sets and dicts, its traces must not."""
+    env = {**os.environ, "PYTHONPATH": str(Path(adaptkit.__file__).resolve().parent.parent)}
+    digests = [
+        subprocess.run([sys.executable, "-c", REPLAY, str(FIXTURES.parent)], env={**env, "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True, check=True).stdout
+        for seed in ("0", "99")
+    ]
+    assert digests[0] == digests[1] and len(digests[0]) == 65
+
+
+@functools.cache
+def _bench_gen():
+    spec = importlib.util.spec_from_file_location("bench_gen", FIXTURES.parent / "bench" / "gen.py")
+    module = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tracking_walk(cls, events: int = 60):
+    """An engine of ``cls`` after E0 of the benchmark's tracking_stream at
+    seed 1, and that walk's first ``events`` events."""
+    walk = _bench_gen().gen_tracking_stream(1)
+    scenario = parse_scenario(walk.scenario)
+    store = ContextStore()
+    for feature, value in scenario.initial:
+        store.set_feature(feature, value)
+    engine = cls(parse_rules(walk.rules), parse_scene(walk.scene), store, parse_workflow(walk.workflow))
+    engine.process_event([])
+    return engine, scenario.events[:events]
+
+
+def test_a_false_operand_keeps_its_chain_from_being_evaluated(monkeypatch):
+    """Each reading_signNN condition is ``dist(user.position,
+    scene.signNN.position) < 2.5 && scene.signNN.yaw > 3.2``, and the
+    billboard pass writes every sign's yaw in each event. While the user is
+    out of reach of a sign, its false dist() operand keeps those writes from
+    making it due: the walk evaluates at most four conditions per event,
+    and writes the trace of the loop that evaluates them all."""
+    engine, events = _tracking_walk(Engine)
+    calls = []
+    evaluate = Engine.evaluate_condition
+    monkeypatch.setattr(Engine, "evaluate_condition",
+                        lambda self, cond_id: calls.append(cond_id) or evaluate(self, cond_id))
+    for event in events:
+        engine.process_event(list(event.sets))
+    monkeypatch.undo()
+    assert len(calls) <= 4 * len(events)
+    naive, _ = _tracking_walk(NaiveEngine)
+    for event in events:
+        naive.process_event(list(event.sets))
+    assert engine.trace.render() == naive.trace.render()
 
 
 class TestFailingAction:

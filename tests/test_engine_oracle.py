@@ -421,3 +421,67 @@ def test_line_cache_matches_naive_loop(steps):
             outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
             assert outcomes[0] == outcomes[1]
         _assert_same(*engines)
+
+
+# ---------------------------------------------------------------------------
+# A false && operand keeps its chain from being evaluated while the inputs
+# of the other operands change. Here the first operand of each chain, a
+# dist() atom or a feature atom, is false most of the time, while the
+# operands after it read inputs written in every event: the yaw of a
+# billboard the re-aim turns, a yaw a caller turns between events, and a
+# flag two rules write in turn. The user walks across the distance
+# threshold and back, so a chain held by its dist() operand must wake when
+# the atom passes its deadline, and some events write the inputs of both
+# operands at once. Two operands of ``band`` read one feature.
+
+CHAIN_RULES = """\
+condition tick: env.f1 > 2.5
+condition tock: env.f1 < 2.5
+condition near_aim: dist(user.position, scene.e0.position) < 2.0 && scene.e1.yaw > 3.0
+condition near_turn: dist(user.position, scene.e0.position) < 2.0 && scene.e2.yaw > 3.0
+condition near_flag: dist(user.position, scene.e0.position) < 2.0 && env.b0 == true
+condition hot_turn: env.f0 > 3.0 && scene.e2.yaw > 3.0
+condition hot_flag: env.f0 > 3.0 && env.b0 == true
+condition hot_all: env.f0 > 3.0 && scene.e1.yaw > 3.0 && env.b0 == true && dist(user.position, scene.e0.position) < 2.0
+condition band: env.f0 > 3.0 && env.f0 < 5.0 && env.b0 == true
+rule Up when tick do set_feature(env.b0, true) category Style
+rule Down when tock do set_feature(env.b0, false) category Style
+rule Aim when near_aim do set_visible(e3, true) category Style
+rule Turn when near_turn, hot_flag do set_text(e3, "b") category Style
+rule All when hot_all do set_text_size(e3, 30) category Style
+"""
+CHAIN_SCENE = """\
+element e0 at (0.0,0.0,0.0)
+element e1 at (0.0,0.0,-3.0) yaw 0.0 billboard true
+element e2 at (5.0,0.0,5.0) yaw 4.0
+element e3 at (-5.0,0.0,5.0) visible false text "a"
+"""
+
+
+def _chain_events():
+    """(sets, caller's e2 yaw) per event: the user walks x from -4 to 4 and
+    back, in steps of 0.25 m with a 0.1 m sway in z."""
+    xs = [-4.0 + 0.25 * k for k in range(33)]
+    walk = xs + xs[::-1]
+    events = []
+    for k, x in enumerate(walk):
+        sets = [(USER, Vec3(x, 1.6, 0.1 * (k % 2))), (FeatureId.parse("env.f1"), 3.5 if k % 2 else 1.5)]
+        if k % 11 == 5:  # both operands of hot_flag and of near_flag in one event
+            sets += [(FeatureId.parse("env.f0"), 4.0 if k % 22 == 5 else 2.0),
+                     (FeatureId.parse("env.b0"), k % 3 == 0)]
+        events.append((sets, 2.0 if k % 3 else 4.0))
+    return events
+
+
+def test_false_operand_blocks_its_chain_like_the_naive_loop():
+    initial = [("env.f0", 2.0), ("env.f1", 1.5), ("env.b0", False), ("user.position", Vec3(-4.0, 1.6, 0.0))]
+    engines = [_build(cls, (CHAIN_RULES, CHAIN_SCENE, None), initial, 8) for cls in (Engine, NaiveEngine)]
+    for e in engines:
+        e.process_event([])
+    _assert_same(*engines)
+    for sets, yaw in _chain_events():
+        for e in engines:
+            e.scene.write_property("e2", "yaw", yaw, writer="caller")
+        outcomes = [_outcome(lambda: e.process_event(list(sets))) for e in engines]
+        assert outcomes[0] == outcomes[1]
+        _assert_same(*engines)
