@@ -13,9 +13,9 @@ function ``dist(a, b)``. There is no other arithmetic. Equality follows
 the store's change detection: bitwise on floats, so no epsilons. Boolean
 connectives evaluate both operands so unset features always surface.
 Expressions nest at most MAX_DEPTH deep and MAX_HEIGHT high. The parser
-types them with ``check_expr``; ``eval_expr`` evaluates a tree by walking
-it; ``compile_expr`` builds what the engine runs, an atom where a shape has
-one and eval_expr for every other node.
+types them with ``check_expr``; ``compile_expr`` is how an expression is
+evaluated: it turns every node into a closure, once, and a comparison of a
+source with a number into an atom.
 
 Actions come from a closed effector vocabulary; ``set_feature`` writes a
 context feature and is what lets one rule's effects trigger another rule.
@@ -435,34 +435,7 @@ def _parse_one_action(cur: Cursor) -> ActionCall:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-def eval_expr(expr: Expr, store: ContextStore, scene: SceneModel) -> Value:
-    """Pure evaluation; raises UnknownFeature/UnknownElement/TypeMismatch.
-
-    The reference evaluator: it walks the tree on every call. The engine
-    evaluates what compile_expr builds, which must agree with it on every
-    value and every error.
-    """
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, FeatureRef):
-        return store.get_feature(expr.feature)
-    if isinstance(expr, SceneRef):
-        return scene.get_property(expr.element, expr.prop)
-    if isinstance(expr, Dist):
-        return _dist(eval_expr(expr.a, store, scene), eval_expr(expr.b, store, scene))
-    if isinstance(expr, Compare):
-        return _compare(expr.op, eval_expr(expr.left, store, scene), eval_expr(expr.right, store, scene))
-    if isinstance(expr, BoolOp):
-        return _bool_op(expr.op, eval_expr(expr.left, store, scene), eval_expr(expr.right, store, scene))
-    if isinstance(expr, Not):
-        return _not(eval_expr(expr.operand, store, scene))
-    raise AssertionError(f"unhandled expr node {expr!r}")
-
-
-# What each operator does with its evaluated operands, for eval_expr and for
-# compiled expressions alike.
+# evaluation: what each operator does with its evaluated operands
 
 def _dist(a: Value, b: Value) -> float:
     if not isinstance(a, Vec3) or not isinstance(b, Vec3):
@@ -563,7 +536,7 @@ class Conjunct(NamedTuple):
 class Compiled(NamedTuple):
     """An expression compiled against a store and a scene."""
 
-    evaluate: Callable[[], Value]  # eval_expr(expr, store, scene), compiled
+    evaluate: Callable[[], Value]  # the expression's value now; raises what evaluating it raises
     dist_atoms: tuple["_DistAtom", ...]  # the dist() atoms it evaluates through, in reading order
     # for a top-level && chain of two or more operands that compiled: the
     # operands, left to right, and a one-item list that evaluate keeps the
@@ -571,10 +544,6 @@ class Compiled(NamedTuple):
     # or before the first evaluation); () and None for any other expression
     conjuncts: tuple[Conjunct, ...] = ()
     first_false: list | None = None
-
-
-# nodes whose evaluators always return a bool or raise
-_BOOL_NODES = (Compare, BoolOp, Not)
 
 
 def compile_expr(
@@ -585,14 +554,18 @@ def compile_expr(
 ) -> Compiled:
     """Compile an expression against a store and a scene.
 
-    ``evaluate`` returns what eval_expr returns and raises what it raises,
-    the same class with the same message, in the same order. ``source op
-    constant``, with an ordering op, an int or float constant, and a
-    feature, a scene property or ``dist(feature, scene.X.position)`` as the
-    source, is one atom that compares a value of the constant's type in
-    place, its element bound; ``&&`` over comparisons and connectives skips
-    its bool checks; ``!`` and a bare feature compile too. Every other node
-    runs eval_expr, as does an atom whose element is missing when compiling.
+    ``evaluate`` reads the store and the scene as they are when called. It
+    returns the expression's value, or raises the first error evaluating
+    it meets: every operand of a node is evaluated, left first, before the
+    node checks their types, so an operand's error comes before the node's
+    own TypeMismatch. ``source op constant``, with an ordering op, an int
+    or float constant, and a feature, a scene property or
+    ``dist(feature, scene.X.position)`` as the source, is one atom that
+    compares a value of the constant's type in place, its element bound
+    (an element missing when compiling is looked up on each call, like any
+    scene reference); a top-level ``&&`` chain between comparisons and
+    connectives skips its bool checks. Every node is compiled once; none is
+    walked again when evaluating.
 
     A dist() atom keeps its value for as long as the feature it reads
     cannot have crossed the constant (see _DistAtom); ``odometers`` holds
@@ -628,22 +601,32 @@ def _build(
     """compile_expr's evaluator for ``node``; each dist() atom made is appended
     to ``dist_atoms``. A module function, not a closure that calls itself,
     so that compiling leaves no reference cycle for the collector."""
+    if isinstance(node, Lit):
+        value = node.value
+        return lambda: value
+    if isinstance(node, FeatureRef):
+        return partial(store.get_feature, node.feature)
+    if isinstance(node, SceneRef):
+        return partial(scene.get_property, node.element, node.prop)  # finds an element added later
+    if isinstance(node, Not):
+        operand = _build(node.operand, store, scene, odometers, dist_atoms)
+        return lambda: _not(operand())
     if isinstance(node, Compare):
         atom = _atom(node, store, scene, odometers)
         if atom is not None:
             if isinstance(atom, _DistAtom):
                 dist_atoms.append(atom)
             return atom.evaluate
-    elif _compiled_and(node):
-        left = _build(node.left, store, scene, odometers, dist_atoms)
-        right = _build(node.right, store, scene, odometers, dist_atoms)
-        return lambda: left() & right()  # both sides, left first
-    elif isinstance(node, Not):
-        operand = _build(node.operand, store, scene, odometers, dist_atoms)
-        return lambda: _not(operand())
-    elif isinstance(node, FeatureRef):
-        return partial(store.get_feature, node.feature)
-    return partial(eval_expr, node, store, scene)
+    # two operands, both evaluated, left first, before the node checks them
+    first, second = (node.a, node.b) if isinstance(node, Dist) else (node.left, node.right)
+    left = _build(first, store, scene, odometers, dist_atoms)
+    right = _build(second, store, scene, odometers, dist_atoms)
+    if isinstance(node, Dist):
+        return lambda: _dist(left(), right())
+    op = node.op
+    if isinstance(node, Compare):
+        return lambda: _compare(op, left(), right())
+    return lambda: _bool_op(op, left(), right())
 
 
 def _and(left, right, rest: list | None) -> tuple[Callable[[], bool], list]:
@@ -672,9 +655,12 @@ def _and(left, right, rest: list | None) -> tuple[Callable[[], bool], list]:
 
 
 def _compiled_and(node: Expr) -> bool:
-    """Whether compile_expr compiles ``node`` as an ``&&``: both its sides are bool nodes."""
+    """Whether compile_expr compiles ``node`` as an ``&&`` without bool checks:
+    both its sides are nodes whose evaluators always return a bool or raise,
+    by their class, as a scene reference's static type does not hold for a
+    value assigned to its attribute directly."""
     return (isinstance(node, BoolOp) and node.op == "&&"
-            and isinstance(node.left, _BOOL_NODES) and isinstance(node.right, _BOOL_NODES))
+            and isinstance(node.left, (Compare, BoolOp, Not)) and isinstance(node.right, (Compare, BoolOp, Not)))
 
 
 def _conjuncts(node: Expr) -> list[Expr]:

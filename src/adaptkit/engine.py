@@ -57,14 +57,14 @@ reached, so none grows with the length of a run.
 Conditions are compiled once, at construction, by dsl.compile_expr; the
 inputs each one reads were listed by the parser's walk, dsl.check_expr
 (ConditionDef.reads). A comparison of a feature, a scene property or a
-distance with a number is an atom with its type check hoisted, and
-``&&``, ``!`` and a bare feature are compiled around what they hold; every
-other node runs eval_expr, the reference evaluator. A compiled condition
-returns the value eval_expr returns and raises the same error, with the
-same message, in the same order. Scene elements are bound when compiling,
-which holds because elements are never removed or replaced. An engine is
-never built over a missing element: every element a condition or rule
-names must exist (dsl.unresolved).
+distance with a number is an atom with its type check hoisted, and every
+other node is a closure around what it holds, so no evaluation walks the
+tree. A compiled condition evaluates every operand, left first, before a
+node checks their types, and raises the first error met; the tests check
+it against tests/reference_eval.py, a tree walk. Scene elements are bound
+when compiling, which holds because elements are never removed or
+replaced. An engine is never built over a missing element: every element
+a condition or rule names must exist (dsl.unresolved).
 
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +48,15 @@ def load_fixture_bundle(rules: str, scene: str, scenario: str, workflow: str | N
 def run_fixture(rules: str, scene: str, scenario: str, workflow: str | None = None, **kw):
     r, sc, sn, wf = load_fixture_bundle(rules, scene, scenario, workflow)
     return run_scenario(r, sc, sn, workflow=wf, **kw)
+
+
+@functools.cache
+def bench_gen():
+    """bench/gen.py, the benchmark's workload generator, as a module."""
+    spec = importlib.util.spec_from_file_location("bench_gen", FIXTURES.parent / "bench" / "gen.py")
+    module = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def store_from(pairs: dict[str, object]) -> ContextStore:

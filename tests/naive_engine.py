@@ -1,7 +1,7 @@
 """Reference oracle: the engine loop that evaluates every condition, with
-the tree-walking ``eval_expr``, checks every rule and re-aims every
-billboard in every cycle, and rules that look up and render every
-property they write each time they execute and unexecute.
+reference_eval.py's tree-walking ``eval_expr``, checks every rule and
+re-aims every billboard in every cycle, and rules that look up and
+render every property they write each time they execute and unexecute.
 
 ``Engine`` evaluates only the conditions whose inputs changed, with
 conditions compiled once and distance comparisons kept while the user
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from adaptkit.context import ChangeFlag
-from adaptkit.dsl import EFFECTOR_PROPERTY, eval_expr
+from adaptkit.dsl import EFFECTOR_PROPERTY
 from adaptkit.engine import USER_POSITION, CycleReport, Engine
 from adaptkit.errors import (
     ActionError,
@@ -34,6 +34,7 @@ from adaptkit.errors import (
 from adaptkit.scene import face_user_yaw, prop_values_equal
 from adaptkit.values import Vec3, render_value
 
+from reference_eval import eval_expr
 from reference_props import WRITABLE as REFERENCE_PROPS
 
 

@@ -39,7 +39,6 @@ from adaptkit import (
     UnknownStepRef,
     Vec3,
     compare_traces,
-    eval_expr,
     init_engine,
     parse_rules,
     parse_scenario,
@@ -51,6 +50,7 @@ from adaptkit.dsl import Compare, FeatureRef, Lit
 from adaptkit.workflow import GREEN
 
 from conftest import FIXTURES, load_fixture_bundle, run_fixture
+from reference_eval import eval_expr
 from test_dsl import rule_sets
 from test_scene import brute_force_best_yaw, facing_error
 

@@ -1,4 +1,5 @@
-"""Differential test: compiled expressions against eval_expr, the reference.
+"""Differential test: compiled expressions against eval_expr, the tree walk
+in reference_eval.py, which shares no operator code with them.
 
 Random trees of comparisons, ``&&``, ``||``, ``!`` and ``dist()`` -- typed
 or not -- are compiled against a store and a scene and evaluated next to
@@ -9,15 +10,37 @@ constant, the shapes that compile into atoms and the same written the
 other way round, with operands of one type, so that the comparisons
 decided in place meet equal values, signed zeros and unset features often.
 A third compiles and evaluates trees as high as the parser lets them be.
+A table pins a value of each operator and every error evaluation can
+raise, with the order in which errors win; the last tests pin that
+compiling leaves no reference cycle and which ``&&`` chains it makes.
 """
 
 from __future__ import annotations
 
+import collections
+import gc
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adaptkit import ContextStore, FeatureId, SceneElement, SceneModel, Vec3, eval_expr, parse_rules
+from adaptkit import (
+    ContextStore,
+    FeatureId,
+    SceneElement,
+    SceneModel,
+    TypeMismatch,
+    UnknownElement,
+    UnknownFeature,
+    UnknownProperty,
+    Vec3,
+    parse_rules,
+    parse_scene,
+)
 from adaptkit.dsl import MAX_HEIGHT, BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef, compile_expr
+
+from conftest import bench_gen, fixture_text
+from reference_eval import eval_expr
 
 FEATURES = [FeatureId.parse(f"env.f{i}") for i in range(4)]
 ELEMENTS = ("e0", "e1", "ghost")  # ghost is missing until a change adds it
@@ -184,3 +207,164 @@ def test_highest_expressions_compile_and_evaluate():
         (cond,) = parse_rules(f"condition c: {expr}\n").conditions
         evaluate = compile_expr(cond.expr, store, scene).evaluate
         assert evaluate() is eval_expr(cond.expr, store, scene) is True
+
+
+def _table_world():
+    store = ContextStore()
+    for name, value in (
+        ("i", 1), ("fl", 0.5), ("z", -0.0), ("t", "a"), ("b", True),
+        ("v", Vec3(0, 0, 0)), ("w", Vec3(3, 4, 0)), ("vz", Vec3(0, 0, -0.0)),
+    ):
+        store.set_feature(FeatureId.parse(f"env.{name}"), value)
+    scene = SceneModel([SceneElement(id="e0", position=Vec3(0, 0, 0)), SceneElement(id="e1", position=Vec3(0, 0, 0))])
+    scene.element("e1").visible = 1  # assigned directly: no write checks it
+    return store, scene
+
+
+UNSET = (UnknownFeature, "feature env.unset was never set")
+GHOST = (UnknownElement, "no element 'ghost' in scene")
+
+# env.i = 1, env.fl = 0.5, env.z = -0.0, env.t = "a", env.b = true,
+# env.v = (0,0,0), env.w = (3,4,0) and env.vz = (0,0,-0.0); env.unset is
+# never set, no element ghost exists, and e1.visible holds the int 1
+OUTCOMES = [
+    # a value of each operator, compiled as an atom or not
+    ("env.i != 1", False),
+    ("env.i != 2", True),
+    ("env.i == 1", True),
+    ("env.fl == 0.5", True),
+    # equality is bitwise on floats, so a signed zero is not the other zero
+    ("env.z == 0.0", False),
+    ("env.z != 0.0", True),
+    ("env.z == -0.0", True),
+    ("env.v == env.vz", False),
+    ("env.vz == env.vz", True),
+    ('"a" == env.t', True),
+    ("1 < env.i", False),
+    ("1 <= env.i", True),
+    ("env.i < 0 || env.i > 0", True),
+    ("env.i < 0 && env.i > 0", False),
+    ("env.b || env.i < 0", True),
+    ("env.b && env.i < 0", False),
+    ("!(env.i < 0)", True),
+    ("dist(env.v, env.w) == 5.0", True),
+    ("dist(env.w, scene.e0.position) < 5.0", False),
+    # every error a node raises
+    ("env.i == env.t", (TypeMismatch, "cannot compare int with text")),
+    ("env.t < 1", (TypeMismatch, "cannot compare text with int")),
+    ("env.i < 1.0", (TypeMismatch, "cannot compare int with float")),
+    ("env.b == 1", (TypeMismatch, "cannot compare bool with int")),
+    ("env.t < env.t", (TypeMismatch, "ordering comparison needs numbers, got text")),
+    ("env.b > env.b", (TypeMismatch, "ordering comparison needs numbers, got bool")),
+    ("env.i && env.b", (TypeMismatch, "&& needs bool operands")),
+    ("env.b || env.i", (TypeMismatch, "|| needs bool operands")),
+    ("!env.i", (TypeMismatch, "! needs a bool operand")),
+    ("dist(env.i, env.v) < 1.0", (TypeMismatch, "dist() needs two vec3 values")),
+    ("dist(env.i, scene.e0.position) < 1.0", (TypeMismatch, "dist() needs two vec3 values")),
+    ("env.unset", UNSET),
+    ("env.unset < 1", UNSET),
+    ("scene.ghost.visible", GHOST),
+    ("scene.ghost.yaw < 1.0", GHOST),
+    ("dist(env.v, scene.ghost.position) < 1.0", GHOST),
+    (SceneRef("e0", "bogus"), (UnknownProperty, "e0 has no property 'bogus'")),
+    # both operands raise: the left error wins
+    ("env.unset == scene.ghost.visible", UNSET),
+    ("scene.ghost.visible == env.unset", GHOST),
+    ("env.unset && scene.ghost.visible", UNSET),
+    ("scene.ghost.visible || env.unset", GHOST),
+    ("dist(env.unset, scene.ghost.position) < 1.0", UNSET),
+    # the left operand is of the wrong type and the right one raises: both
+    # are evaluated before the node checks them, so the right error wins
+    ("env.i && env.unset", UNSET),
+    ("env.i || scene.ghost.visible", GHOST),
+    ("env.i && env.unset < 1", UNSET),
+    ("env.t < env.unset", UNSET),
+    ("env.t == scene.ghost.yaw", GHOST),
+    ("dist(env.i, env.unset) < 1.0", UNSET),
+    ("!(env.i && env.unset)", UNSET),
+    # a scene reference's static type holds only for what its writes check:
+    # scene.e1.visible is not taken for a bool, so the && checks it
+    ("scene.e1.visible && env.i < 1", (TypeMismatch, "&& needs bool operands")),
+]
+
+
+def _expected(outcome) -> tuple:
+    if isinstance(outcome, tuple):
+        return outcome[0].__name__, outcome[1]
+    return "ok", "bool", repr(outcome)
+
+
+@pytest.mark.parametrize("expr, outcome", OUTCOMES, ids=[str(e) for e, _ in OUTCOMES])
+def test_compiled_values_and_errors_match_the_reference(expr, outcome):
+    if isinstance(expr, str):
+        (cond,) = parse_rules(f"condition c: {expr}\n").conditions
+        expr = cond.expr
+    store, scene = _table_world()
+    evaluate = compile_expr(expr, store, scene).evaluate
+    assert _outcome(lambda: eval_expr(expr, store, scene)) == _expected(outcome)
+    assert _outcome(evaluate) == _expected(outcome)
+
+
+def test_compiling_leaves_no_reference_cycle():
+    """Every node shape, atoms and a missing element's dist() included,
+    compiles into objects reference counting frees: a collection after
+    ``del`` finds none."""
+    store, scene = _table_world()
+    exprs = [
+        cond.expr
+        for cond in parse_rules(
+            "condition a: env.i == 1 || !(scene.e0.visible) && env.fl < 1.0 && env.t == \"a\"\n"
+            "condition b: dist(env.v, scene.e0.position) < 1.0 && scene.e0.yaw > 0.5 && !env.b\n"
+            "condition c: dist(env.v, scene.ghost.position) < 1.0 || dist(env.v, env.w) >= 5.0\n"
+            "condition d: true || 1 < env.i && (env.b || env.i > 0)\n"
+            "condition e: env.b\n"
+        ).conditions
+    ]
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep whatever a collection frees in gc.garbage
+    try:
+        gc.garbage.clear()
+        compiled = [compile_expr(expr, store, scene, {}) for expr in exprs]
+        assert any(k.conjuncts for k in compiled) and any(k.dist_atoms for k in compiled)
+        del compiled
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _chain_shapes(rules_text: str, scene_text: str) -> dict:
+    """How many conditions compile to each shape: the dist() atom count of
+    each operand of the top-level ``&&`` chain (() for no chain) and the
+    condition's dist() atom count."""
+    rules, scene, store = parse_rules(rules_text), parse_scene(scene_text), ContextStore()
+    shapes = collections.Counter()
+    for cond in rules.conditions:
+        k = compile_expr(cond.expr, store, scene)
+        shapes[tuple(len(part.dist_atoms) for part in k.conjuncts), len(k.dist_atoms)] += 1
+    return dict(shapes)
+
+
+def test_the_compiled_chains_stay_as_they_are():
+    """The chains Engine._watch indexes and the dist() atoms it guards on,
+    for the shipped fixtures and the benchmark's workloads at seed 1."""
+    for base, shapes in (
+        ("printer/printer", {((), 0): 3, ((), 1): 1}),
+        ("warehouse/warehouse", {((), 0): 3, ((), 1): 4}),
+        ("cascade/chain", {((), 0): 2}),
+        ("cascade/oscillator", {((), 0): 2}),
+    ):
+        assert _chain_shapes(fixture_text(base + ".rules"), fixture_text(base + ".scene")) == shapes, base
+    gen = bench_gen()
+    for name, shapes in (
+        ("wide_rules", {((), 0): 700, ((0, 0), 0): 300}),
+        ("tracking_stream", {((), 0): 1, ((), 1): 21, ((1, 0), 1): 40}),
+        ("cascade_churn", {((), 0): 148}),
+    ):
+        workload = getattr(gen, f"gen_{name}")(1)
+        assert _chain_shapes(workload.rules, workload.scene) == shapes, name

@@ -27,7 +27,6 @@ from adaptkit import (
     UnknownElement,
     UnknownFeature,
     Vec3,
-    eval_expr,
     init_engine,
     parse_rules,
     parse_scene,
@@ -35,9 +34,10 @@ from adaptkit import (
     validate,
 )
 from adaptkit.cli import main
-from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef
+from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef, compile_expr
 
 from conftest import store_from
+from reference_eval import eval_expr
 
 PRINTER_RULES = """
 condition dark: env.luminance < 0.05
@@ -240,37 +240,48 @@ class TestParseRules:
 
 
 class TestEvalExpr:
+    """Each case evaluated by the reference and by what compile_expr builds."""
+
     def test_count_at_threshold(self):
         rs = parse_rules("condition c: user.app_use_count <= 5\n")
         store = store_from({"user.app_use_count": 5})
         assert eval_expr(rs.conditions[0].expr, store, SceneModel()) is True
+        assert compile_expr(rs.conditions[0].expr, store, SceneModel()).evaluate() is True
 
     def test_distance_over_threshold(self):
         rs = parse_rules("condition c: dist(user.position, scene.printer.position) > 1.2\n")
         scene = SceneModel([SceneElement(id="printer", position=Vec3(0, 0, 0))])
         store = store_from({"user.position": Vec3(0, 0, 2)})
         assert eval_expr(rs.conditions[0].expr, store, scene) is True
+        assert compile_expr(rs.conditions[0].expr, store, scene).evaluate() is True
 
     def test_luminance_below_threshold(self):
         rs = parse_rules("condition c: env.luminance < 0.05\n")
         store = store_from({"env.luminance": 0.5})
         assert eval_expr(rs.conditions[0].expr, store, SceneModel()) is False
+        assert compile_expr(rs.conditions[0].expr, store, SceneModel()).evaluate() is False
 
     def test_unset_feature_raises(self):
         rs = parse_rules("condition c: env.missing == true\n")
         with pytest.raises(UnknownFeature):
             eval_expr(rs.conditions[0].expr, store_from({}), SceneModel())
+        with pytest.raises(UnknownFeature):
+            compile_expr(rs.conditions[0].expr, store_from({}), SceneModel()).evaluate()
 
     def test_missing_element_raises(self):
         rs = parse_rules("condition c: scene.ghost.visible == true\n")
         with pytest.raises(UnknownElement):
             eval_expr(rs.conditions[0].expr, store_from({}), SceneModel())
+        with pytest.raises(UnknownElement):
+            compile_expr(rs.conditions[0].expr, store_from({}), SceneModel()).evaluate()
 
     def test_evaluation_is_pure(self):
         rs = parse_rules("condition c: env.luminance < 0.05\n")
         store = store_from({"env.luminance": 0.5})
         store.drain_dirty()
         eval_expr(rs.conditions[0].expr, store, SceneModel())
+        assert store.drain_dirty() == []
+        compile_expr(rs.conditions[0].expr, store, SceneModel()).evaluate()
         assert store.drain_dirty() == []
 
 

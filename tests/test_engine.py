@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import os
 import subprocess
 import sys
@@ -40,6 +38,7 @@ from adaptkit.values import float_bits
 
 from conftest import (
     FIXTURES,
+    bench_gen,
     engine_from_texts,
     fixture_text,
     run_fixture,
@@ -769,18 +768,10 @@ def test_traces_do_not_depend_on_the_hash_seed():
     assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
-@functools.cache
-def _bench_gen():
-    spec = importlib.util.spec_from_file_location("bench_gen", FIXTURES.parent / "bench" / "gen.py")
-    module = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 def _tracking_walk(cls, events: int = 60):
     """An engine of ``cls`` after E0 of the benchmark's tracking_stream at
     seed 1, and that walk's first ``events`` events."""
-    walk = _bench_gen().gen_tracking_stream(1)
+    walk = bench_gen().gen_tracking_stream(1)
     scenario = parse_scenario(walk.scenario)
     store = ContextStore()
     for feature, value in scenario.initial:
