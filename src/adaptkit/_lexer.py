@@ -8,7 +8,8 @@ line (the tokenizer recipe of the ``re`` documentation). The kinds are:
 * ``num``: ``-?digits[.digits][e[+-]digits]``, in ASCII digits;
 * ``vec``: ``(x, y, z)``, three numbers;
 * ``op``: ``<= >= == != && || < > ! ( ) , : ; =``;
-* ``str``: a double-quoted string whose only escapes are ``\\"`` and ``\\\\``;
+* ``str``: a double-quoted string on one line (no CR or LF) whose only
+  escapes are ``\\"`` and ``\\\\``;
 * ``comment``: ``#`` outside a string, up to the end of the line;
 * ``bad``: a character that starts no other kind, and the rest after it.
 
@@ -40,7 +41,7 @@ _TOKEN_RE = re.compile(
     | (?P<num>{_NUM})
     | (?P<vec>\(\s*{_NUM}\s*,\s*{_NUM}\s*,\s*{_NUM}\s*\))
     | (?P<op><=|>=|==|!=|&&|\|\||[<>!(),:;=])
-    | (?P<str>"(?:\\["\\]|[^"\\])*")
+    | (?P<str>"(?:\\["\\]|[^"\\\r\n])*")
     | (?P<comment>\#.*)
     | (?P<bad>(?s:\S.*))
     )

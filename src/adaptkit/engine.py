@@ -32,9 +32,8 @@ write there, so the plan holds that too, and unexecuting compares each
 target against it. Executing snapshots by reading those attributes.
 Every write still goes through SceneModel.write_property or
 ContextStore.set_feature, whose change logs drive the evaluation below; an
-applied scene write costs that one call and one trace append, with the
-record built by ``tuple.__new__`` and its S number read from the trace.
-Elements are never removed or replaced, so a plan's element objects stay
+applied scene write costs that one call and one append of its line's body
+to the trace. Elements are never removed or replaced, so a plan's element objects stay
 the scene's.
 
 Repeated lines share their text. Each PROP write site -- a plan step, a
@@ -111,14 +110,20 @@ property was written since (SceneModel.refresh_billboards); the engine
 still calls the re-aim in every cycle.
 
 Trace lines are byte-stable: ``E<event> C<cycle> S<seq> <body>`` with the
-sequence number restarting at 0 in each cycle. The number is read from the
-trace: a line's S is the count of lines appended since its cycle began.
-A TraceEvent holds those four; its ``kind`` is read from the body (line_kind).
+sequence number restarting at 0 in each cycle. The trace keeps what a line
+adds, its body, and once per cycle the line the cycle begins at with its
+event and cycle numbers (_begin_cycle); a line's S is its offset from that
+line. Trace.events makes a TraceEvent of the four when a line is read, and
+Trace.render formats a cycle's head once per chunk; a TraceEvent's
+``kind`` is read from its body (line_kind).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .context import ChangeFlag, ContextStore, FeatureId
@@ -140,11 +145,11 @@ from .workflow import Workflow, advance as workflow_advance, apply_step
 
 USER_POSITION = FeatureId.parse("user.position")
 
-_tuple_new = tuple.__new__
-
 DEFAULT_MAX_CASCADE_DEPTH = 16
 
-RENDER_CHUNK = 4096  # trace lines Trace.render joins at a time
+RENDER_CHUNK = 1024  # trace lines Trace.render joins at a time
+
+_FIRST_LINE = itemgetter(0)  # a cycle record's first line
 
 
 def line_kind(body: str) -> str:
@@ -157,8 +162,8 @@ def line_kind(body: str) -> str:
 
 
 class TraceEvent(NamedTuple):
-    """One trace line: its numbers and its body. The engine builds it with
-    ``tuple.__new__``, which skips the generated ``__new__``."""
+    """One trace line: its numbers and its body. ``Trace.events`` makes one
+    each time a line is read; the trace keeps only the body."""
 
     event: int
     cycle: int
@@ -173,16 +178,80 @@ class TraceEvent(NamedTuple):
         return f"E{self.event} C{self.cycle} S{self.seq} {self.body}"
 
 
+def _parts(cycles: list, lo: int, hi: int):
+    """Each cycle's share of lines ``lo`` to ``hi - 1``, in order, as
+    ``(first line, event, cycle, from, to)``. A line belongs to the last
+    cycle begun at or before it; cycles begun at one index are all but the
+    last empty."""
+    k = bisect_right(cycles, lo, key=_FIRST_LINE) - 1
+    last = len(cycles) - 1
+    while lo < hi:
+        start, e, c = cycles[k]
+        end = hi if k == last else min(cycles[k + 1][0], hi)
+        yield start, e, c, lo, end
+        lo = end
+        k += 1
+
+
+class TraceEvents(Sequence):
+    """A read-only view of a Trace's lines: ``len``, indexing, slices (a
+    list) and iteration, each line a TraceEvent made when it is read."""
+
+    __slots__ = ("_bodies", "_cycles")
+
+    def __init__(self, bodies: list[str], cycles: list[tuple[int, int, int]]):
+        self._bodies = bodies
+        self._cycles = cycles
+
+    def __len__(self) -> int:
+        return len(self._bodies)
+
+    def __getitem__(self, i):
+        n = len(self._bodies)
+        if isinstance(i, slice):
+            lines = range(*i.indices(n))
+            if lines.step == 1:
+                return list(self._read(lines.start, lines.stop))
+            return [self[j] for j in lines]
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace index out of range")
+        start, e, c = self._cycles[bisect_right(self._cycles, i, key=_FIRST_LINE) - 1]
+        return TraceEvent(e, c, i - start, self._bodies[i])
+
+    def __iter__(self):
+        return self._read(0, len(self._bodies))
+
+    def _read(self, lo: int, hi: int):
+        bodies = self._bodies
+        for start, e, c, a, b in _parts(self._cycles, lo, hi):
+            for i in range(a, b):
+                yield TraceEvent(e, c, i - start, bodies[i])
+
+
 class Trace:
-    """Event log with byte-exact rendering. It is append-only: the engine
-    numbers each new line by the lines appended since its cycle began, so
-    removing or inserting a line would misnumber the lines after it."""
+    """Event log with byte-exact rendering. It keeps each line's body, in
+    order, and one ``(first line, event, cycle)`` record per cycle, which
+    begin_cycle adds. A line's E and C are those of the last cycle begun at
+    or before it (E0 C0 before any), and its S number is its offset from
+    that cycle's first line. So the trace is append-only: removing or
+    inserting a line would misnumber the lines after it."""
 
     def __init__(self):
-        self.events: list[TraceEvent] = []
+        self._bodies: list[str] = []
+        self._cycles: list[tuple[int, int, int]] = [(0, 0, 0)]
+        # append(body) adds a line to the current cycle. It is the list's
+        # own method, so a line costs one call into C and one list slot.
+        self.append = self._bodies.append
+        self.events = TraceEvents(self._bodies, self._cycles)
+
+    def begin_cycle(self, event: int, cycle: int) -> None:
+        """Number the lines appended from now on ``E<event> C<cycle>``, from S0."""
+        self._cycles.append((len(self._bodies), event, cycle))
 
     def __len__(self):
-        return len(self.events)
+        return len(self._bodies)
 
     def __iter__(self):
         return iter(self.events)
@@ -190,12 +259,24 @@ class Trace:
     def render(self) -> str:
         """Every line as TraceEvent.render() writes it, each ended by a newline.
         Lines are joined ``RENDER_CHUNK`` at a time, so no more than that
-        many line strings are alive at once besides the text."""
-        events = self.events
-        return "".join([
-            "".join([f"E{e} C{c} S{s} {body}\n" for e, c, s, body in events[i:i + RENDER_CHUNK]])
-            for i in range(0, len(events), RENDER_CHUNK)
-        ])
+        many line strings are alive at once besides the text, and each
+        part of a cycle formats its ``E<event> C<cycle> S`` head once."""
+        bodies, cycles = self._bodies, self._cycles
+        n = len(bodies)
+        text = ""
+        for lo in range(0, n, RENDER_CHUNK):
+            lines = []
+            for start, e, c, a, b in _parts(cycles, lo, min(lo + RENDER_CHUNK, n)):
+                head = f"E{e} C{c} S"
+                lines += [f"{head}{s} {body}\n" for s, body in enumerate(bodies[a:b], a - start)]
+            # CPython grows a str in place when ``+=`` stores it back into
+            # the only name bound to it, a local, so the text is never
+            # copied and render needs one chunk beyond it. PEP 8 warns
+            # against relying on this; test_render_grows_the_text_in_place
+            # pins it. A second reference to ``text``, or a name that is not
+            # a local, makes each += a copy of the whole text.
+            text += "".join(lines)
+        return text
 
 
 @dataclass(frozen=True)
@@ -328,8 +409,6 @@ class Engine:
         self._busy = False  # inside process_event
         self._next_event = 0
         self._event = 0
-        self._cycle = 0
-        self._start = 0  # the trace length when the current cycle began
         # line bodies made once and shared by every line that repeats them:
         # COND bodies by value (False, True), then condition id; QUIESCENT
         # bodies by cycle count
@@ -343,15 +422,12 @@ class Engine:
     # -- trace plumbing ----------------------------------------------------
 
     def _emit(self, body: str) -> None:
-        events = self.trace.events
-        events.append(_tuple_new(TraceEvent, (self._event, self._cycle, len(events) - self._start, body)))
+        self.trace.append(body)
 
     def _emit_props(self, writes) -> None:
         """A PROP line for each applied billboard or workflow write, from the
         _Line of its (property, element)."""
-        events = self.trace.events
-        append = events.append
-        e, c, start = self._event, self._cycle, self._start
+        append = self.trace.append
         last_prop = None
         for element_id, prop, old, new, writer in writes:
             if prop is not last_prop:  # a billboard pass writes only yaws
@@ -360,12 +436,10 @@ class Engine:
             line = lines.get(element_id)
             if line is None:
                 line = lines[element_id] = _Line(f"{element_id}.{prop}", WRITABLE[prop].render, writer)
-            body = _prop_body(line, old, new)
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, body)))
+            append(_prop_body(line, old, new))
 
     def _begin_cycle(self, k: int) -> None:
-        self._cycle = k
-        self._start = len(self.trace.events)
+        self.trace.begin_cycle(self._event, k)
 
     # -- conditions ----------------------------------------------------------
 
@@ -418,11 +492,9 @@ class Engine:
         plan = state.plan
         if plan is None:
             plan = state.plan = self._plan(rule_id)
-        events = self.trace.events
-        append = events.append
+        append = self.trace.append
         snapshot = tuple([getattr(t.element, t.attr) for t in plan.targets])
-        e, c, start = self._event, self._cycle, self._start
-        append(_tuple_new(TraceEvent, (e, c, len(events) - start, plan.executed)))
+        append(plan.executed)
         write_property = self.scene.write_property
         store = self.store
         for step in plan.steps:
@@ -444,8 +516,7 @@ class Engine:
                 if flag is not ChangeFlag.CHANGED:
                     continue
             line = step.line
-            body = line.body if old is line.old and value is line.new else _prop_body(line, old, value)
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, body)))
+            append(line.body if old is line.old and value is line.new else _prop_body(line, old, value))
         state.active = True
         state.snapshot = snapshot
 
@@ -480,7 +551,6 @@ class Engine:
             self._full_cycle = True
         state = self._rule_states[rule_id]
         assert state.active, f"rule {rule_id} is not active"
-        events = self.trace.events
         plan, snapshot = state.plan, state.snapshot
         targets = plan.targets
         restores = []
@@ -499,9 +569,8 @@ class Engine:
                 labels = ",".join([targets[i].line.label for i in skipped])
                 state.skipped_body = f"{body} skipped_restore={labels}"
             body = state.skipped_body
-        self._emit(body)
-        append = events.append
-        e, c, start = self._event, self._cycle, self._start
+        append = self.trace.append
+        append(body)
         write_property = self.scene.write_property
         for i in restores:
             t = targets[i]
@@ -509,8 +578,7 @@ class Engine:
             if write is None:
                 continue
             old, new, line = write.old, write.new, t.line
-            body = line.body if old is line.old and new is line.new else _prop_body(line, old, new)
-            append(_tuple_new(TraceEvent, (e, c, len(events) - start, body)))
+            append(line.body if old is line.old and new is line.new else _prop_body(line, old, new))
         state.active = False
         state.snapshot = ()
 

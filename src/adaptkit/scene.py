@@ -108,6 +108,8 @@ def _check_bool(v):
 def _check_text(v):
     if not isinstance(v, str):
         raise TypeMismatch("expected text")
+    if "\n" in v or "\r" in v:  # a trace line holds the text
+        raise TypeMismatch("text values must not contain newlines")
     return v
 
 

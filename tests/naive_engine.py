@@ -9,10 +9,12 @@ cannot have crossed them, checks only the rules of conditions that
 flipped, runs rules from plans built once, and re-aims billboards only
 when something moved; the differential tests compare the two on whole
 traces. Everything but condition evaluation, the loop, the rule
-transitions, the billboard pass and the PROP lines of rule and billboard
-writes is inherited. Those PROP lines render scene values with the copies
-in reference_props.py, not with the renderers of scene.WRITABLE that the
-engine uses.
+transitions, the billboard pass, the trace and every PROP line is
+inherited. PROP lines render scene values with the copies in
+reference_props.py, not with the renderers of scene.WRITABLE that the
+engine uses. The trace is a list of TraceEvents numbered here, each line's
+S its count of lines since its cycle began, and rendered here, so a fault
+in Trace's numbering, indexing or rendering shows as a difference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 from adaptkit.context import ChangeFlag
 from adaptkit.dsl import EFFECTOR_PROPERTY
-from adaptkit.engine import USER_POSITION, CycleReport, Engine
+from adaptkit.engine import USER_POSITION, CycleReport, Engine, TraceEvent
 from adaptkit.errors import (
     ActionError,
     EvaluationError,
@@ -46,10 +48,38 @@ class _RuleState:
     written: dict = field(default_factory=dict)
 
 
+class ReferenceTrace:
+    """A trace as a list of TraceEvents, each rendered on its own."""
+
+    def __init__(self):
+        self.events: list[TraceEvent] = []
+
+    def __len__(self):
+        return len(self.events)
+
+    def render(self) -> str:
+        return "".join(ev.render() + "\n" for ev in self.events)
+
+
 class NaiveEngine(Engine):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._rule_states = {r.id: _RuleState() for r in self.rules.rules}
+        self.trace = ReferenceTrace()
+        self._cycle = 0
+        self._start = 0  # the trace length when the current cycle began
+
+    def _begin_cycle(self, k: int) -> None:
+        self._cycle = k
+        self._start = len(self.trace.events)
+
+    def _emit(self, body: str) -> None:
+        events = self.trace.events
+        events.append(TraceEvent(self._event, self._cycle, len(events) - self._start, body))
+
+    def _emit_props(self, writes) -> None:  # the workflow's writes
+        for write in writes:
+            self._emit_prop(write)
 
     def rule_snapshot(self, rule_id: str) -> dict:
         return dict(self._rule_states[rule_id].snapshot)

@@ -28,6 +28,8 @@ def check_bool(v):
 def check_text(v):
     if not isinstance(v, str):
         raise TypeMismatch("expected text")
+    if any(c in "\r\n" for c in v):
+        raise TypeMismatch("text values must not contain newlines")
     return v
 
 

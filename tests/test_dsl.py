@@ -29,7 +29,9 @@ from adaptkit import (
     Vec3,
     init_engine,
     parse_rules,
+    parse_scenario,
     parse_scene,
+    parse_workflow,
     pretty_print,
     validate,
 )
@@ -525,3 +527,23 @@ def test_round_trip_on_printer_fixture(fixtures_dir):
 def test_pretty_print_drops_comments():
     rs = parse_rules("# a comment\ncondition c: env.x == true  # inline\n")
     assert "#" not in pretty_print(rs)
+
+
+# each format's parser, and a text whose second line holds a string literal
+LINE_BREAK_STRINGS = {
+    "rules": (parse_rules, 'condition c: env.x == true\nrule R when c do set_text(panel, "a{}b") category Style\n'),
+    "scene": (parse_scene, 'element panel at (0.0,1.0,0.0)\nelement hints at (0,0,0) text "a{}b"\n'),
+    "workflow": (parse_workflow, 'workflow w\nstep s "a{}b" target panel terminal\n'),
+    "scenario": (parse_scenario, 'scenario s\nat 0 set env.t = "a{}b"\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LINE_BREAK_STRINGS))
+def test_a_string_holds_no_line_break(fmt):
+    """A string literal ends at CR or LF in every format, so such a literal
+    is unterminated: no line break reaches a trace line."""
+    parse, template = LINE_BREAK_STRINGS[fmt]
+    parse(template.format(" "))
+    for brk in ("\r", "\r\n"):
+        with pytest.raises(DslSyntaxError, match="^line 2: unterminated string"):
+            parse(template.format(brk))

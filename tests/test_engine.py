@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -568,12 +569,18 @@ class TestDependencyDriven:
     def calls(self, monkeypatch):
         """(cycle, condition id) of every evaluate_condition call."""
         seen = []
-        evaluate = Engine.evaluate_condition
+        cycle = [0]
+        begin, evaluate = Engine._begin_cycle, Engine.evaluate_condition
+
+        def begin_spy(self, k):
+            cycle[0] = k
+            return begin(self, k)
 
         def spy(self, cond_id):
-            seen.append((self._cycle, cond_id))
+            seen.append((cycle[0], cond_id))
             return evaluate(self, cond_id)
 
+        monkeypatch.setattr(Engine, "_begin_cycle", begin_spy)
         monkeypatch.setattr(Engine, "evaluate_condition", spy)
         return seen
 
@@ -847,9 +854,9 @@ class TestFailingAction:
 
 
 class TestSequenceNumbers:
-    """S numbers are read from the trace: a line's S counts the lines since
-    its cycle began. NaiveEngine numbers lines with the same inherited code,
-    so these traces are written out."""
+    """A line's S counts the lines since its cycle began, and a line written
+    outside process_event continues the last cycle (E0 C0 before any). The
+    traces are written out, apart from NaiveEngine's own numbering."""
 
     def test_outside_flip_continues_the_last_cycle(self):
         engine = basic_engine(
@@ -921,12 +928,103 @@ def test_trace_render_is_each_line_rendered(monkeypatch):
         assert engine.trace.render() == lines
 
 
+def _appended_trace() -> tuple[Trace, list[TraceEvent]]:
+    """A Trace built through its own appends, and its lines numbered here:
+    lines before any cycle (E0 C0), empty cycles, two of them begun at one
+    line and one at the end, cycles of every length up to one straddling a
+    whole chunk, and more than two chunks in all."""
+    chunk = engine_module.RENDER_CHUNK
+    trace, expected = Trace(), []
+    for s in range(2):
+        trace.append(f"EVENT set env.x = {s}")
+        expected.append(TraceEvent(0, 0, s, f"EVENT set env.x = {s}"))
+    sizes = [0, 0, 3, 1, chunk + 5, 0, 2] + [i % 37 for i in range(150)] + [chunk - 1, 0]
+    for k, size in enumerate(sizes):
+        event, cycle = k // 4, k % 4
+        trace.begin_cycle(event, cycle)
+        for s in range(size):
+            body = f"PROP x.text {k} {s}"
+            trace.append(body)
+            expected.append(TraceEvent(event, cycle, s, body))
+    assert len(expected) > 2 * chunk
+    return trace, expected
+
+
 def test_trace_render_longer_than_a_chunk():
-    trace = Trace()
-    assert trace.render() == ""
-    n = 2 * engine_module.RENDER_CHUNK + 3
-    trace.events.extend(TraceEvent(i // 7, i % 3, i % 5, f"PROP x.text {i}") for i in range(n))
+    assert Trace().render() == ""
+    trace, expected = _appended_trace()
+    assert list(trace) == expected
+    assert trace.render() == "".join(ev.render() + "\n" for ev in expected)
     assert trace.render() == "".join(ev.render() + "\n" for ev in trace)
+
+
+class TestTraceEventsView:
+    """``Trace.events`` is a read-only sequence of the trace's lines, each a
+    TraceEvent made when it is read."""
+
+    def test_length_indexing_and_iteration(self):
+        trace, expected = _appended_trace()
+        events = trace.events
+        assert len(events) == len(trace) == len(expected)
+        assert [events[i] for i in range(len(expected))] == expected
+        assert [events[i] for i in range(-len(expected), 0)] == expected
+        assert list(events) == list(iter(events)) == expected
+        assert list(reversed(events)) == expected[::-1]
+        assert type(events[0]) is TraceEvent and events[0].render() == "E0 C0 S0 EVENT set env.x = 0"
+        for i in (len(expected), -len(expected) - 1, 10**9):
+            with pytest.raises(IndexError):
+                events[i]
+
+    def test_slices(self):
+        trace, expected = _appended_trace()
+        n, chunk = len(expected), engine_module.RENDER_CHUNK
+        for sl in (slice(None), slice(5, 9), slice(chunk - 3, chunk + 3), slice(-10, None),
+                   slice(None, 4), slice(9, 5), slice(n, n + 5), slice(-n - 5, 3),
+                   slice(1, n, 3), slice(None, None, 7), slice(None, None, -1), slice(n, 2, -5)):
+            assert trace.events[sl] == expected[sl], sl
+
+    def test_read_only_and_live(self):
+        trace, expected = _appended_trace()
+        events = trace.events
+        assert not hasattr(events, "append") and not hasattr(events, "extend")
+        with pytest.raises(TypeError):
+            events[0] = expected[1]
+        with pytest.raises(TypeError):
+            del events[0]
+        trace.append("QUIESCENT cycles=3")
+        assert len(events) == len(expected) + 1
+        assert events[-1] == TraceEvent(39, 2, 0, "QUIESCENT cycles=3")
+
+
+def test_render_grows_the_text_in_place():
+    """The guard on the trace's memory. Events 1-10 of cascade_churn seed 1
+    build the rules' plans and fill the line caches; over events 11-20 the
+    heap grows by less than 40 bytes a line (a body that repeats is shared,
+    so a line costs its list slot; a record per line, a 4-tuple, cost about
+    90). Trace.render then allocates at most 1.2 times the text: the text,
+    grown in place, and one chunk of lines."""
+    w = bench_gen().gen_cascade_churn(1)
+    scenario = parse_scenario(w.scenario)
+    store = ContextStore()
+    for feature, value in scenario.initial:
+        store.set_feature(feature, value)
+    tracemalloc.start()
+    try:
+        engine = init_engine(parse_rules(w.rules), parse_scene(w.scene), store, parse_workflow(w.workflow))
+        for event in scenario.events[:10]:
+            engine.process_event(list(event.sets))
+        lines, size = len(engine.trace), tracemalloc.get_traced_memory()[0]
+        for event in scenario.events[10:20]:
+            engine.process_event(list(event.sets))
+        lines, size = len(engine.trace) - lines, tracemalloc.get_traced_memory()[0] - size
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = engine.trace.render()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert lines > 5000 and size / lines < 40
+    assert len(engine.trace) > 10 * engine_module.RENDER_CHUNK and peak <= 1.2 * len(text)
 
 
 KINDS = {"event", "cond", "rule_exec", "rule_unexec", "prop", "workflow", "quiescent", "nonquiescent"}

@@ -144,8 +144,10 @@ def _outcome(fn):
 
 
 def _state(engine: Engine):
+    trace = engine.trace
     return (
-        engine.trace.render(),
+        trace.render(),
+        [trace.events[i] for i in range(-len(trace), 0)],  # each line's numbers, read by index
         dict(engine.cond_last),
         {r.id: engine.rule_active(r.id) for r in engine.rules.rules},
         [(str(k), render_value(engine.store.get_feature(k))) for k in engine.store.keys()],

@@ -151,6 +151,13 @@ class TestWriteProperty:
         with pytest.raises(UnknownProperty, match="^panel has no writable property 'altitude'$"):
             small_scene().write_property("panel", "altitude", 1.0, writer="r")
 
+    def test_text_holds_no_line_break(self):
+        scene = small_scene()
+        for text in ("x\ny", "x\ry", "\r\n", "\n"):
+            with pytest.raises(TypeMismatch, match="^text values must not contain newlines$"):
+                scene.write_property("panel", "text", text, writer="r")
+        assert scene.write_property("panel", "text", "x\ty", writer="r").new == "x\ty"
+
     def test_type_checked(self):
         scene = small_scene()
         with pytest.raises(TypeMismatch):

@@ -8,6 +8,7 @@ import pytest
 
 from adaptkit import TypeMismatch, Vec3
 from adaptkit.values import (
+    check_value,
     normalize_yaw,
     parse_value,
     render_value,
@@ -60,8 +61,12 @@ class TestRenderParse:
                 parse_value(bad)
 
     def test_newline_text_rejected(self):
-        with pytest.raises(TypeMismatch):
-            parse_value('"a\nb"')
+        # a string literal ends at a line break, as in every format
+        for text in ('"a\nb"', '"a\rb"', '"\r\n"'):
+            with pytest.raises(ValueError, match="^unterminated string"):
+                parse_value(text)
+        with pytest.raises(TypeMismatch, match="newlines"):
+            check_value("a\rb")
 
 
 class TestValuesEqual:

@@ -103,7 +103,7 @@ EDGE_VALUES = (
     (1.0, 2, 3), (1, 2), (1, 2, 3, 4), [1, 2, 3], MyTuple((1, 2, 3)), None,
     frozenset(), frozenset({Modality.AUDIO}), frozenset(Modality), MyFrozenset({Modality.VISUAL}),
     MyFrozenset(), frozenset({"visual"}), frozenset({Modality.AUDIO, "audio"}), {Modality.AUDIO},
-    (Modality.AUDIO,), "", "x", MyStr("y"), DetailLevel.REDUCED, "reduced",
+    (Modality.AUDIO,), "", "x", MyStr("y"), "a\nb", "\r", MyStr("c\r\n"), DetailLevel.REDUCED, "reduced",
 )
 
 
