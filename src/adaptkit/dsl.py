@@ -526,24 +526,25 @@ def _check(expr: Expr, reads: list, errors: list[str]) -> str | None:
 # ---------------------------------------------------------------------------
 # compilation
 
-class Conjunct(NamedTuple):
-    """An operand of the ``&&`` chain at the top of a compiled expression."""
+class Operand(NamedTuple):
+    """An operand of a compiled expression: what makes it due. Writes to its
+    keys do, and a write to a gate's feature does once that dist() atom is
+    past its deadline (_DistAtom); other writes cannot change its value."""
 
-    reads: tuple  # check_expr's reads of it
-    dist_atoms: tuple["_DistAtom", ...]  # the dist() atoms it evaluates through, in reading order
+    keys: tuple  # check_expr's reads of it, once each, less its gates' features
+    gates: tuple["_DistAtom", ...]  # its dist() atoms on features it reads only through them
 
 
 class Compiled(NamedTuple):
     """An expression compiled against a store and a scene."""
 
     evaluate: Callable[[], Value]  # the expression's value now; raises what evaluating it raises
-    dist_atoms: tuple["_DistAtom", ...]  # the dist() atoms it evaluates through, in reading order
-    # for a top-level && chain of two or more operands that compiled: the
-    # operands, left to right, and a one-item list that evaluate keeps the
-    # index of the first of them that returned false in (None if none did,
-    # or before the first evaluation); () and None for any other expression
-    conjuncts: tuple[Conjunct, ...] = ()
-    first_false: list | None = None
+    # the operands of the && chain at its top, left to right, or the
+    # expression alone, and a one-item list that evaluate keeps the index of
+    # the first of them that returned false in (None if none did, before the
+    # first evaluation, and always for one operand)
+    operands: tuple[Operand, ...]
+    first_false: list
 
 
 def compile_expr(
@@ -572,27 +573,28 @@ def compile_expr(
     the feature -> Odometer map its atoms share, and gains one for each
     feature not yet in it.
 
-    Returns ``Compiled(evaluate, dist_atoms, conjuncts, first_false)``.
-    When the expression is a chain of two or more operands joined by ``&&``
-    nodes that compile (_conjuncts), ``conjuncts`` lists the operands, each
-    with its reads and its dist() atoms, and ``evaluate`` also keeps the
-    index of the first operand that returned false in ``first_false[0]``.
+    Returns ``Compiled(evaluate, operands, first_false)``. The operands are
+    those of the chain of ``&&`` nodes that compile at the top
+    (_conjuncts), or the expression alone, each as an Operand: a feature
+    it reads only through dist() atoms is gated by them, and every other
+    input is a key. A chain's ``evaluate`` keeps the index of its first
+    operand that returned false in ``first_false[0]``.
     """
     if odometers is None:
         odometers = {}
-    dist_atoms: list[_DistAtom] = []
-    if not _compiled_and(expr):
-        return Compiled(_build(expr, store, scene, odometers, dist_atoms), tuple(dist_atoms))
-    conjuncts = []
     parts = []
-    for operand in _conjuncts(expr):
-        start = len(dist_atoms)
-        parts.append(_build(operand, store, scene, odometers, dist_atoms))
-        conjuncts.append(Conjunct(tuple(check_expr(operand)[1]), tuple(dist_atoms[start:])))
-    evaluate, first_false = parts[-1], None
-    for left in reversed(parts[:-1]):
-        evaluate, first_false = _and(left, evaluate, first_false)
-    return Compiled(evaluate, tuple(dist_atoms), tuple(conjuncts), first_false)
+    operands = []
+    for node in _conjuncts(expr):
+        atoms: list[_DistAtom] = []
+        parts.append(_build(node, store, scene, odometers, atoms))
+        reads = check_expr(node)[1]
+        features = [a.feature for a in atoms]
+        gated = {f for f in features if reads.count(f) == features.count(f)}
+        operands.append(Operand(tuple(dict.fromkeys(r for r in reads if r not in gated)),
+                                tuple([a for a in atoms if a.feature in gated])))
+    first_false: list = [None]
+    evaluate = parts[0] if len(parts) == 1 else _chain(tuple(parts), first_false)
+    return Compiled(evaluate, tuple(operands), first_false)
 
 
 def _build(
@@ -629,29 +631,24 @@ def _build(
     return lambda: _bool_op(op, left(), right())
 
 
-def _and(left, right, rest: list | None) -> tuple[Callable[[], bool], list]:
-    """``left && right`` at the top of a compiled ``&&`` chain, where ``right``
-    evaluates the operands after ``left``: the chain of them, whose
-    ``first_false`` is ``rest``, or the last operand alone (``rest`` None).
-    Returns its evaluator, which evaluates both sides, left first, as the
-    nested ``&&`` does, and its ``first_false``: a one-item list holding the
-    index, in the chain from ``left`` on, of the first operand that returned
-    false; None if none did, or before the first evaluation."""
-    first_false: list = [None]
+def _chain(parts: tuple, first_false: list) -> Callable[[], bool]:
+    """The evaluator of a compiled ``&&`` chain of ``parts``: it evaluates every
+    operand, left first, as the nested ``&&`` nodes do, and keeps the index
+    of the first that returned false in ``first_false[0]``, None if none
+    did."""
 
     # bound as defaults, not closed over: one tuple where cells take an object each
-    def evaluate(left=left, right=right, rest=rest, first_false=first_false) -> bool:
-        if not left():
-            right()
-            first_false[0] = 0
-            return False
-        if right():
-            first_false[0] = None
-            return True
-        first_false[0] = 1 if rest is None else 1 + rest[0]
-        return False
+    def evaluate(parts=parts, first_false=first_false) -> bool:
+        false = None
+        j = 0
+        for part in parts:
+            if not part() and false is None:
+                false = j
+            j += 1
+        first_false[0] = false
+        return false is None
 
-    return evaluate, first_false
+    return evaluate
 
 
 def _compiled_and(node: Expr) -> bool:

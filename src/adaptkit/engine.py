@@ -53,9 +53,9 @@ after that, and a QUIESCENT body once per cycle count. Each cache holds
 one entry per step, target, rule, element, condition value or cycle count
 reached, so none grows with the length of a run.
 
-Conditions are compiled once, at construction, by dsl.compile_expr; the
-inputs each one reads were listed by the parser's walk, dsl.check_expr
-(ConditionDef.reads). A comparison of a feature, a scene property or a
+Conditions are compiled once, at construction, by dsl.compile_expr, which
+lists the inputs each operand reads with the parser's walk,
+dsl.check_expr. A comparison of a feature, a scene property or a
 distance with a number is an atom with its type check hoisted, and every
 other node is a closure around what it holds, so no evaluation walks the
 tree. A compiled condition evaluates every operand, left first, before a
@@ -69,7 +69,7 @@ If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
 
 Evaluation is dependency-driven. Each condition's inputs (features and
-scene properties) are indexed once, at construction. A cycle re-evaluates
+scene properties) are indexed at construction. A cycle re-evaluates
 only the conditions that read an input written since their last
 evaluation -- context writes as the store's dirty set reports them, scene
 writes as SceneModel.write_property logs them, taken unsorted since they
@@ -85,37 +85,42 @@ was called from outside process_event evaluates every condition and checks
 every rule. Scene state must change through SceneModel.write_property: an
 attribute assigned directly on a SceneElement is not seen.
 
-A false ``&&`` chain is due only through its first false operand, the
-watched literal of Chaff (Moskewicz et al., DAC 2001): while one was false
-at its last evaluation, a chain compile_expr compiled is indexed by that
-operand's inputs and atoms alone, and it stays false until one of those is
-written or due. No error hides there: every operand evaluated then without
-one, features keep their type and stay set (ContextStore.set_feature),
-WRITABLE fixes scene property types and positions are fixed. A condition
-never evaluated, or whose evaluation raised, is evaluated and re-indexed
-in a full cycle first.
-
 Distance thresholds have safe regions. Each feature a
 ``dist(feature, scene.X.position) op r`` atom reads has one Odometer,
 shared by its atoms, that sums how far the feature's value moved; an atom
 that found distance ``d`` keeps its value until the odometer has gone
-``|d - r|`` further, less a rounding margin (dsl._DistAtom). A condition
-that reads a feature only through such atoms (compile_expr returns them,
-and ConditionDef.reads counts the reads) is guarded on it: a write to
-the feature re-evaluates it only if one of those atoms is due, so on a
-head-tracking stream a position step re-tests only the thresholds it may
-have crossed. Billboards are re-aimed only when the user's position is
-another object than at the last complete re-aim, or a yaw or billboard
-property was written since (SceneModel.refresh_billboards); the engine
-still calls the re-aim in every cycle.
+``|d - r|`` further, less a rounding margin (dsl._DistAtom).
+
+compile_expr returns a condition as its operands: those of the ``&&``
+chain at its top, or the whole condition. Each says what makes it due
+(dsl.Operand): a write to one of its keys, or to a feature it reads only
+through dist() atoms, its gates, once one of those atoms is past its
+deadline. So on a head-tracking stream a position step re-tests only the
+thresholds it may have crossed. One routine, _index, adds a condition
+under an operand's keys and gates or removes it from them. A condition is
+indexed under every operand, except that a chain that was false at its
+last evaluation is indexed under its first false operand alone (_watch):
+the watched literal of Chaff (Moskewicz et al., DAC 2001). The chain
+stays false until that operand is due. No error hides there: every
+operand evaluated then without one, features keep their type and stay
+set (ContextStore.set_feature), WRITABLE fixes scene property types and
+positions are fixed. A condition never evaluated, or whose evaluation
+raised, is evaluated and re-indexed in a full cycle first.
+
+Billboards are re-aimed only when the user's position is another object
+than at the last complete re-aim, or a yaw or billboard property was
+written since (SceneModel.refresh_billboards); the engine still calls the
+re-aim in every cycle.
 
 Trace lines are byte-stable: ``E<event> C<cycle> S<seq> <body>`` with the
-sequence number restarting at 0 in each cycle. The trace keeps what a line
-adds, its body, and once per cycle the line the cycle begins at with its
-event and cycle numbers (_begin_cycle); a line's S is its offset from that
-line. Trace.events makes a TraceEvent of the four when a line is read, and
-Trace.render formats a cycle's head once per chunk; a TraceEvent's
-``kind`` is read from its body (line_kind).
+sequence number restarting at 0 in each cycle. The engine writes a line
+with Trace.append(body) and begins each cycle with
+Trace.begin_cycle(event, cycle). The trace keeps what a line adds, its
+body, and once per cycle the line the cycle begins at with its event and
+cycle numbers; a line's S is its offset from that line. Trace.events
+makes a TraceEvent of the four when a line is read, and Trace.render
+formats a cycle's head once per chunk; a TraceEvent's ``kind`` is read
+from its body (line_kind).
 """
 
 from __future__ import annotations
@@ -127,7 +132,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .context import ChangeFlag, ContextStore, FeatureId
-from .dsl import EFFECTOR_PROPERTY, Odometer, RuleSet, compile_expr, unresolved
+from .dsl import EFFECTOR_PROPERTY, Odometer, Operand, RuleSet, compile_expr, unresolved
 from .errors import (
     ActionError,
     AdaptError,
@@ -373,42 +378,29 @@ class Engine:
         odometers: dict[FeatureId, Odometer] = {}  # one per feature, shared by its dist() atoms
         compiled = [compile_expr(c.expr, store, scene, odometers) for c in rules.conditions]
         self._evaluators = {c.id: k.evaluate for c, k in zip(rules.conditions, compiled)}
-        # A condition that reads a feature only through dist() atoms is
-        # guarded on it: _guarded maps the feature to its odometer and the
-        # (condition index, atom) pairs of those conditions. _readers maps
-        # every other input (FeatureId or (element, property)) to the indices
-        # of the conditions reading it, _listed_by a condition id to the
-        # indices of the rules listing it. _chains maps a chain's index to its
-        # first_false, the operand it is indexed by (None: all; _watch), and
-        # each operand's inputs and atoms in _guarded (None if it has none).
-        guarded: dict[FeatureId, list] = {}
-        only: dict[int, set] = {}  # condition index -> the features it is guarded on
-        for i, (c, k) in enumerate(zip(rules.conditions, compiled)):
-            through: dict[FeatureId, list] = {}
-            for atom in k.dist_atoms:
-                through.setdefault(atom.feature, []).append(atom)
-            for f, atoms in through.items():
-                if c.reads.count(f) == len(atoms):
-                    only.setdefault(i, set()).add(f)
-                    guarded.setdefault(f, []).extend((i, atom) for atom in atoms)
-        self._readers = _index(
-            (key, i) for i, c in enumerate(rules.conditions) for key in c.reads if key not in only.get(i, ())
-        )
-        self._guarded = {f: (odometers[f], tuple(pairs)) for f, pairs in guarded.items()}
-        self._chains = {}
+        # What makes each condition due, kept by _index: _readers maps an
+        # input (FeatureId or (element, property)) to the indices of the
+        # conditions indexed under it as an operand's key, and _guarded maps
+        # a feature to its odometer and {gate: condition index}. A condition
+        # is indexed under every operand, or under the one _watched names.
+        self._readers: dict[object, list[int]] = {}
+        self._guarded: dict[FeatureId, tuple[Odometer, dict]] = {}
+        # a condition of one operand is never re-indexed: its first_false stays None
+        self._operands = [k.operands if len(k.operands) > 1 else () for k in compiled]
+        self._first_false = [k.first_false for k in compiled]
+        self._watched: list[int | None] = [None] * len(compiled)
         for i, k in enumerate(compiled):
-            if k.first_false is not None:  # a feature the chain is guarded on is no operand's input
-                on = only.get(i, ())
-                keys = [tuple([r for r in part.reads if r not in on]) if on else part.reads for part in k.conjuncts]
-                atoms = tuple([tuple([a for a in part.dist_atoms if a.feature in on]) for part in k.conjuncts])
-                self._chains[i] = [k.first_false, None, tuple(keys), atoms if k.dist_atoms else None]
-        self._listed_by = _index(
-            (cid, j) for j, r in enumerate(rules.rules) for cid in r.conditions
-        )
+            for operand in k.operands:
+                self._index(i, operand, True)
+        listed_by: dict[str, list[int]] = {}
+        for j, r in enumerate(rules.rules):
+            for cid in dict.fromkeys(r.conditions):
+                listed_by.setdefault(cid, []).append(j)
+        # condition id -> the indices of the rules listing it
+        self._listed_by = {cid: tuple(js) for cid, js in listed_by.items()}
         self._full_cycle = True  # the next cycle evaluates everything
         self._busy = False  # inside process_event
         self._next_event = 0
-        self._event = 0
         # line bodies made once and shared by every line that repeats them:
         # COND bodies by value (False, True), then condition id; QUIESCENT
         # bodies by cycle count
@@ -420,9 +412,6 @@ class Engine:
         self._lines: dict[str, dict[str, _Line]] = {}
 
     # -- trace plumbing ----------------------------------------------------
-
-    def _emit(self, body: str) -> None:
-        self.trace.append(body)
 
     def _emit_props(self, writes) -> None:
         """A PROP line for each applied billboard or workflow write, from the
@@ -437,9 +426,6 @@ class Engine:
             if line is None:
                 line = lines[element_id] = _Line(f"{element_id}.{prop}", WRITABLE[prop].render, writer)
             append(_prop_body(line, old, new))
-
-    def _begin_cycle(self, k: int) -> None:
-        self.trace.begin_cycle(self._event, k)
 
     # -- conditions ----------------------------------------------------------
 
@@ -478,7 +464,7 @@ class Engine:
                 body = f"COND {cond_id} -> {'true' if value else 'false'}"
                 if last is not None:  # a first evaluation's line comes once: not worth an entry
                     bodies[cond_id] = body
-            self._emit(body)
+            self.trace.append(body)
         return value, changed
 
     # -- rule lifecycle ------------------------------------------------------
@@ -600,18 +586,18 @@ class Engine:
     def _process_event(self, sets) -> CycleReport:
         e = self._next_event
         self._next_event += 1
-        self._event = e
-        self._begin_cycle(0)
+        trace = self.trace
+        trace.begin_cycle(e, 0)
         for feature, value in sets:
             self.store.set_feature(feature, value)
-            self._emit(f"EVENT set {feature} = {render_value(value)}")
+            trace.append(f"EVENT set {feature} = {render_value(value)}")
         # event writes (and any made since the last event) are inputs, not cycle activity
         features = self.store.drain_dirty()
 
         conditions = self.rules.conditions
         rules = self.rules.rules
         for k in range(1, self.max_cascade_depth + 1):
-            self._begin_cycle(k)
+            trace.begin_cycle(e, k)
             full, self._full_cycle = self._full_cycle, False
             props = self.scene._take_dirty()  # only read into a set: no sort
 
@@ -622,20 +608,19 @@ class Engine:
                 due = {i for key in (*features, *props) for i in readers.get(key, ())}
                 for feature in features:
                     guard = self._guarded.get(feature)
-                    if guard is not None:  # only atoms past their deadline can flip
-                        odometer, atoms = guard
+                    if guard is not None:  # only gates past their deadline can flip
+                        odometer, gates = guard
                         total = odometer.see(self.store._values[feature])
-                        due.update([i for i, atom in atoms if total >= atom.deadline])
+                        due.update([i for gate, i in gates.items() if total >= gate.deadline])
                 cond_ids = sorted(due)
             flipped = []
+            first_false, watched = self._first_false, self._watched
             for i in cond_ids:
                 cond_id = conditions[i].id
                 if self.evaluate_condition(cond_id)[1]:
                     flipped.append(cond_id)
-            for i in cond_ids if self._chains else ():
-                entry = self._chains.get(i)
-                if entry is not None and entry[0][0] != entry[1]:
-                    self._watch(i, entry)
+                if first_false[i][0] != watched[i]:
+                    self._watch(i)
             activity = bool(flipped)
 
             if full:
@@ -680,28 +665,41 @@ class Engine:
                 body = self._quiescent.get(k)
                 if body is None:
                     body = self._quiescent[k] = f"QUIESCENT cycles={k}"
-                self._emit(body)
+                trace.append(body)
                 return CycleReport(cycles=k)
 
-        self._emit(f"NONQUIESCENT depth={self.max_cascade_depth}")
+        trace.append(f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)
 
-    def _watch(self, i: int, entry: list) -> None:
-        """Index chain ``i`` by its first false operand, or by all if none was false."""
-        first_false, old, keys_by_operand, atoms_by_operand = entry
-        new = entry[1] = first_false[0]
-        readers, guarded = self._readers, self._guarded
-        for j, keys in enumerate(keys_by_operand):
+    def _watch(self, i: int) -> None:
+        """Index condition ``i`` by its first false operand, or by every
+        operand if none was false."""
+        old, new = self._watched[i], self._first_false[i][0]
+        self._watched[i] = new
+        operands = self._operands[i]
+        keep = () if new is None else operands[new].keys
+        for j, operand in enumerate(operands):
             now = new is None or new == j
             if now != (old is None or old == j):
-                for key in keys:  # an input the watched operand reads too stays
-                    found = readers[key]
-                    if now != (i in found) and (now or key not in keys_by_operand[new]):
-                        readers[key] = found + (i,) if now else tuple([x for x in found if x != i])
-                for atom in atoms_by_operand[j] if atoms_by_operand else ():
-                    odometer, pairs = guarded[atom.feature]
-                    pairs = tuple([p for p in pairs if p[1] is not atom])
-                    guarded[atom.feature] = (odometer, pairs + ((i, atom),) if now else pairs)
+                self._index(i, operand, now, keep)
+
+    def _index(self, i: int, operand: Operand, add: bool, keep: tuple = ()) -> None:
+        """Add condition ``i`` under ``operand``'s keys and gates, or remove it
+        from them, but not from a key in ``keep``."""
+        readers = self._readers
+        for key in operand.keys:
+            found = readers.setdefault(key, [])
+            if add:
+                if i not in found:
+                    found.append(i)
+            elif i in found and key not in keep:
+                found.remove(i)
+        for gate in operand.gates:
+            gates = self._guarded.setdefault(gate.feature, (gate.odometer, {}))[1]
+            if add:
+                gates[gate] = i
+            else:
+                del gates[gate]
 
     def _workflow_phase(self, cond_values: dict[str, bool]) -> bool:
         if not self.workflow.applied:
@@ -711,7 +709,7 @@ class Engine:
         if moved is None:
             return False
         from_id, to_id, writes = moved
-        self._emit(f"WORKFLOW step {from_id} -> {to_id}")
+        self.trace.append(f"WORKFLOW step {from_id} -> {to_id}")
         self._emit_props(writes)
         return True
 
@@ -745,16 +743,6 @@ def _checked_constant(check, value):
 def _render_prior(value) -> str:
     """A feature's value before a set_feature action: ``unset`` if it had none."""
     return "unset" if value is None else render_value(value)
-
-
-def _index(pairs) -> dict:
-    """(key, index) pairs, indices ascending -> key: tuple of distinct indices."""
-    out: dict = {}
-    for key, i in pairs:
-        found = out.setdefault(key, [])
-        if not found or found[-1] != i:
-            found.append(i)
-    return {key: tuple(found) for key, found in out.items()}
 
 
 def init_engine(

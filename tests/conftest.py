@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,18 @@ def engine_from_texts(rules_text: str, scene_text: str, initial: dict[str, objec
     return init_engine(
         parse_rules(rules_text), parse_scene(scene_text), store_from(initial), wf, **kw
     )
+
+
+def assert_same_lines(actual: str, expected: str, what: str = "") -> None:
+    """Two trace texts are equal. On a difference, fail with the number of
+    the first differing line and both lines, without handing the texts to
+    pytest's assertion diff, which takes minutes over a long trace."""
+    if actual == expected:
+        return
+    for n, (got, want) in enumerate(zip_longest(actual.split("\n"), expected.split("\n")), start=1):
+        if got != want:
+            pytest.fail(f"{what}{': ' if what else ''}line {n} differs:\n  got  {got!r}\n  want {want!r}",
+                        pytrace=False)
 
 
 def scene_state(scene):

@@ -49,10 +49,22 @@ class _RuleState:
 
 
 class ReferenceTrace:
-    """A trace as a list of TraceEvents, each rendered on its own."""
+    """A trace as a list of TraceEvents, each rendered on its own, and
+    numbered as it is appended: a line's S is its count of lines since its
+    cycle began."""
 
     def __init__(self):
         self.events: list[TraceEvent] = []
+        self._event = self._cycle = 0
+        self._start = 0  # the trace length when the current cycle began
+
+    def begin_cycle(self, event: int, cycle: int) -> None:
+        self._event, self._cycle = event, cycle
+        self._start = len(self.events)
+
+    def append(self, body: str) -> None:
+        events = self.events
+        events.append(TraceEvent(self._event, self._cycle, len(events) - self._start, body))
 
     def __len__(self):
         return len(self.events)
@@ -66,16 +78,6 @@ class NaiveEngine(Engine):
         super().__init__(*args, **kwargs)
         self._rule_states = {r.id: _RuleState() for r in self.rules.rules}
         self.trace = ReferenceTrace()
-        self._cycle = 0
-        self._start = 0  # the trace length when the current cycle began
-
-    def _begin_cycle(self, k: int) -> None:
-        self._cycle = k
-        self._start = len(self.trace.events)
-
-    def _emit(self, body: str) -> None:
-        events = self.trace.events
-        events.append(TraceEvent(self._event, self._cycle, len(events) - self._start, body))
 
     def _emit_props(self, writes) -> None:  # the workflow's writes
         for write in writes:
@@ -87,7 +89,7 @@ class NaiveEngine(Engine):
     def _emit_prop(self, write) -> None:
         render = REFERENCE_PROPS[write.prop][1]
         old, new = render(write.old), render(write.new)
-        self._emit(f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}")
+        self.trace.append(f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}")
 
     def evaluate_condition(self, cond_id: str) -> tuple[bool, bool]:
         if not self._busy:
@@ -102,7 +104,7 @@ class NaiveEngine(Engine):
         changed = self.cond_last[cond_id] is None or self.cond_last[cond_id] != value
         self.cond_last[cond_id] = value
         if changed:
-            self._emit(f"COND {cond_id} -> {'true' if value else 'false'}")
+            self.trace.append(f"COND {cond_id} -> {'true' if value else 'false'}")
         return value, changed
 
     def execute_rule(self, rule_id: str):
@@ -122,7 +124,7 @@ class NaiveEngine(Engine):
                     snapshot[key] = self.scene.get_property(*key)
                 except (UnknownElement, UnknownProperty) as e:
                     raise ActionError(f"rule {rule_id!r}: {e}") from e
-        self._emit(f"RULE {rule_id} EXECUTED")
+        self.trace.append(f"RULE {rule_id} EXECUTED")
         for action in rule.actions:
             self._apply_action(rule, action)
         state.active = True
@@ -142,8 +144,8 @@ class NaiveEngine(Engine):
                 raise ActionError(f"rule {rule.id!r}: {e}") from e
             if flag is ChangeFlag.CHANGED:
                 old_text = "unset" if old is None else render_value(old)
-                self._emit(f"PROP {action.feature} {old_text} -> {render_value(action.value)}"
-                           f"  writer={rule.id}")
+                self.trace.append(f"PROP {action.feature} {old_text} -> {render_value(action.value)}"
+                                  f"  writer={rule.id}")
             return
         prop = EFFECTOR_PROPERTY[action.effector]
         try:
@@ -169,7 +171,7 @@ class NaiveEngine(Engine):
         suffix = ""
         if skipped:
             suffix = " skipped_restore=" + ",".join(f"{e}.{p}" for e, p in skipped)
-        self._emit(f"RULE {rule_id} UNEXECUTED{suffix}")
+        self.trace.append(f"RULE {rule_id} UNEXECUTED{suffix}")
         for (element, prop), old in restores:
             write = self.scene.write_property(element, prop, old, writer=rule_id)
             if write is not None:
@@ -181,15 +183,14 @@ class NaiveEngine(Engine):
     def _process_event(self, sets) -> CycleReport:
         e = self._next_event
         self._next_event += 1
-        self._event = e
-        self._begin_cycle(0)
+        self.trace.begin_cycle(e, 0)
         for feature, value in sets:
             self.store.set_feature(feature, value)
-            self._emit(f"EVENT set {feature} = {render_value(value)}")
+            self.trace.append(f"EVENT set {feature} = {render_value(value)}")
         self.store.drain_dirty()  # event writes are inputs, not cycle activity
 
         for k in range(1, self.max_cascade_depth + 1):
-            self._begin_cycle(k)
+            self.trace.begin_cycle(e, k)
             activity = False
 
             cond_values: dict[str, bool] = {}
@@ -230,10 +231,10 @@ class NaiveEngine(Engine):
                 activity = True
 
             if not activity:
-                self._emit(f"QUIESCENT cycles={k}")
+                self.trace.append(f"QUIESCENT cycles={k}")
                 return CycleReport(cycles=k)
 
-        self._emit(f"NONQUIESCENT depth={self.max_cascade_depth}")
+        self.trace.append(f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)
 
     def _aim_billboards(self, user_pos: Vec3) -> list:

@@ -49,7 +49,7 @@ from adaptkit.cli import main as cli_main
 from adaptkit.dsl import Compare, FeatureRef, Lit
 from adaptkit.workflow import GREEN
 
-from conftest import FIXTURES, load_fixture_bundle, run_fixture
+from conftest import FIXTURES, assert_same_lines, load_fixture_bundle, run_fixture
 from reference_eval import eval_expr
 from test_dsl import rule_sets
 from test_scene import brute_force_best_yaw, facing_error
@@ -359,7 +359,7 @@ def test_acceptance_6_property_suite():
                 seen[rid] = ev.kind
         # determinism: an identical second run renders byte-identically
         engine2 = _run_case(rules, store_seed, events)
-        assert engine.trace.render() == engine2.trace.render(), f"case {case}"
+        assert_same_lines(engine.trace.render(), engine2.trace.render(), f"case {case}")
         # quiescence idempotence: an empty event adds exactly one line
         before = len(engine.trace)
         report = engine.process_event([])

@@ -327,7 +327,8 @@ def test_compiling_leaves_no_reference_cycle():
     try:
         gc.garbage.clear()
         compiled = [compile_expr(expr, store, scene, {}) for expr in exprs]
-        assert any(k.conjuncts for k in compiled) and any(k.dist_atoms for k in compiled)
+        assert any(len(k.operands) > 1 for k in compiled)
+        assert any(operand.gates for k in compiled for operand in k.operands)
         del compiled
         gc.collect()
         assert gc.garbage == []
@@ -339,32 +340,32 @@ def test_compiling_leaves_no_reference_cycle():
 
 
 def _chain_shapes(rules_text: str, scene_text: str) -> dict:
-    """How many conditions compile to each shape: the dist() atom count of
-    each operand of the top-level ``&&`` chain (() for no chain) and the
-    condition's dist() atom count."""
+    """How many conditions compile to each shape: for each operand, left to
+    right, its key count and its gate count."""
     rules, scene, store = parse_rules(rules_text), parse_scene(scene_text), ContextStore()
     shapes = collections.Counter()
     for cond in rules.conditions:
         k = compile_expr(cond.expr, store, scene)
-        shapes[tuple(len(part.dist_atoms) for part in k.conjuncts), len(k.dist_atoms)] += 1
+        shapes[tuple((len(operand.keys), len(operand.gates)) for operand in k.operands)] += 1
     return dict(shapes)
 
 
 def test_the_compiled_chains_stay_as_they_are():
-    """The chains Engine._watch indexes and the dist() atoms it guards on,
-    for the shipped fixtures and the benchmark's workloads at seed 1."""
+    """The chains Engine._watch indexes and the dist() atoms that gate their
+    operands, for the shipped fixtures and the benchmark's workloads at
+    seed 1. A dist() atom's element position is a key no write reaches."""
     for base, shapes in (
-        ("printer/printer", {((), 0): 3, ((), 1): 1}),
-        ("warehouse/warehouse", {((), 0): 3, ((), 1): 4}),
-        ("cascade/chain", {((), 0): 2}),
-        ("cascade/oscillator", {((), 0): 2}),
+        ("printer/printer", {((1, 0),): 3, ((1, 1),): 1}),
+        ("warehouse/warehouse", {((1, 0),): 3, ((1, 1),): 4}),
+        ("cascade/chain", {((1, 0),): 2}),
+        ("cascade/oscillator", {((1, 0),): 2}),
     ):
         assert _chain_shapes(fixture_text(base + ".rules"), fixture_text(base + ".scene")) == shapes, base
     gen = bench_gen()
     for name, shapes in (
-        ("wide_rules", {((), 0): 700, ((0, 0), 0): 300}),
-        ("tracking_stream", {((), 0): 1, ((), 1): 21, ((1, 0), 1): 40}),
-        ("cascade_churn", {((), 0): 148}),
+        ("wide_rules", {((1, 0),): 700, ((1, 0), (1, 0)): 300}),
+        ("tracking_stream", {((1, 0),): 1, ((1, 1),): 21, ((1, 1), (1, 0)): 40}),
+        ("cascade_churn", {((1, 0),): 148}),
     ):
         workload = getattr(gen, f"gen_{name}")(1)
         assert _chain_shapes(workload.rules, workload.scene) == shapes, name

@@ -39,6 +39,7 @@ from adaptkit.values import float_bits
 
 from conftest import (
     FIXTURES,
+    assert_same_lines,
     bench_gen,
     engine_from_texts,
     fixture_text,
@@ -431,7 +432,7 @@ class TestSkippedRestore:
                 engine.process_event([(A, True)])
                 engine.scene.write_property(element, prop, value, writer="caller")
                 engine.process_event([(A, False)])
-            assert engines[0].trace.render() == engines[1].trace.render()
+            assert_same_lines(engines[0].trace.render(), engines[1].trace.render())
             bodies.append(next(ev.body for ev in reversed(engines[0].trace.events)
                                if ev.kind == "rule_unexec"))
         assert bodies[0] == bodies[3] == "RULE A UNEXECUTED skipped_restore=panel.text"
@@ -468,7 +469,7 @@ class TestBillboardPass:
         for engine in engines:
             fn(engine)
         fast, naive = engines
-        assert fast.trace.render() == naive.trace.render()
+        assert_same_lines(fast.trace.render(), naive.trace.render())
         assert scene_states_equal(scene_state(fast.scene), scene_state(naive.scene))
         if not event:
             return
@@ -570,17 +571,17 @@ class TestDependencyDriven:
         """(cycle, condition id) of every evaluate_condition call."""
         seen = []
         cycle = [0]
-        begin, evaluate = Engine._begin_cycle, Engine.evaluate_condition
+        begin, evaluate = Trace.begin_cycle, Engine.evaluate_condition
 
-        def begin_spy(self, k):
+        def begin_spy(self, event, k):
             cycle[0] = k
-            return begin(self, k)
+            return begin(self, event, k)
 
         def spy(self, cond_id):
             seen.append((cycle[0], cond_id))
             return evaluate(self, cond_id)
 
-        monkeypatch.setattr(Engine, "_begin_cycle", begin_spy)
+        monkeypatch.setattr(Trace, "begin_cycle", begin_spy)
         monkeypatch.setattr(Engine, "evaluate_condition", spy)
         return seen
 
@@ -807,7 +808,52 @@ def test_a_false_operand_keeps_its_chain_from_being_evaluated(monkeypatch):
     naive, _ = _tracking_walk(NaiveEngine)
     for event in events:
         naive.process_event(list(event.sets))
-    assert engine.trace.render() == naive.trace.render()
+    assert_same_lines(engine.trace.render(), naive.trace.render())
+
+
+def test_a_gated_operand_keeps_its_chain_from_being_evaluated(monkeypatch):
+    """``c``'s first operand reads user.position only through dist(), and
+    its second reads it directly. While the first is false and inside its
+    safe region, a position write does not make ``c`` due, though the
+    second operand reads the position: a walk of 40 steps through the
+    radius around s evaluates ``c`` at the steps inside it and a few others,
+    and writes the trace of the loop that evaluates it at every step."""
+    rules = (
+        "condition c: dist(user.position, scene.s.position) < 1.0 && user.position != (9.0,9.0,9.0)\n"
+        "rule R when c do set_visible(s, false) category Style\n"
+    )
+    walk = [Vec3(6.0 - 0.3 * k, 0.0, 0.0) for k in range(1, 41)]
+    engines = engine_pair(rules, "element s at (0.0,0.0,0.0)\n", {"user.position": Vec3(6.0, 0.0, 0.0)})
+    calls = []
+    evaluate = Engine.evaluate_condition
+    monkeypatch.setattr(Engine, "evaluate_condition",
+                        lambda self, cond_id: calls.append(cond_id) or evaluate(self, cond_id))
+    for position in walk:
+        engines[0].process_event([(USER, position)])
+    monkeypatch.undo()
+    for position in walk:
+        engines[1].process_event([(USER, position)])
+    assert_same_lines(engines[0].trace.render(), engines[1].trace.render())
+    inside = sum(abs(p.x) < 1.0 for p in walk)
+    assert inside == 7 and len(calls) <= inside + 6, calls
+
+
+def test_an_operand_that_reads_a_feature_directly_is_not_gated_on_it():
+    """``c`` is one operand that reads user.position through dist() and
+    directly. Its dist() atom stays false far inside its safe region, yet
+    each position write makes ``c`` due, and it turns true where the
+    direct read matches, as in the loop that evaluates it at every step."""
+    rules = (
+        "condition c: dist(user.position, scene.s.position) > 100.0 || user.position == (5.0,0.0,0.0)\n"
+        "rule R when c do set_visible(s, false) category Style\n"
+    )
+    engines = engine_pair(rules, "element s at (0.0,0.0,0.0)\n", {"user.position": Vec3(4.0, 0.0, 0.0)})
+    for x in (4.5, 5.0, 5.5):
+        for engine in engines:
+            engine.process_event([(USER, Vec3(x, 0.0, 0.0))])
+    assert_same_lines(engines[0].trace.render(), engines[1].trace.render())
+    assert [ev.body for ev in engines[0].trace.events if ev.kind == "cond"] == [
+        "COND c -> false", "COND c -> true", "COND c -> false"]
 
 
 class TestFailingAction:
@@ -922,10 +968,10 @@ def test_trace_render_is_each_line_rendered(monkeypatch):
     )
     engine.process_event([(FeatureId.parse("env.x"), True)])
     lines = "".join(ev.render() + "\n" for ev in engine.trace)
-    assert engine.trace.render() == lines
+    assert_same_lines(engine.trace.render(), lines)
     for chunk in (1, 2, 3):  # 8 lines: chunks that divide them, and one that leaves a part
         monkeypatch.setattr(engine_module, "RENDER_CHUNK", chunk)
-        assert engine.trace.render() == lines
+        assert_same_lines(engine.trace.render(), lines, f"chunk {chunk}")
 
 
 def _appended_trace() -> tuple[Trace, list[TraceEvent]]:
@@ -954,8 +1000,8 @@ def test_trace_render_longer_than_a_chunk():
     assert Trace().render() == ""
     trace, expected = _appended_trace()
     assert list(trace) == expected
-    assert trace.render() == "".join(ev.render() + "\n" for ev in expected)
-    assert trace.render() == "".join(ev.render() + "\n" for ev in trace)
+    assert_same_lines(trace.render(), "".join(ev.render() + "\n" for ev in expected))
+    assert_same_lines(trace.render(), "".join(ev.render() + "\n" for ev in trace))
 
 
 class TestTraceEventsView:
@@ -1111,7 +1157,7 @@ class TestLineKind:
             kinds = [engine_module.line_kind(line.split(" ", 3)[3]) for line in text.splitlines()]
             assert set(kinds) <= KINDS, golden
             trace = run_fixture(rules, scene, scenario, workflow, store=store_from(initial))
-            assert trace.render() == text, golden
+            assert_same_lines(trace.render(), text, golden)
             assert [ev.kind for ev in trace] == kinds, golden
 
 

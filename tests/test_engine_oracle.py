@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from adaptkit import AdaptError, ContextStore, Engine, FeatureId, Vec3, parse_rules, parse_scene, parse_workflow
 from adaptkit.values import render_value
 
-from conftest import scene_state, scene_states_equal
+from conftest import assert_same_lines, scene_state, scene_states_equal
 from naive_engine import NaiveEngine
 
 FLOATS = ("env.f0", "env.f1", "env.f2")
@@ -42,7 +42,7 @@ def _value(rng: random.Random, feature: str):
 
 def _atom(rng: random.Random, elements) -> str:
     el = rng.choice(elements)
-    kind = rng.randrange(9)
+    kind = rng.randrange(10)
     if kind == 0:
         return f"{rng.choice(FLOATS)} {rng.choice(OPS)} {rng.randint(0, 6)}.0"
     if kind == 1:
@@ -59,6 +59,8 @@ def _atom(rng: random.Random, elements) -> str:
         return f"scene.{el}.yaw {rng.choice(('<', '>'))} {rng.choice(('1.0', '3.0', '5.0'))}"
     if kind == 7:
         return f"dist(user.position, scene.{el}.position) < {rng.randint(1, 5)}.0"
+    if kind == 8:  # the position read directly: no dist() atom gates an operand this is in
+        return f"user.position != ({rng.randint(-3, 3)}.0,1.6,{rng.randint(-3, 3)}.0)"
     return f'env.t0 == "{rng.choice(WORDS)}"'
 
 
@@ -156,6 +158,7 @@ def _state(engine: Engine):
 
 
 def _assert_same(fast: Engine, naive: Engine) -> None:
+    assert_same_lines(fast.trace.render(), naive.trace.render())
     assert _state(fast) == _state(naive)
     assert scene_states_equal(scene_state(fast.scene), scene_state(naive.scene))
 

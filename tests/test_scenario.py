@@ -19,7 +19,7 @@ from adaptkit import (
 
 from adaptkit import scenario as scenario_module
 
-from conftest import fixture_text, load_fixture_bundle, run_fixture, store_from
+from conftest import assert_same_lines, fixture_text, load_fixture_bundle, run_fixture, store_from
 
 
 class TestParseScenario:
@@ -127,7 +127,7 @@ class TestRunScenario:
         rules2, scene2, _, _ = load_fixture_bundle(
             "printer/printer.rules", "printer/printer.scene", "printer/dark_switch.scenario"
         )
-        assert run_scenario(rules2, scene2, scaled).render() == base
+        assert_same_lines(run_scenario(rules2, scene2, scaled).render(), base)
 
     def test_event_batching_is_atomic(self):
         # covered at engine level too; here through the scenario file format
