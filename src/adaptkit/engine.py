@@ -96,16 +96,18 @@ chain at its top, or the whole condition. Each says what makes it due
 (dsl.Operand): a write to one of its keys, or to a feature it reads only
 through dist() atoms, its gates, once one of those atoms is past its
 deadline. So on a head-tracking stream a position step re-tests only the
-thresholds it may have crossed. One routine, _index, adds a condition
-under an operand's keys and gates or removes it from them. A condition is
-indexed under every operand, except that a chain that was false at its
-last evaluation is indexed under its first false operand alone (_watch):
-the watched literal of Chaff (Moskewicz et al., DAC 2001). The chain
-stays false until that operand is due. No error hides there: every
-operand evaluated then without one, features keep their type and stay
-set (ContextStore.set_feature), WRITABLE fixes scene property types and
+thresholds it may have crossed. The index of inputs to conditions is
+built once, at construction, with an entry for every operand of every
+condition; a chain's evaluation keeps the index of its first false
+operand (Compiled.first_false). A hit counts only while that is None or
+is the operand whose entry was hit, so a chain that was false at its last
+evaluation waits for its first false operand alone: the watched literal
+of Chaff (Moskewicz et al., DAC 2001). The chain stays false until that
+operand is due. No error hides there: every operand evaluated then
+without one, features keep their type and stay set
+(ContextStore.set_feature), WRITABLE fixes scene property types and
 positions are fixed. A condition never evaluated, or whose evaluation
-raised, is evaluated and re-indexed in a full cycle first.
+raised, is evaluated in a full cycle first.
 
 Billboards are re-aimed only when the user's position is another object
 than at the last complete re-aim, or a yaw or billboard property was
@@ -132,7 +134,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .context import ChangeFlag, ContextStore, FeatureId
-from .dsl import EFFECTOR_PROPERTY, Odometer, Operand, RuleSet, compile_expr, unresolved
+from .dsl import EFFECTOR_PROPERTY, Odometer, RuleSet, compile_expr, unresolved
 from .errors import (
     ActionError,
     AdaptError,
@@ -378,20 +380,22 @@ class Engine:
         odometers: dict[FeatureId, Odometer] = {}  # one per feature, shared by its dist() atoms
         compiled = [compile_expr(c.expr, store, scene, odometers) for c in rules.conditions]
         self._evaluators = {c.id: k.evaluate for c, k in zip(rules.conditions, compiled)}
-        # What makes each condition due, kept by _index: _readers maps an
-        # input (FeatureId or (element, property)) to the indices of the
-        # conditions indexed under it as an operand's key, and _guarded maps
-        # a feature to its odometer and {gate: condition index}. A condition
-        # is indexed under every operand, or under the one _watched names.
-        self._readers: dict[object, list[int]] = {}
-        self._guarded: dict[FeatureId, tuple[Odometer, dict]] = {}
-        # a condition of one operand is never re-indexed: its first_false stays None
-        self._operands = [k.operands if len(k.operands) > 1 else () for k in compiled]
-        self._first_false = [k.first_false for k in compiled]
-        self._watched: list[int | None] = [None] * len(compiled)
+        # What makes each condition due, built here and never changed:
+        # _readers maps an input (FeatureId or (element, property)) to an
+        # (i, cell, j) entry for each operand j of condition i that has it
+        # as a key, cell being i's first_false, and _guarded maps a feature
+        # to its odometer and a (gate, i, cell, j) entry for each gate on it.
+        readers: dict[object, list] = {}
+        guarded: dict[FeatureId, tuple[Odometer, list]] = {}
         for i, k in enumerate(compiled):
-            for operand in k.operands:
-                self._index(i, operand, True)
+            cell = k.first_false
+            for j, operand in enumerate(k.operands):
+                for key in operand.keys:
+                    readers.setdefault(key, []).append((i, cell, j))
+                for gate in operand.gates:
+                    guarded.setdefault(gate.feature, (gate.odometer, []))[1].append((gate, i, cell, j))
+        self._readers = {key: tuple(entries) for key, entries in readers.items()}
+        self._guarded = {f: (odometer, tuple(gates)) for f, (odometer, gates) in guarded.items()}
         listed_by: dict[str, list[int]] = {}
         for j, r in enumerate(rules.rules):
             for cid in dict.fromkeys(r.conditions):
@@ -604,23 +608,24 @@ class Engine:
             if full:
                 cond_ids = range(len(conditions))
             else:
+                # a hit counts while its chain has no false operand or it
+                # is the first false one; only gates past their deadline can flip
                 readers = self._readers
-                due = {i for key in (*features, *props) for i in readers.get(key, ())}
+                due = {i for key in (*features, *props) for i, cell, j in readers.get(key, ())
+                       if cell[0] is None or cell[0] == j}
                 for feature in features:
                     guard = self._guarded.get(feature)
-                    if guard is not None:  # only gates past their deadline can flip
+                    if guard is not None:
                         odometer, gates = guard
                         total = odometer.see(self.store._values[feature])
-                        due.update([i for gate, i in gates.items() if total >= gate.deadline])
+                        due.update([i for gate, i, cell, j in gates
+                                    if (cell[0] is None or cell[0] == j) and total >= gate.deadline])
                 cond_ids = sorted(due)
             flipped = []
-            first_false, watched = self._first_false, self._watched
             for i in cond_ids:
                 cond_id = conditions[i].id
                 if self.evaluate_condition(cond_id)[1]:
                     flipped.append(cond_id)
-                if first_false[i][0] != watched[i]:
-                    self._watch(i)
             activity = bool(flipped)
 
             if full:
@@ -670,36 +675,6 @@ class Engine:
 
         trace.append(f"NONQUIESCENT depth={self.max_cascade_depth}")
         raise NonQuiescent(self.max_cascade_depth, trace=self.trace)
-
-    def _watch(self, i: int) -> None:
-        """Index condition ``i`` by its first false operand, or by every
-        operand if none was false."""
-        old, new = self._watched[i], self._first_false[i][0]
-        self._watched[i] = new
-        operands = self._operands[i]
-        keep = () if new is None else operands[new].keys
-        for j, operand in enumerate(operands):
-            now = new is None or new == j
-            if now != (old is None or old == j):
-                self._index(i, operand, now, keep)
-
-    def _index(self, i: int, operand: Operand, add: bool, keep: tuple = ()) -> None:
-        """Add condition ``i`` under ``operand``'s keys and gates, or remove it
-        from them, but not from a key in ``keep``."""
-        readers = self._readers
-        for key in operand.keys:
-            found = readers.setdefault(key, [])
-            if add:
-                if i not in found:
-                    found.append(i)
-            elif i in found and key not in keep:
-                found.remove(i)
-        for gate in operand.gates:
-            gates = self._guarded.setdefault(gate.feature, (gate.odometer, {}))[1]
-            if add:
-                gates[gate] = i
-            else:
-                del gates[gate]
 
     def _workflow_phase(self, cond_values: dict[str, bool]) -> bool:
         if not self.workflow.applied:

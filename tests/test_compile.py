@@ -351,9 +351,10 @@ def _chain_shapes(rules_text: str, scene_text: str) -> dict:
 
 
 def test_the_compiled_chains_stay_as_they_are():
-    """The chains Engine._watch indexes and the dist() atoms that gate their
-    operands, for the shipped fixtures and the benchmark's workloads at
-    seed 1. A dist() atom's element position is a key no write reaches."""
+    """The operands the engine indexes each condition by, and the dist()
+    atoms that gate them, for the shipped fixtures and the benchmark's
+    workloads at seed 1. A dist() atom's element position is a key no
+    write reaches."""
     for base, shapes in (
         ("printer/printer", {((1, 0),): 3, ((1, 1),): 1}),
         ("warehouse/warehouse", {((1, 0),): 3, ((1, 1),): 4}),

@@ -838,6 +838,32 @@ def test_a_gated_operand_keeps_its_chain_from_being_evaluated(monkeypatch):
     assert inside == 7 and len(calls) <= inside + 6, calls
 
 
+def test_a_gate_of_an_operand_that_is_not_watched_makes_nothing_due(monkeypatch):
+    """``c``'s first operand, ``scene.s.visible == false``, stays false, and
+    its second reads user.position only through dist(). While the first is
+    false, a position write does not make ``c`` due, even where the walk
+    crosses the radius around s and the dist() atom is past its deadline:
+    after E0 the walk evaluates ``c`` never, and writes the trace of the
+    loop that evaluates it at every step."""
+    rules = (
+        "condition c: scene.s.visible == false && dist(user.position, scene.s.position) < 1.0\n"
+        "rule R when c do set_text(s, \"near\") category Style\n"
+    )
+    walk = [Vec3(6.0 - 0.3 * k, 0.0, 0.0) for k in range(1, 41)]
+    engines = engine_pair(rules, "element s at (0.0,0.0,0.0)\n", {"user.position": Vec3(6.0, 0.0, 0.0)})
+    calls = []
+    evaluate = Engine.evaluate_condition
+    monkeypatch.setattr(Engine, "evaluate_condition",
+                        lambda self, cond_id: calls.append(cond_id) or evaluate(self, cond_id))
+    for position in walk:
+        engines[0].process_event([(USER, position)])
+    monkeypatch.undo()
+    for position in walk:
+        engines[1].process_event([(USER, position)])
+    assert_same_lines(engines[0].trace.render(), engines[1].trace.render())
+    assert sum(abs(p.x) < 1.0 for p in walk) == 7 and calls == []
+
+
 def test_an_operand_that_reads_a_feature_directly_is_not_gated_on_it():
     """``c`` is one operand that reads user.position through dist() and
     directly. Its dist() atom stays false far inside its safe region, yet
