@@ -139,7 +139,7 @@ def _save_state(args, store: ContextStore, persist_keys) -> None:
     if persist_keys is None:
         return
     path = Path(args.state_file)
-    text = save_state(store, sorted(persist_keys, key=str))
+    text = save_state(store, persist_keys)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     f = open(tmp, "w", encoding="utf-8")
     try:

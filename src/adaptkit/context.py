@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import string
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import MalformedStateFile, TypeMismatch, UnknownFeature
@@ -43,60 +42,39 @@ def _is_name(s: str) -> bool:
 _PREFIXES = {c.value: c for c in ContextCategory}
 
 
-@dataclass(frozen=True)
-class FeatureId:
-    """A context feature, rendered as e.g. ``env.luminance``.
+class FeatureId(str):
+    """A context feature: a ``str`` equal to its rendered id, e.g. ``env.luminance``.
 
-    ``parse`` returns one object per id text while any holds it, so the
-    store, dirty-set and read-set lookups of parsed ids stop at the identity
-    test; ids built with the constructor are equal and hash alike.
+    A plain string with the same text finds the same store, dirty-set and
+    read-set entries, and ids sort by their text.
     """
 
-    # written out, not slots=True: the weak reference parse's table needs
-    # takes weakref_slot=True, which Python 3.10 lacks
-    __slots__ = ("category", "name", "_hash", "__weakref__")
+    __slots__ = ()
 
-    category: ContextCategory
-    name: str
+    def __new__(cls, category: ContextCategory, name: str) -> "FeatureId":
+        if not _is_name(name):
+            raise ValueError(f"invalid feature name: {name!r}")
+        return str.__new__(cls, f"{category.value}.{name}")
 
-    def __post_init__(self):
-        if not _is_name(self.name):
-            raise ValueError(f"invalid feature name: {self.name!r}")
-        # computed once: the generated hash would hash the enum member, in
-        # Python code, on every store, dirty-set and read-set lookup
-        object.__setattr__(self, "_hash", hash((self.category.value, self.name)))
+    @property
+    def category(self) -> ContextCategory:
+        return _PREFIXES[self.partition(".")[0]]
 
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def name(self) -> str:
+        return self.partition(".")[2]
 
     def __reduce__(self):
-        # string hashes differ between processes, so a copy hashes anew
+        # the constructor takes a category and a name, not the text
         return FeatureId, (self.category, self.name)
-
-    def __str__(self) -> str:
-        return f"{self.category.value}.{self.name}"
 
     @staticmethod
     def parse(text: str) -> "FeatureId":
         """Parse ``env.name`` / ``user.name`` / ``platform.name``."""
-        feature = _parsed.get(text)
-        if feature is None:
-            prefix, dot, name = text.partition(".")
-            if not dot or prefix not in _PREFIXES or not _is_name(name):
-                raise ValueError(f"invalid feature id: {text!r}")
-            feature = _parsed[text] = FeatureId(_PREFIXES[prefix], name)
-        return feature
-
-
-# id text -> the FeatureId that parse returns for it; an entry lasts while
-# something else holds the id
-_parsed: weakref.WeakValueDictionary[str, FeatureId] = weakref.WeakValueDictionary()
-
-
-# FeatureId ordering must follow the rendered id, and enum instances do not
-# order by their string value, so sorting always goes through str().
-def sorted_ids(ids) -> list[FeatureId]:
-    return sorted(ids, key=str)
+        prefix, dot, name = text.partition(".")
+        if not dot or prefix not in _PREFIXES or not _is_name(name):
+            raise ValueError(f"invalid feature id: {text!r}")
+        return str.__new__(FeatureId, text)
 
 
 @dataclass
@@ -135,14 +113,14 @@ class ContextStore:
         return feature in self._values
 
     def keys(self) -> list[FeatureId]:
-        return sorted_ids(self._values)
+        return sorted(self._values)
 
     def drain_dirty(self) -> list[FeatureId]:
         """Return the features changed since the last drain and clear the set.
 
         Order is lexicographic by rendered id regardless of write order.
         """
-        out = sorted_ids(self._dirty)
+        out = sorted(self._dirty)
         self._dirty.clear()
         return out
 
@@ -154,7 +132,7 @@ def save_state(store: ContextStore, keys: list[FeatureId]) -> str:
     format, and text values are quoted.
     """
     lines = []
-    for fid in sorted_ids(keys):
+    for fid in sorted(keys):
         lines.append(f"{fid}={render_value(store.get_feature(fid))}")
     return "".join(line + "\n" for line in lines)
 

@@ -239,7 +239,8 @@ class _Bare:
 
 def _parse_action_arg(cur: Cursor):
     """A literal (a vector stays a tuple, so highlight can insist on ints),
-    a feature id, or a bare identifier."""
+    a feature id as a FeatureRef (a bare FeatureId is a str, which a text
+    check would take), or a bare identifier."""
     value = cur.literal()
     if value is not None:
         return value
@@ -249,7 +250,7 @@ def _parse_action_arg(cur: Cursor):
         parts = text.split(".")
         if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
             try:
-                return FeatureId.parse(text)
+                return FeatureRef(FeatureId.parse(text))
             except ValueError as e:
                 raise DslSyntaxError(cur.lineno, str(e)) from None
         if len(parts) == 1:
@@ -284,14 +285,14 @@ def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
     if len(args) != n:
         raise ExprTypeError(lineno, f"{effector} takes {n} argument(s), got {len(args)}")
     if effector == "set_feature":
-        if not isinstance(args[0], FeatureId):
+        if not isinstance(args[0], FeatureRef):
             raise ExprTypeError(lineno, "set_feature needs a feature id")
         v = args[1]
         if isinstance(v, tuple):
             v = Vec3(*v)
-        if isinstance(v, (_Bare, FeatureId)):
+        if isinstance(v, (_Bare, FeatureRef)):
             raise ExprTypeError(lineno, "set_feature needs a literal value")
-        return ActionCall(effector, feature=args[0], value=v)
+        return ActionCall(effector, feature=args[0].feature, value=v)
     elem = _need_element(args[0], lineno)
     if effector == "set_detail":
         if not isinstance(args[1], _Bare):

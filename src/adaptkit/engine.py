@@ -518,7 +518,7 @@ class Engine:
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
-                line = _Line(str(action.feature), _render_prior, rule_id)
+                line = _Line(action.feature, _render_prior, rule_id)
                 steps.append(_Step(action.feature, None, None, action.value, line))
                 continue
             spec = WRITABLE[prop]

@@ -21,6 +21,7 @@ from adaptkit import (
     load_state,
     save_state,
 )
+from adaptkit.values import type_name
 
 ENV = ContextCategory.ENVIRONMENT
 USER = ContextCategory.USER
@@ -100,11 +101,19 @@ class TestFeatureId:
         table[b] += 1
         assert table == {LUM: 2} and b in {a} and FeatureId.parse("user.luminance") not in table
 
-    def test_parsed_ids_are_one_object(self):
-        a = FeatureId.parse("env.luminance")
-        assert FeatureId.parse("env.luminance") is a
-        assert FeatureId.parse("user.luminance") is not a
-        assert not hasattr(a, "__dict__")  # slotted
+    def test_a_feature_id_is_its_text(self):
+        a = FeatureId.parse("env.x")
+        assert a == "env.x" and hash(a) == hash("env.x")
+        store = ContextStore()
+        store.set_feature(a, 1)
+        assert store.get_feature("env.x") == 1 and store.has_feature("env.x")
+        assert a.category is ENV and a.name == "x"
+        assert (LUM.category, LUM.name) == (ENV, "luminance")
+        with pytest.raises(ValueError, match="invalid feature name: 'X'"):
+            FeatureId(ENV, "X")
+        with pytest.raises(ValueError, match="invalid feature id: 'env.X'"):
+            FeatureId.parse("env.X")
+        assert not hasattr(a, "__dict__") and not hasattr(LUM, "__dict__")  # slotted
 
     def test_copies_hash_alike(self):
         copied = pickle.loads(pickle.dumps(LUM))
@@ -175,6 +184,15 @@ class TestPersistence:
             store.set_feature(FeatureId(ENV, name), 1)
         text = save_state(store, [FeatureId(ENV, n) for n in ("zeta", "mid", "alpha")])
         assert text.splitlines() == ["env.alpha=1", "env.mid=1", "env.zeta=1"]
+
+    def test_a_feature_id_value_is_stored_as_text(self):
+        store = ContextStore()
+        store.set_feature(LUM, FeatureId.parse("env.b"))
+        assert type_name(store.get_feature(LUM)) == "text"
+        text = save_state(store, [LUM])
+        assert text == 'env.luminance="env.b"\n'
+        loaded = load_state(text).get_feature(LUM)
+        assert type(loaded) is str and loaded == "env.b"
 
     def test_saving_unset_key_is_an_error(self):
         with pytest.raises(UnknownFeature):

@@ -199,6 +199,8 @@ class TestParseRules:
             "set_visible(e, 1)",
             "set_billboard(e, \"yes\")",
             "set_text(e, 3)",
+            "set_text(e, env.x)",
+            "set_visible(e, env.x)",
             "set_text_size(e, 0)",
             "highlight(e, (256,0,0))",
             "highlight(e, (1.0,0,0))",
