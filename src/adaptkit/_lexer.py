@@ -1,24 +1,25 @@
 """The one tokenizer behind every text format: rules, scene, workflow and
 scenario files, and the values of state files.
 
-One master regular expression, with a named group per token kind, reads a
-line (the tokenizer recipe of the ``re`` documentation). The kinds are:
+One regular expression with one group reads a line, and a token is its
+text. Its kind is read from its first character:
 
-* ``ref``: an identifier, or several joined by dots (``env.luminance``);
-* ``num``: ``-?digits[.digits][e[+-]digits]``, in ASCII digits;
-* ``vec``: ``(x, y, z)``, three numbers;
-* ``op``: ``<= >= == != && || < > ! ( ) , : ; =``;
-* ``str``: a double-quoted string on one line (no CR or LF) whose only
-  escapes are ``\\"`` and ``\\\\``;
-* ``comment``: ``#`` outside a string, up to the end of the line;
-* ``bad``: a character that starts no other kind, and the rest after it.
+* ``ref`` (a letter or ``_``): an identifier, or several joined by dots
+  (``env.luminance``);
+* ``num`` (a digit or ``-``): ``-?digits[.digits][e[+-]digits]``, in ASCII
+  digits;
+* ``vec`` (``(`` and more): ``(x, y, z)``, three numbers;
+* ``op`` (anything else, ``(`` alone included): ``<= >= == != && || < > !
+  ( ) , : ; =``;
+* ``str`` (``"``): a double-quoted string on one line (no CR or LF) whose
+  only escapes are ``\\"`` and ``\\\\``;
+* ``comment`` (``#``): ``#`` outside a string, up to the end of the line.
 
 ASCII whitespace between tokens is free and yields no token; any other
-space, such as U+00A0, is ``bad``. A token is the plain tuple
-``re.findall`` makes of a match: one string per kind, in the order above,
-all empty but its own kind's text. So ``tok[REF] == "rule"`` asks for the
-identifier ``rule`` and ``tok[NUM]`` is the text of a number or empty. A
-``bad`` token is a DslSyntaxError.
+space, such as U+00A0, is an unexpected character. A character that
+starts no token is a DslSyntaxError. Tokens of two kinds never have the
+same text, so ``tok == "rule"`` asks for the identifier ``rule`` and
+``tok == "("`` for the parenthesis.
 
 :func:`literal` is the one reader of literal values: integers and
 floats (each must be finite as a float), ``true``/``false``, strings, and
@@ -29,48 +30,47 @@ from __future__ import annotations
 
 import math
 import re
+import string
 
 from .errors import DslSyntaxError
 
 _NUM = r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-_TOKEN_RE = re.compile(
-    rf"""
-    \s*
-    (?:
-      (?P<ref>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
-    | (?P<num>{_NUM})
-    | (?P<vec>\(\s*{_NUM}\s*,\s*{_NUM}\s*,\s*{_NUM}\s*\))
-    | (?P<op><=|>=|==|!=|&&|\|\||[<>!(),:;=])
-    | (?P<str>"(?:\\["\\]|[^"\\\r\n])*")
-    | (?P<comment>\#.*)
-    | (?P<bad>(?s:\S.*))
-    )
-    """,
-    re.VERBOSE | re.ASCII,
-)
-# Every match starts with the whitespace before its token, so findall
-# yields one tuple per token and skips nothing but trailing whitespace.
-# "bad" takes the rest of the text, so it can only be the last token. A
-# vector is one token, not seven, and tokens are findall's tuples rather
-# than (kind, text) pairs built in Python, because tokenizing is most of
-# the cost of parsing; vec comes before op's "(".
+_TOKEN = rf"""
+      [A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*
+    | {_NUM}
+    | \(\s*{_NUM}\s*,\s*{_NUM}\s*,\s*{_NUM}\s*\)
+    | <=|>=|==|!=|&&|\|\||[<>!(),:;=]
+    | "(?:\\["\\]|[^"\\\r\n])*"
+    | \#.*
+"""
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|(?s:\S.*))", re.VERBOSE | re.ASCII)
+_ONE_TOKEN_RE = re.compile(_TOKEN, re.VERBOSE | re.ASCII)
+# The kinds come in the docstring's order; vec comes before op's "(". A
+# match starts with the whitespace before its token, so findall yields one
+# string per token, a vector included, and skips only trailing whitespace.
+# The last alternative takes the rest of the text, so only the last token
+# can be one that no kind matches, and then no kind matches it whole.
 
-# a token's index for each kind: findall puts group n at index n - 1
-REF, NUM, VEC, OP, STR, COMMENT, BAD = (
-    _TOKEN_RE.groupindex[kind] - 1 for kind in ("ref", "num", "vec", "op", "str", "comment", "bad")
-)
+_KINDS = {
+    **dict.fromkeys(string.ascii_letters + "_", "ref"),
+    **dict.fromkeys(string.digits + "-", "num"),
+    "(": "vec",
+    '"': "str",
+    "#": "comment",
+}
 
 
-def text_of(tok: tuple[str, ...]) -> str:
-    """The source text of a token."""
-    return "".join(tok)
+def kind(tok: str) -> str:
+    """The kind of a token from :func:`tokenize`, read from its first
+    character: ``ref``, ``num``, ``vec``, ``op``, ``str`` or ``comment``."""
+    return "op" if tok == "(" else _KINDS.get(tok[0], "op")
 
 
-def tokenize(text: str, lineno: int) -> list[tuple[str, ...]]:
+def tokenize(text: str, lineno: int) -> list[str]:
     """The tokens of ``text``, a trailing comment included."""
     tokens = _TOKEN_RE.findall(text)
-    if tokens and tokens[-1][BAD]:
-        char = tokens[-1][BAD][0]
+    if tokens and _ONE_TOKEN_RE.fullmatch(tokens[-1]) is None:
+        char = tokens[-1][0]
         if char == '"':
             raise DslSyntaxError(lineno, "unterminated string, or an escape other than \\\" and \\\\")
         raise DslSyntaxError(lineno, f"unexpected character {char!r}")
@@ -82,7 +82,7 @@ def lines(text: str):
     token, its comment dropped; line numbers are 1-based."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         tokens = tokenize(line, lineno)
-        if tokens and tokens[-1][COMMENT]:
+        if tokens and tokens[-1][0] == "#":
             tokens.pop()
         if tokens:
             yield lineno, tokens
@@ -99,19 +99,20 @@ def _number(text: str, lineno: int) -> int | float:
     return int(text)
 
 
-def literal(tok: tuple[str, ...], lineno: int):
+def literal(tok: str, lineno: int):
     """The value of a literal token: an int, a float, a bool, a str, or a
     vector as a tuple of three numbers, each int or float as written.
     None when the token is no literal."""
-    if tok[NUM]:
-        return _number(tok[NUM], lineno)
-    if tok[VEC]:
-        x, y, z = tok[VEC][1:-1].split(",")
+    k = _KINDS.get(tok[0])
+    if k == "num":
+        return _number(tok, lineno)
+    if k == "ref":
+        return True if tok == "true" else False if tok == "false" else None
+    if k == "str":
+        return tok[1:-1].replace('\\"', '"').replace("\\\\", "\\")
+    if k == "vec" and tok != "(":
+        x, y, z = tok[1:-1].split(",")
         return (_number(x, lineno), _number(y, lineno), _number(z, lineno))
-    if tok[STR]:
-        return tok[STR][1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if tok[REF] == "true" or tok[REF] == "false":
-        return tok[REF] == "true"
     return None
 
 
@@ -121,47 +122,43 @@ class Cursor:
 
     __slots__ = ("tokens", "lineno", "i")
 
-    def __init__(self, tokens: list[tuple[str, ...]], lineno: int):
+    def __init__(self, tokens: list[str], lineno: int):
         self.tokens = tokens
         self.lineno = lineno
         self.i = 0
 
-    def peek(self) -> tuple[str, ...] | None:
+    def peek(self) -> str | None:
         i = self.i
         return self.tokens[i] if i < len(self.tokens) else None
 
-    def next(self) -> tuple[str, ...]:
+    def next(self) -> str:
         i = self.i
         if i >= len(self.tokens):
             raise DslSyntaxError(self.lineno, "unexpected end of line")
         self.i = i + 1
         return self.tokens[i]
 
-    def at_op(self, text: str) -> bool:
+    def at(self, text: str) -> bool:
+        """Whether the next token is ``text``."""
         i = self.i
-        return i < len(self.tokens) and self.tokens[i][OP] == text
+        return i < len(self.tokens) and self.tokens[i] == text
 
-    def at_ref(self, text: str) -> bool:
-        i = self.i
-        return i < len(self.tokens) and self.tokens[i][REF] == text
-
-    def expect_op(self, text: str) -> None:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok[OP] != text:
-            raise DslSyntaxError(self.lineno, f"expected {text!r}, got {text_of(tok)!r}")
+        if tok != text:
+            raise DslSyntaxError(self.lineno, f"expected {text!r}, got {tok!r}")
 
     def expect_end(self, where: str) -> None:
         tok = self.peek()
         if tok is not None:
-            raise DslSyntaxError(self.lineno, f"trailing input {where}: {text_of(tok)!r}")
+            raise DslSyntaxError(self.lineno, f"trailing input {where}: {tok!r}")
 
     def ident(self, what: str) -> str:
         """Read an identifier without dots; ``what`` names it in the error."""
         tok = self.next()
-        name = tok[REF]
-        if not name or "." in name:
-            raise DslSyntaxError(self.lineno, f"expected {what}, got {text_of(tok)!r}")
-        return name
+        if not tok.isidentifier():  # ASCII, so just [A-Za-z_][A-Za-z0-9_]*
+            raise DslSyntaxError(self.lineno, f"expected {what}, got {tok!r}")
+        return tok
 
     def literal(self):
         """Read a literal token (see :func:`literal`); None, consuming

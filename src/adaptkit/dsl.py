@@ -12,10 +12,13 @@ scene references (``scene.<element>.<property>``), literals, comparisons
 function ``dist(a, b)``. There is no other arithmetic. Equality follows
 the store's change detection: bitwise on floats, so no epsilons. Boolean
 connectives evaluate both operands so unset features always surface.
-Expressions nest at most MAX_DEPTH deep and MAX_HEIGHT high. The parser
-types them with ``check_expr``; ``compile_expr`` is how an expression is
-evaluated: it turns every node into a closure, once, and a comparison of a
-source with a number into an atom.
+``||`` binds loosest, then ``&&``, then the comparisons, which do not
+chain (_PREC: the parser climbs it, render_expr reads it). Expressions
+nest at most MAX_DEPTH deep and MAX_HEIGHT high. The parser makes one
+leaf per distinct token text and types expressions with ``check_expr``;
+``compile_expr`` is how an expression is evaluated: it turns every node
+into a closure, once, and a comparison of a source with a number into an
+atom, and lists what each operand reads.
 
 Actions come from a closed effector vocabulary; ``set_feature`` writes a
 context feature and is what lets one rule's effects trigger another rule.
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ._lexer import OP, REF, Cursor, lines, text_of
+from ._lexer import Cursor, kind, lines, literal
 from .context import ContextStore, FeatureId
 from .errors import (
     DslSyntaxError,
@@ -41,7 +44,7 @@ from .errors import (
     UnknownConditionRef,
     UnknownEffector,
 )
-from .scene import READABLE_PROPS, WRITABLE, DetailLevel, Modality, SceneElement, SceneModel, distance
+from .scene import DETAIL_LEVELS, MODALITIES, READABLE_PROPS, WRITABLE, Modality, SceneElement, SceneModel, distance
 from .values import Value, Vec3, quote_text, type_name, values_equal
 
 
@@ -52,6 +55,9 @@ class AdaptationCategory(enum.Enum):
     CONTENT_PRESENTATION = "ContentPresentation"
     REAL_WORLD = "RealWorld"
     VIRTUAL_WORLD = "VirtualWorld"
+
+
+_CATEGORIES = {c.value: c for c in AdaptationCategory}  # each by its name in a rules file
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +107,15 @@ class Dist:
 Expr = Lit | FeatureRef | SceneRef | Compare | BoolOp | Not | Dist
 
 _ORDERING_OPS = ("<", "<=", ">", ">=")
-_COMPARE_OPS = _ORDERING_OPS + ("==", "!=")
 
-# How deep an expression may nest. The parser takes about six frames per
-# parenthesis, '!' or 'dist(' around a part, and a walk over the tree up to
-# two per level of its height, so these keep both well inside the
-# interpreter's default limit of 1000 frames.
+# the binary operators by precedence, for parsing and printing: a higher one
+# binds tighter, and a comparison's operands are no binary nodes
+_PREC = {"||": 1, "&&": 2, **dict.fromkeys(_ORDERING_OPS + ("==", "!="), 3)}
+
+# How deep an expression may nest. The parser takes up to four frames per
+# parenthesis or 'dist(' around a part and one per '!', and a walk over the
+# tree up to two per level of its height, so these keep both well inside
+# the interpreter's default limit of 1000 frames.
 MAX_DEPTH = 100  # parentheses, '!' and 'dist(' around any part
 MAX_HEIGHT = 300  # the tree's height; a '&&' or '||' chain is one level per operator
 
@@ -122,81 +131,76 @@ def _higher(cur: Cursor, *heights: int) -> int:
     return _nested(cur, max(heights) + 1, MAX_HEIGHT)
 
 
-# Each parse function takes the nesting ``depth`` around it and returns the
-# expression with its height (0 for a leaf).
+# Each parse function takes ``leaves``, which maps each token text read so
+# far to the leaf node it made, and the nesting ``depth`` around it, and
+# returns the expression with its height (0 for a leaf).
 
-def _parse_expr(cur: Cursor, depth: int = 0) -> tuple[Expr, int]:
-    return _parse_or(cur, depth)
-
-
-def _parse_or(cur: Cursor, depth: int) -> tuple[Expr, int]:
-    left, height = _parse_and(cur, depth)
-    while cur.at_op("||"):
+def _parse_expr(cur: Cursor, leaves: dict, depth: int = 0, lowest: int = 1) -> tuple[Expr, int]:
+    """An expression of binary operators of precedence ``lowest`` or more,
+    by precedence climbing: ``&&`` and ``||`` group to the left, and a
+    comparison takes no comparison as its operand."""
+    left, height = _parse_operand(cur, leaves, depth)
+    highest = 3
+    while True:
+        op = cur.peek()
+        prec = _PREC.get(op, 0)
+        if prec < lowest or prec > highest:
+            return left, height
         cur.next()
-        right, rh = _parse_and(cur, depth)
-        left, height = BoolOp("||", left, right), _higher(cur, height, rh)
-    return left, height
+        if prec == 3:
+            right, rh = _parse_operand(cur, leaves, depth)
+            left = Compare(op, left, right)
+        else:
+            right, rh = _parse_expr(cur, leaves, depth, prec + 1)
+            left = BoolOp(op, left, right)
+        height = _higher(cur, height, rh)
+        highest = min(prec, 2)  # no comparison follows, nor anything tighter than this node
 
 
-def _parse_and(cur: Cursor, depth: int) -> tuple[Expr, int]:
-    left, height = _parse_cmp(cur, depth)
-    while cur.at_op("&&"):
-        cur.next()
-        right, rh = _parse_cmp(cur, depth)
-        left, height = BoolOp("&&", left, right), _higher(cur, height, rh)
-    return left, height
-
-
-def _parse_cmp(cur: Cursor, depth: int) -> tuple[Expr, int]:
-    left, height = _parse_unary(cur, depth)
-    tok = cur.peek()
-    if tok is not None and tok[OP] in _COMPARE_OPS:
-        cur.next()
-        right, rh = _parse_unary(cur, depth)
-        return Compare(tok[OP], left, right), _higher(cur, height, rh)
-    return left, height
-
-
-def _parse_unary(cur: Cursor, depth: int) -> tuple[Expr, int]:
-    if cur.at_op("!"):
-        cur.next()
-        operand, height = _parse_unary(cur, _nested(cur, depth + 1))
-        return Not(operand), _higher(cur, height)
-    return _parse_primary(cur, depth)
-
-
-def _parse_primary(cur: Cursor, depth: int) -> tuple[Expr, int]:
-    value = cur.literal()
-    if value is not None:
-        return Lit(Vec3(*value) if isinstance(value, tuple) else value), 0
+def _parse_operand(cur: Cursor, leaves: dict, depth: int) -> tuple[Expr, int]:
+    """A leaf, ``dist(a, b)``, or an expression in parentheses or after ``!``."""
     tok = cur.next()
-    if tok[OP] == "(":
-        inner = _parse_expr(cur, _nested(cur, depth + 1))
-        cur.expect_op(")")
+    leaf = leaves.get(tok)
+    if leaf is not None:
+        return leaf, 0
+    if tok == "!":
+        operand, height = _parse_operand(cur, leaves, _nested(cur, depth + 1))
+        return Not(operand), _higher(cur, height)
+    if tok == "(":
+        inner = _parse_expr(cur, leaves, _nested(cur, depth + 1))
+        cur.expect(")")
         return inner
-    text = tok[REF]
-    if text:
-        parts = text.split(".")
-        if text == "dist":
-            cur.expect_op("(")
-            a, ah = _parse_expr(cur, _nested(cur, depth + 1))
-            cur.expect_op(",")
-            b, bh = _parse_expr(cur, depth + 1)
-            cur.expect_op(")")
-            return Dist(a, b), _higher(cur, ah, bh)
-        if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
-            try:
-                return FeatureRef(FeatureId.parse(text)), 0
-            except ValueError as e:
-                raise DslSyntaxError(cur.lineno, str(e)) from None
-        if len(parts) == 3 and parts[0] == "scene":
-            if parts[2] not in READABLE_PROPS:
-                raise ExprTypeError(
-                    cur.lineno, f"scene property {parts[2]!r} is not readable in expressions"
-                )
-            return SceneRef(parts[1], parts[2]), 0
-        raise DslSyntaxError(cur.lineno, f"unexpected identifier {text!r} in expression")
-    raise DslSyntaxError(cur.lineno, f"unexpected token {text_of(tok)!r}")
+    if tok == "dist":
+        cur.expect("(")
+        a, ah = _parse_expr(cur, leaves, _nested(cur, depth + 1))
+        cur.expect(",")
+        b, bh = _parse_expr(cur, leaves, depth + 1)
+        cur.expect(")")
+        return Dist(a, b), _higher(cur, ah, bh)
+    return _leaf(tok, leaves, cur.lineno), 0
+
+
+def _leaf(tok: str, leaves: dict, lineno: int) -> Expr:
+    """The leaf a token makes, a literal or a reference, kept in ``leaves``."""
+    value = literal(tok, lineno)
+    parts = tok.split(".")
+    if value is not None:
+        leaf = Lit(Vec3(*value) if type(value) is tuple else value)
+    elif kind(tok) != "ref":
+        raise DslSyntaxError(lineno, f"unexpected token {tok!r}")
+    elif len(parts) == 2 and parts[0] in ("env", "user", "platform"):
+        try:
+            leaf = FeatureRef(FeatureId.parse(tok))
+        except ValueError as e:
+            raise DslSyntaxError(lineno, str(e)) from None
+    elif len(parts) == 3 and parts[0] == "scene" and parts[2] in READABLE_PROPS:
+        leaf = SceneRef(parts[1], parts[2])
+    elif len(parts) == 3 and parts[0] == "scene":
+        raise ExprTypeError(lineno, f"scene property {parts[2]!r} is not readable in expressions")
+    else:
+        raise DslSyntaxError(lineno, f"unexpected identifier {tok!r} in expression")
+    leaves[tok] = leaf
+    return leaf
 
 
 # ---------------------------------------------------------------------------
@@ -230,79 +234,75 @@ EFFECTOR_PROPERTY = {
 }
 
 
-@dataclass(frozen=True)
-class _Bare:
-    """A bare identifier argument (element id or enum token)."""
-
-    name: str
-
-
-def _parse_action_arg(cur: Cursor):
-    """A literal (a vector stays a tuple, so highlight can insist on ints),
-    a feature id as a FeatureRef (a bare FeatureId is a str, which a text
-    check would take), or a bare identifier."""
-    value = cur.literal()
-    if value is not None:
-        return value
+def _parse_action_arg(cur: Cursor, leaves: dict):
+    """A bare identifier (an element id or an enum name) as its text; a
+    literal as its value, but a vector as a tuple, so highlight can insist
+    on ints, and a text as a Lit, so it is no bare identifier; or a feature
+    id as a FeatureRef (a bare FeatureId is a str, which a text check would
+    take)."""
     tok = cur.next()
-    text = tok[REF]
-    if text:
-        parts = text.split(".")
-        if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
-            try:
-                return FeatureRef(FeatureId.parse(text))
-            except ValueError as e:
-                raise DslSyntaxError(cur.lineno, str(e)) from None
-        if len(parts) == 1:
-            return _Bare(text)
-    raise DslSyntaxError(cur.lineno, f"unexpected action argument {text_of(tok)!r}")
+    value = literal(tok, cur.lineno)
+    if value is not None:
+        return Lit(value) if type(value) is str else value
+    if tok.isidentifier():
+        return tok
+    parts = tok.split(".")
+    if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
+        return leaves.get(tok) or _leaf(tok, leaves, cur.lineno)
+    raise DslSyntaxError(cur.lineno, f"unexpected action argument {tok!r}")
 
 
 def _need_element(arg, lineno: int) -> str:
-    if isinstance(arg, _Bare):
-        return arg.name
+    if type(arg) is str:
+        return arg
     raise ExprTypeError(lineno, "expected an element id")
 
 
 def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
-    """Bind an effector's arguments. A scene effector's constant is what the
-    property's WRITABLE check accepts, as it returns it; set_detail and
-    set_modality map names to their enums."""
+    """Bind an effector's arguments, as _parse_action_arg gives them. A
+    scene effector's constant is what the property's WRITABLE check
+    accepts, as it returns it; set_detail and set_modality map names to
+    their enums."""
     if effector == "set_modality":
         if len(args) < 2:
             raise ExprTypeError(lineno, "set_modality needs an element and at least one modality")
         elem = _need_element(args[0], lineno)
         mods = set()
         for a in args[1:]:
-            if not isinstance(a, _Bare):
+            if type(a) is not str:
                 raise ExprTypeError(lineno, "set_modality arguments must be modality names")
-            try:
-                mods.add(Modality(a.name))
-            except ValueError:
-                raise ExprTypeError(lineno, f"unknown modality {a.name!r}") from None
+            if a not in MODALITIES:
+                raise ExprTypeError(lineno, f"unknown modality {a!r}")
+            mods.add(MODALITIES[a])
         return ActionCall(effector, element=elem, value=frozenset(mods))
     n = 1 if effector == "clear_highlight" else 2
     if len(args) != n:
         raise ExprTypeError(lineno, f"{effector} takes {n} argument(s), got {len(args)}")
     if effector == "set_feature":
-        if not isinstance(args[0], FeatureRef):
+        if type(args[0]) is not FeatureRef:
             raise ExprTypeError(lineno, "set_feature needs a feature id")
         v = args[1]
-        if isinstance(v, tuple):
+        if type(v) is tuple:
             v = Vec3(*v)
-        if isinstance(v, (_Bare, FeatureRef)):
+        elif type(v) is Lit:
+            v = v.value
+        elif type(v) is str or type(v) is FeatureRef:
             raise ExprTypeError(lineno, "set_feature needs a literal value")
         return ActionCall(effector, feature=args[0].feature, value=v)
     elem = _need_element(args[0], lineno)
+    v = args[1] if n == 2 else None
     if effector == "set_detail":
-        if not isinstance(args[1], _Bare):
+        if type(v) is not str:
             raise ExprTypeError(lineno, "set_detail needs full or reduced")
-        try:
-            return ActionCall(effector, element=elem, value=DetailLevel(args[1].name))
-        except ValueError:
-            raise ExprTypeError(lineno, f"unknown detail level {args[1].name!r}") from None
+        if v not in DETAIL_LEVELS:
+            raise ExprTypeError(lineno, f"unknown detail level {v!r}")
+        return ActionCall(effector, element=elem, value=DETAIL_LEVELS[v])
+    if type(v) is Lit:
+        v = v.value
+    elif type(v) is str:
+        v = object()  # a bare identifier is no value, and no check takes this
     try:
-        value = WRITABLE[EFFECTOR_PROPERTY[effector]].check(args[1] if n == 2 else None)
+        value = WRITABLE[EFFECTOR_PROPERTY[effector]].check(v)
     except TypeMismatch as e:
         raise ExprTypeError(lineno, f"{effector}: {e}") from None
     return ActionCall(effector, element=elem, value=value)
@@ -352,56 +352,56 @@ def parse_rules(text: str) -> RuleSet:
     cond_ids: dict[str, int] = {}
     rule_ids: dict[str, int] = {}
     pending_refs: list[tuple[str, int]] = []  # (condition id, rule line)
+    leaves: dict[str, Expr] = {}  # token text -> its leaf node, one per distinct text
 
     for lineno, tokens in lines(text):
         cur = Cursor(tokens, lineno)
         head = cur.next()
-        if head[REF] == "condition":
+        if head == "condition":
             cid = cur.ident("a condition id")
-            cur.expect_op(":")
-            expr, _ = _parse_expr(cur)
+            cur.expect(":")
+            expr, _ = _parse_expr(cur, leaves)
             cur.expect_end("after expression")
-            kind, reads, error = check_expr(expr)
+            expr_type, reads, error = check_expr(expr)
             if error is not None:
                 raise ExprTypeError(lineno, error)
-            if kind not in (None, "bool"):
+            if expr_type not in (None, "bool"):
                 raise ExprTypeError(lineno, f"condition {cid!r} must evaluate to bool")
             if cid in cond_ids:
                 raise DuplicateId(lineno, f"duplicate condition id {cid!r}")
             cond_ids[cid] = lineno
             conditions.append(ConditionDef(cid, expr, line=lineno, reads=tuple(reads)))
-        elif head[REF] == "rule":
+        elif head == "rule":
             rid = cur.ident("a rule id")
             priority = 0
-            if cur.at_ref("priority"):
+            if cur.at("priority"):
                 cur.next()
                 priority = cur.literal()
                 if type(priority) is not int:
                     raise DslSyntaxError(lineno, "priority needs an integer")
-            if not cur.at_ref("when"):
+            if not cur.at("when"):
                 raise DslSyntaxError(lineno, "expected 'when'")
             cur.next()
             cond_refs = [cur.ident("a condition id")]
-            while cur.at_op(","):
+            while cur.at(","):
                 cur.next()
                 cond_refs.append(cur.ident("a condition id"))
-            if not cur.at_ref("do"):
+            if not cur.at("do"):
                 raise DslSyntaxError(lineno, "expected 'do'")
             cur.next()
-            actions = [_parse_one_action(cur)]
-            while cur.at_op(";"):
+            actions = [_parse_one_action(cur, leaves)]
+            while cur.at(";"):
                 cur.next()
-                actions.append(_parse_one_action(cur))
-            if not cur.at_ref("category"):
+                actions.append(_parse_one_action(cur, leaves))
+            if not cur.at("category"):
                 raise DslSyntaxError(lineno, "expected 'category'")
             cur.next()
-            name = cur.next()[REF]
-            if not name:
-                raise DslSyntaxError(lineno, "expected a category name")
-            try:
-                category = AdaptationCategory(name)
-            except ValueError:
-                raise UnknownCategory(lineno, f"unknown category {name!r}") from None
+            name = cur.next()
+            category = _CATEGORIES.get(name)
+            if category is None:
+                if kind(name) != "ref":
+                    raise DslSyntaxError(lineno, "expected a category name")
+                raise UnknownCategory(lineno, f"unknown category {name!r}")
             cur.expect_end("after category")
             if rid in rule_ids:
                 raise DuplicateId(lineno, f"duplicate rule id {rid!r}")
@@ -412,7 +412,7 @@ def parse_rules(text: str) -> RuleSet:
                 RuleDef(rid, priority, tuple(cond_refs), tuple(actions), category, line=lineno)
             )
         else:
-            raise DslSyntaxError(lineno, f"expected 'condition' or 'rule', got {text_of(head)!r}")
+            raise DslSyntaxError(lineno, f"expected 'condition' or 'rule', got {head!r}")
 
     for ref, rline in pending_refs:
         if ref not in cond_ids:
@@ -420,18 +420,18 @@ def parse_rules(text: str) -> RuleSet:
     return RuleSet(conditions, rules)
 
 
-def _parse_one_action(cur: Cursor) -> ActionCall:
+def _parse_one_action(cur: Cursor, leaves: dict) -> ActionCall:
     name = cur.ident("an effector name")
     if name not in EFFECTOR_PROPERTY:
         raise UnknownEffector(cur.lineno, f"unknown effector {name!r}")
-    cur.expect_op("(")
+    cur.expect("(")
     args = []
-    if not cur.at_op(")"):
-        args.append(_parse_action_arg(cur))
-        while cur.at_op(","):
+    if not cur.at(")"):
+        args.append(_parse_action_arg(cur, leaves))
+        while cur.at(","):
             cur.next()
-            args.append(_parse_action_arg(cur))
-    cur.expect_op(")")
+            args.append(_parse_action_arg(cur, leaves))
+    cur.expect(")")
     return _bind_action(name, args, cur.lineno)
 
 
@@ -587,43 +587,48 @@ def compile_expr(
     operands = []
     for node in _conjuncts(expr):
         atoms: list[_DistAtom] = []
-        parts.append(_build(node, store, scene, odometers, atoms))
-        reads = check_expr(node)[1]
-        features = [a.feature for a in atoms]
-        gated = {f for f in features if reads.count(f) == features.count(f)}
-        operands.append(Operand(tuple(dict.fromkeys(r for r in reads if r not in gated)),
-                                tuple([a for a in atoms if a.feature in gated])))
+        reads: list = []
+        parts.append(_build(node, store, scene, odometers, atoms, reads))
+        if atoms:
+            features = [a.feature for a in atoms]
+            gated = {f for f in features if reads.count(f) == features.count(f)}
+            reads = [r for r in reads if r not in gated]
+            atoms = [a for a in atoms if a.feature in gated]
+        operands.append(Operand(tuple(dict.fromkeys(reads)), tuple(atoms)))
     first_false: list = [None]
     evaluate = parts[0] if len(parts) == 1 else _chain(tuple(parts), first_false)
     return Compiled(evaluate, tuple(operands), first_false)
 
 
 def _build(
-    node: Expr, store: ContextStore, scene: SceneModel, odometers: dict, dist_atoms: list
+    node: Expr, store: ContextStore, scene: SceneModel, odometers: dict, dist_atoms: list, reads: list
 ) -> Callable[[], Value]:
     """compile_expr's evaluator for ``node``; each dist() atom made is appended
-    to ``dist_atoms``. A module function, not a closure that calls itself,
-    so that compiling leaves no reference cycle for the collector."""
+    to ``dist_atoms``, and what the node reads to ``reads``, as check_expr
+    lists it. A module function, not a closure that calls itself, so that
+    compiling leaves no reference cycle for the collector."""
     if isinstance(node, Lit):
         value = node.value
         return lambda: value
     if isinstance(node, FeatureRef):
+        reads.append(node.feature)
         return partial(store.get_feature, node.feature)
     if isinstance(node, SceneRef):
+        reads.append((node.element, node.prop))
         return partial(scene.get_property, node.element, node.prop)  # finds an element added later
     if isinstance(node, Not):
-        operand = _build(node.operand, store, scene, odometers, dist_atoms)
+        operand = _build(node.operand, store, scene, odometers, dist_atoms, reads)
         return lambda: _not(operand())
     if isinstance(node, Compare):
-        atom = _atom(node, store, scene, odometers)
+        atom = _atom(node, store, scene, odometers, reads)
         if atom is not None:
             if isinstance(atom, _DistAtom):
                 dist_atoms.append(atom)
             return atom.evaluate
     # two operands, both evaluated, left first, before the node checks them
     first, second = (node.a, node.b) if isinstance(node, Dist) else (node.left, node.right)
-    left = _build(first, store, scene, odometers, dist_atoms)
-    right = _build(second, store, scene, odometers, dist_atoms)
+    left = _build(first, store, scene, odometers, dist_atoms, reads)
+    right = _build(second, store, scene, odometers, dist_atoms, reads)
     if isinstance(node, Dist):
         return lambda: _dist(left(), right())
     op = node.op
@@ -669,18 +674,21 @@ def _conjuncts(node: Expr) -> list[Expr]:
     return [node]
 
 
-def _atom(expr: Compare, store: ContextStore, scene: SceneModel, odometers: dict) -> "_Atom | None":
+def _atom(expr: Compare, store: ContextStore, scene: SceneModel, odometers: dict, reads: list) -> "_Atom | None":
     """``source op constant`` as one atom, for an ordering op, an int or float
-    constant, and a source whose element, if it reads one, exists now."""
+    constant, and a source whose element, if it reads one, exists now; what
+    an atom reads is appended to ``reads``."""
     if expr.op not in _ORDERING_OPS or not isinstance(expr.right, Lit):
         return None
     source, const = expr.left, expr.right.value
     if type(const) is not int and type(const) is not float:
         return None
     if isinstance(source, FeatureRef):
+        reads.append(source.feature)
         return _FeatureAtom(expr.op, const, store, source.feature)
     if isinstance(source, SceneRef):
         if source.prop in READABLE_PROPS and source.prop != "position" and scene.has_element(source.element):
+            reads.append((source.element, source.prop))
             return _SceneAtom(expr.op, const, scene.element(source.element), source.prop)
     elif (
         isinstance(source, Dist)
@@ -694,6 +702,8 @@ def _atom(expr: Compare, store: ContextStore, scene: SceneModel, odometers: dict
         odometer = odometers.get(feature)
         if odometer is None:
             odometer = odometers[feature] = Odometer()
+        reads.append(feature)
+        reads.append((source.b.element, "position"))
         return _DistAtom(expr.op, const, store, feature, scene.element(source.b.element), odometer)
     return None
 
@@ -966,16 +976,6 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
 # ---------------------------------------------------------------------------
 # pretty printing
 
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, BoolOp):
-        return 1 if expr.op == "||" else 2
-    if isinstance(expr, Compare):
-        return 3
-    if isinstance(expr, Not):
-        return 4
-    return 5
-
-
 def _render_literal(value: Value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -991,22 +991,22 @@ def _render_literal(value: Value) -> str:
 
 
 def render_expr(expr: Expr, parent_prec: int = 0, right_side: bool = False) -> str:
-    mine = _prec(expr)
+    """``expr`` as the parser reads it back. Only a binary node is ever
+    parenthesized: under ``!`` or a tighter operator (_PREC), and as the
+    right operand of an equal one or either operand of a comparison."""
     if isinstance(expr, Lit):
-        s = _render_literal(expr.value)
-    elif isinstance(expr, FeatureRef):
-        s = str(expr.feature)
-    elif isinstance(expr, SceneRef):
-        s = f"scene.{expr.element}.{expr.prop}"
-    elif isinstance(expr, Dist):
-        s = f"dist({render_expr(expr.a)}, {render_expr(expr.b)})"
-    elif isinstance(expr, Not):
-        s = "!" + render_expr(expr.operand, mine)
-    elif isinstance(expr, Compare):
-        # comparisons do not chain: parenthesize comparison operands
-        s = f"{render_expr(expr.left, mine, True)} {expr.op} {render_expr(expr.right, mine, True)}"
-    else:
-        s = f"{render_expr(expr.left, mine)} {expr.op} {render_expr(expr.right, mine, True)}"
+        return _render_literal(expr.value)
+    if isinstance(expr, FeatureRef):
+        return str(expr.feature)
+    if isinstance(expr, SceneRef):
+        return f"scene.{expr.element}.{expr.prop}"
+    if isinstance(expr, Dist):
+        return f"dist({render_expr(expr.a)}, {render_expr(expr.b)})"
+    if isinstance(expr, Not):
+        return "!" + render_expr(expr.operand, 4)
+    mine = _PREC[expr.op]
+    # comparisons do not chain: a comparison's left operand is parenthesized too
+    s = f"{render_expr(expr.left, mine, mine == 3)} {expr.op} {render_expr(expr.right, mine, True)}"
     if mine < parent_prec or (mine == parent_prec and right_side):
         return f"({s})"
     return s

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from ._lexer import NUM, OP, REF, Cursor, lines, literal, text_of
+from ._lexer import Cursor, kind, lines, literal
 from .context import ContextStore, FeatureId
 from .dsl import RuleSet
 from .engine import DEFAULT_MAX_CASCADE_DEPTH, Trace, init_engine
@@ -59,7 +59,7 @@ def parse_scenario(text: str) -> Scenario:
     for lineno, tokens in lines(text):
         if scenario_id is None:
             cur = Cursor(tokens, lineno)
-            if not cur.at_ref("scenario"):
+            if not cur.at("scenario"):
                 raise DslSyntaxError(lineno, "expected 'scenario <id>' header")
             cur.next()
             scenario_id = cur.ident("a scenario id")
@@ -67,11 +67,10 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if len(tokens) != 6:
             raise DslSyntaxError(lineno, _SET_SYNTAX)
-        at, ms, set_, ref, eq, val = tokens
-        name = ref[REF]
-        if not (at[REF] == "at" and ms[NUM].isdecimal() and set_[REF] == "set" and name and eq[OP] == "="):
+        at, ms, set_, name, eq, val = tokens
+        if not (at == "at" and ms.isdecimal() and set_ == "set" and kind(name) == "ref" and eq == "="):
             raise DslSyntaxError(lineno, _SET_SYNTAX)
-        t = int(ms[NUM])
+        t = int(ms)
         feature = features.get(name)
         if feature is None:
             try:
@@ -80,7 +79,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise DslSyntaxError(lineno, str(e)) from None
         value = literal(val, lineno)
         if value is None:
-            raise DslSyntaxError(lineno, f"expected a value, got {text_of(val)!r}")
+            raise DslSyntaxError(lineno, f"expected a value, got {val!r}")
         if isinstance(value, tuple):
             value = Vec3(*value)
         if t != last_t:
@@ -92,10 +91,10 @@ def parse_scenario(text: str) -> Scenario:
         if name in seen:
             raise DuplicateFeatureInEvent(lineno, f"{feature} set twice at t={t}")
         seen.add(name)
-        kind = type_name(value)
-        first = types.setdefault(name, (kind, lineno))
-        if first[0] != kind:
-            raise FeatureTypeChange(lineno, f"{feature} holds {first[0]} (line {first[1]}), cannot set {kind}")
+        value_type = type_name(value)
+        first = types.setdefault(name, (value_type, lineno))
+        if first[0] != value_type:
+            raise FeatureTypeChange(lineno, f"{feature} holds {first[0]} (line {first[1]}), cannot set {value_type}")
         sets.append((feature, value))
 
     if scenario_id is None:

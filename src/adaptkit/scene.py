@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ._lexer import REF, Cursor, lines, text_of
+from ._lexer import Cursor, lines
 from .errors import DslSyntaxError, DuplicateId, TypeMismatch, UnknownElement, UnknownProperty
 from .values import TAU, Vec3, float_bits, format_float, normalize_yaw, quote_text
 
@@ -32,6 +32,10 @@ class Modality(enum.Enum):
     AUDIO = "audio"
     VOICE_INPUT = "voice_input"
 
+
+# each member by its name in the formats, one lookup instead of an Enum call
+DETAIL_LEVELS = {d.value: d for d in DetailLevel}
+MODALITIES = {m.value: m for m in Modality}
 
 # canonical rendering order for modality sets
 _MODALITY_ORDER = (Modality.VISUAL, Modality.AUDIO, Modality.VOICE_INPUT)
@@ -375,10 +379,10 @@ def parse_scene(text: str) -> SceneModel:
     for lineno, tokens in lines(text):
         cur = Cursor(tokens, lineno)
         head = cur.next()
-        if head[REF] != "element":
-            raise DslSyntaxError(lineno, f"expected 'element', got {text_of(head)!r}")
+        if head != "element":
+            raise DslSyntaxError(lineno, f"expected 'element', got {head!r}")
         elem_id = cur.ident("an element id")
-        if not cur.at_ref("at"):
+        if not cur.at("at"):
             raise DslSyntaxError(lineno, "expected: element <id> at (x,y,z) ...")
         cur.next()
         position = cur.literal()
@@ -387,27 +391,26 @@ def parse_scene(text: str) -> SceneModel:
         kwargs = {"position": Vec3(*position)}
         seen = set()
         while cur.peek() is not None:
-            attr = text_of(cur.next())
+            attr = cur.next()
             if attr in seen:
                 raise DslSyntaxError(lineno, f"duplicate attribute {attr!r}")
             seen.add(attr)
             if cur.peek() is None:
                 raise DslSyntaxError(lineno, f"attribute {attr!r} needs a value")
             if attr == "detail":
-                level = text_of(cur.next())
-                try:
-                    kwargs["detail"] = DetailLevel(level)
-                except ValueError:
-                    raise DslSyntaxError(lineno, f"unknown detail level {level!r}") from None
+                level = cur.next()
+                if level not in DETAIL_LEVELS:
+                    raise DslSyntaxError(lineno, f"unknown detail level {level!r}")
+                kwargs["detail"] = DETAIL_LEVELS[level]
             elif attr == "modality":
-                names = [text_of(cur.next())]
-                while cur.at_op(","):
+                names = [cur.next()]
+                while cur.at(","):
                     cur.next()
-                    names.append(text_of(cur.next()))
-                try:
-                    kwargs["modalities"] = frozenset(Modality(n) for n in names)
-                except ValueError:
-                    raise DslSyntaxError(lineno, f"unknown modality in {','.join(names)!r}") from None
+                    names.append(cur.next())
+                modalities = [MODALITIES.get(n) for n in names]
+                if None in modalities:
+                    raise DslSyntaxError(lineno, f"unknown modality in {','.join(names)!r}")
+                kwargs["modalities"] = frozenset(modalities)
             elif attr in _LITERAL_ATTRS:
                 try:
                     kwargs[attr] = WRITABLE[attr].check(cur.literal())

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._lexer import REF, Cursor, lines, text_of
+from ._lexer import Cursor, lines
 from .errors import DslSyntaxError, DuplicateStep, EvaluationError, UnknownStepRef
 from .scene import PropertyWrite, SceneModel
 
@@ -141,15 +141,15 @@ def parse_workflow(text: str) -> Workflow:
     for lineno, tokens in lines(text):
         cur = Cursor(tokens, lineno)
         head = cur.next()
-        if head[REF] == "workflow":
+        if head == "workflow":
             if wf_id is not None:
                 raise DslSyntaxError(lineno, "duplicate 'workflow' header")
             wf_id = cur.ident("a workflow id")
             wf_line = lineno
             cur.expect_end("after workflow id")
             continue
-        if head[REF] != "step":
-            raise DslSyntaxError(lineno, f"expected 'workflow' or 'step', got {text_of(head)!r}")
+        if head != "step":
+            raise DslSyntaxError(lineno, f"expected 'workflow' or 'step', got {head!r}")
         if wf_id is None:
             raise DslSyntaxError(lineno, "'workflow <id>' header must come first")
 
@@ -158,27 +158,27 @@ def parse_workflow(text: str) -> Workflow:
         if not isinstance(instruction, str):
             raise DslSyntaxError(lineno, "step needs a quoted instruction")
         target = None
-        if cur.at_ref("target"):
+        if cur.at("target"):
             cur.next()
             target = cur.ident("an element id")
         completion = None
-        if cur.at_ref("until"):
+        if cur.at("until"):
             cur.next()
             completion = cur.ident("a condition id")
         transitions: list[tuple[str | None, str]] = []
-        while cur.at_ref("on"):
+        while cur.at("on"):
             cur.next()
             guard = cur.ident("a condition id")
-            if not cur.at_ref("goto"):
+            if not cur.at("goto"):
                 raise DslSyntaxError(lineno, "expected 'goto' after the guard")
             cur.next()
             transitions.append((guard, cur.ident("a step id")))
         # the unguarded default branch, if any, comes last by construction
-        if cur.at_ref("goto"):
+        if cur.at("goto"):
             cur.next()
             transitions.append((None, cur.ident("a step id")))
         terminal = False
-        if cur.at_ref("terminal"):
+        if cur.at("terminal"):
             cur.next()
             terminal = True
         cur.expect_end("after the step")

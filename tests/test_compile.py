@@ -12,7 +12,8 @@ decided in place meet equal values, signed zeros and unset features often.
 A third compiles and evaluates trees as high as the parser lets them be.
 A table pins a value of each operator and every error evaluation can
 raise, with the order in which errors win; the last tests pin that
-compiling leaves no reference cycle and which ``&&`` chains it makes.
+compiling leaves no reference cycle, which ``&&`` chains it makes, and
+that each operand's keys are what check_expr lists it reading.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ from adaptkit import (
     parse_rules,
     parse_scene,
 )
-from adaptkit.dsl import MAX_HEIGHT, BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef, compile_expr
+from adaptkit.dsl import (
+    MAX_HEIGHT, BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef, _conjuncts, check_expr, compile_expr,
+)
 
 from conftest import bench_gen, fixture_text
 from reference_eval import eval_expr
@@ -370,3 +373,32 @@ def test_the_compiled_chains_stay_as_they_are():
     ):
         workload = getattr(gen, f"gen_{name}")(1)
         assert _chain_shapes(workload.rules, workload.scene) == shapes, name
+
+
+def test_the_operand_keys_are_what_check_expr_lists():
+    """compile_expr lists an operand's reads as it compiles it. They must be
+    what check_expr's walk lists for that operand, less the features its
+    gates stand for, each once, in reading order: for every condition of
+    the fixtures and of the benchmark's workloads at seeds 1-3."""
+    texts = [
+        (fixture_text(base + ".rules"), fixture_text(base + ".scene"))
+        for base in ("printer/printer", "warehouse/warehouse", "cascade/chain", "cascade/oscillator")
+    ]
+    gen = bench_gen()
+    for name in ("wide_rules", "tracking_stream", "cascade_churn"):
+        for seed in (1, 2, 3):
+            workload = getattr(gen, f"gen_{name}")(seed)
+            texts.append((workload.rules, workload.scene))
+    checked = 0
+    for rules_text, scene_text in texts:
+        rules, scene, store = parse_rules(rules_text), parse_scene(scene_text), ContextStore()
+        for cond in rules.conditions:
+            nodes = _conjuncts(cond.expr)
+            operands = compile_expr(cond.expr, store, scene).operands
+            assert len(operands) == len(nodes), cond.id
+            for node, operand in zip(nodes, operands):
+                gated = {gate.feature for gate in operand.gates}
+                keys = tuple(dict.fromkeys(r for r in check_expr(node)[1] if r not in gated))
+                assert operand.keys == keys, cond.id
+                checked += 1
+    assert checked > 3000
