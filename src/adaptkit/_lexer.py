@@ -66,10 +66,15 @@ def kind(tok: str) -> str:
     return "op" if tok == "(" else _KINDS.get(tok[0], "op")
 
 
+# A token that starts with one of these matches a kind whole; a last token
+# that starts with '"', '-', '|', '&' or any other character may match none.
+_WHOLE = frozenset(string.ascii_letters + string.digits + "_(#<>=!),:;")
+
+
 def tokenize(text: str, lineno: int) -> list[str]:
     """The tokens of ``text``, a trailing comment included."""
     tokens = _TOKEN_RE.findall(text)
-    if tokens and _ONE_TOKEN_RE.fullmatch(tokens[-1]) is None:
+    if tokens and tokens[-1][0] not in _WHOLE and _ONE_TOKEN_RE.fullmatch(tokens[-1]) is None:
         char = tokens[-1][0]
         if char == '"':
             raise DslSyntaxError(lineno, "unterminated string, or an escape other than \\\" and \\\\")

@@ -15,7 +15,9 @@ connectives evaluate both operands so unset features always surface.
 ``||`` binds loosest, then ``&&``, then the comparisons, which do not
 chain (_PREC: the parser climbs it, render_expr reads it). Expressions
 nest at most MAX_DEPTH deep and MAX_HEIGHT high. The parser makes one
-leaf per distinct token text and types expressions with ``check_expr``;
+leaf per distinct token text and types each node as it builds it, so a
+condition's static type, reads and type errors come from its one parse
+(``check_expr`` types a built tree by parsing its printed text);
 ``compile_expr`` is how an expression is evaluated: it turns every node
 into a closure, once, and a comparison of a source with a number into an
 atom, and lists what each operand reads.
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ._lexer import Cursor, kind, lines, literal
+from ._lexer import Cursor, kind, lines, literal, tokenize
 from .context import ContextStore, FeatureId
 from .errors import (
     DslSyntaxError,
@@ -113,9 +115,9 @@ _ORDERING_OPS = ("<", "<=", ">", ">=")
 _PREC = {"||": 1, "&&": 2, **dict.fromkeys(_ORDERING_OPS + ("==", "!="), 3)}
 
 # How deep an expression may nest. The parser takes up to four frames per
-# parenthesis or 'dist(' around a part and one per '!', and a walk over the
-# tree up to two per level of its height, so these keep both well inside
-# the interpreter's default limit of 1000 frames.
+# parenthesis or 'dist(' around a part and one per '!', and each walk over
+# the tree (_build, render_expr) one per level of its height, so these keep
+# all of them well inside the interpreter's default limit of 1000 frames.
 MAX_DEPTH = 100  # parentheses, '!' and 'dist(' around any part
 MAX_HEIGHT = 300  # the tree's height; a '&&' or '||' chain is one level per operator
 
@@ -131,76 +133,103 @@ def _higher(cur: Cursor, *heights: int) -> int:
     return _nested(cur, max(heights) + 1, MAX_HEIGHT)
 
 
-# Each parse function takes ``leaves``, which maps each token text read so
-# far to the leaf node it made, and the nesting ``depth`` around it, and
-# returns the expression with its height (0 for a leaf).
+def _want(errors: list, t: str | None, want: str, message: str) -> None:
+    """Record ``message`` unless an operand of static type ``t`` may be a ``want``."""
+    if t is not None and t != want:
+        errors.append(f"{message}, got {t}")
 
-def _parse_expr(cur: Cursor, leaves: dict, depth: int = 0, lowest: int = 1) -> tuple[Expr, int]:
+
+# The parser types what it builds. Each parse function takes ``leaves`` (see
+# _leaf), lists to append the expression's reads and type errors to, in
+# reading order, and the nesting ``depth`` around it. It returns the
+# expression, its height (0 for a leaf) and its static type, None where only
+# the run-time value tells.
+
+def _parse_expr(cur: Cursor, leaves: dict, reads: list, errors: list, depth: int = 0,
+                lowest: int = 1) -> tuple[Expr, int, str | None]:
     """An expression of binary operators of precedence ``lowest`` or more,
     by precedence climbing: ``&&`` and ``||`` group to the left, and a
     comparison takes no comparison as its operand."""
-    left, height = _parse_operand(cur, leaves, depth)
+    left, height, lt = _parse_operand(cur, leaves, reads, errors, depth)
     highest = 3
     while True:
         op = cur.peek()
         prec = _PREC.get(op, 0)
         if prec < lowest or prec > highest:
-            return left, height
+            return left, height, lt
         cur.next()
         if prec == 3:
-            right, rh = _parse_operand(cur, leaves, depth)
+            right, rh, rt = _parse_operand(cur, leaves, reads, errors, depth)
             left = Compare(op, left, right)
+            if lt is not None and rt is not None and lt != rt:
+                errors.append(f"cannot compare {lt} with {rt}")
+            if op in _ORDERING_OPS:
+                for t in (lt, rt):
+                    if t not in (None, "int", "float"):
+                        errors.append(f"ordering comparison needs numbers, got {t}")
         else:
-            right, rh = _parse_expr(cur, leaves, depth, prec + 1)
+            _want(errors, lt, "bool", f"{op} needs bool operands")
+            right, rh, rt = _parse_expr(cur, leaves, reads, errors, depth, prec + 1)
+            _want(errors, rt, "bool", f"{op} needs bool operands")
             left = BoolOp(op, left, right)
         height = _higher(cur, height, rh)
+        lt = "bool"
         highest = min(prec, 2)  # no comparison follows, nor anything tighter than this node
 
 
-def _parse_operand(cur: Cursor, leaves: dict, depth: int) -> tuple[Expr, int]:
+def _parse_operand(cur: Cursor, leaves: dict, reads: list, errors: list, depth: int) -> tuple[Expr, int, str | None]:
     """A leaf, ``dist(a, b)``, or an expression in parentheses or after ``!``."""
     tok = cur.next()
-    leaf = leaves.get(tok)
-    if leaf is not None:
-        return leaf, 0
-    if tok == "!":
-        operand, height = _parse_operand(cur, leaves, _nested(cur, depth + 1))
-        return Not(operand), _higher(cur, height)
-    if tok == "(":
-        inner = _parse_expr(cur, leaves, _nested(cur, depth + 1))
-        cur.expect(")")
-        return inner
-    if tok == "dist":
-        cur.expect("(")
-        a, ah = _parse_expr(cur, leaves, _nested(cur, depth + 1))
-        cur.expect(",")
-        b, bh = _parse_expr(cur, leaves, depth + 1)
-        cur.expect(")")
-        return Dist(a, b), _higher(cur, ah, bh)
-    return _leaf(tok, leaves, cur.lineno), 0
+    hit = leaves.get(tok)
+    if hit is None:
+        if tok == "!":
+            operand, height, t = _parse_operand(cur, leaves, reads, errors, _nested(cur, depth + 1))
+            _want(errors, t, "bool", "! needs a bool operand")
+            return Not(operand), _higher(cur, height), "bool"
+        if tok == "(":
+            inner = _parse_expr(cur, leaves, reads, errors, _nested(cur, depth + 1))
+            cur.expect(")")
+            return inner
+        if tok == "dist":
+            cur.expect("(")
+            a, ah, t = _parse_expr(cur, leaves, reads, errors, _nested(cur, depth + 1))
+            _want(errors, t, "vec3", "dist() needs two vec3 arguments")
+            cur.expect(",")
+            b, bh, t = _parse_expr(cur, leaves, reads, errors, depth + 1)
+            _want(errors, t, "vec3", "dist() needs two vec3 arguments")
+            cur.expect(")")
+            return Dist(a, b), _higher(cur, ah, bh), "float"
+        hit = _leaf(tok, leaves, cur.lineno)
+    triple, read = hit
+    if read is not None:
+        reads.append(read)
+    return triple
 
 
-def _leaf(tok: str, leaves: dict, lineno: int) -> Expr:
-    """The leaf a token makes, a literal or a reference, kept in ``leaves``."""
+def _leaf(tok: str, leaves: dict, lineno: int) -> tuple:
+    """What a token makes, as ``leaves`` keeps it: the parser's triple for its
+    leaf, a literal or a reference, and what it reads (None for a literal)."""
     value = literal(tok, lineno)
     parts = tok.split(".")
     if value is not None:
         leaf = Lit(Vec3(*value) if type(value) is tuple else value)
+        hit = (leaf, 0, type_name(leaf.value)), None
     elif kind(tok) != "ref":
         raise DslSyntaxError(lineno, f"unexpected token {tok!r}")
     elif len(parts) == 2 and parts[0] in ("env", "user", "platform"):
         try:
-            leaf = FeatureRef(FeatureId.parse(tok))
+            feature = FeatureId.parse(tok)
         except ValueError as e:
             raise DslSyntaxError(lineno, str(e)) from None
+        hit = (FeatureRef(feature), 0, None), feature
     elif len(parts) == 3 and parts[0] == "scene" and parts[2] in READABLE_PROPS:
-        leaf = SceneRef(parts[1], parts[2])
+        hit = (SceneRef(parts[1], parts[2]), 0, READABLE_PROPS[parts[2]]), (parts[1], parts[2])
     elif len(parts) == 3 and parts[0] == "scene":
         raise ExprTypeError(lineno, f"scene property {parts[2]!r} is not readable in expressions")
     else:
         raise DslSyntaxError(lineno, f"unexpected identifier {tok!r} in expression")
-    leaves[tok] = leaf
-    return leaf
+    leaves[tok] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +277,7 @@ def _parse_action_arg(cur: Cursor, leaves: dict):
         return tok
     parts = tok.split(".")
     if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
-        return leaves.get(tok) or _leaf(tok, leaves, cur.lineno)
+        return (leaves.get(tok) or _leaf(tok, leaves, cur.lineno))[0][0]
     raise DslSyntaxError(cur.lineno, f"unexpected action argument {tok!r}")
 
 
@@ -352,7 +381,7 @@ def parse_rules(text: str) -> RuleSet:
     cond_ids: dict[str, int] = {}
     rule_ids: dict[str, int] = {}
     pending_refs: list[tuple[str, int]] = []  # (condition id, rule line)
-    leaves: dict[str, Expr] = {}  # token text -> its leaf node, one per distinct text
+    leaves: dict[str, tuple] = {}  # token text -> its leaf, one per distinct text (_leaf)
 
     for lineno, tokens in lines(text):
         cur = Cursor(tokens, lineno)
@@ -360,11 +389,11 @@ def parse_rules(text: str) -> RuleSet:
         if head == "condition":
             cid = cur.ident("a condition id")
             cur.expect(":")
-            expr, _ = _parse_expr(cur, leaves)
+            reads, errors = [], []
+            expr, _, expr_type = _parse_expr(cur, leaves, reads, errors)
             cur.expect_end("after expression")
-            expr_type, reads, error = check_expr(expr)
-            if error is not None:
-                raise ExprTypeError(lineno, error)
+            if errors:
+                raise ExprTypeError(lineno, errors[0])
             if expr_type not in (None, "bool"):
                 raise ExprTypeError(lineno, f"condition {cid!r} must evaluate to bool")
             if cid in cond_ids:
@@ -476,52 +505,17 @@ def _not(value: Value) -> bool:
 # static typing
 
 def check_expr(expr: Expr) -> tuple[str | None, list, str | None]:
-    """Walk an expression once for its static type, its reads and its first
-    type error.
-
-    The type is None where only the run-time value tells. The reads are a
-    FeatureId per feature reference and an (element, property) pair per
-    scene reference, in reading order and with repeats. The error is the
-    first static type error, as the parser reports it, or None.
-    """
-    reads: list = []
-    errors: list[str] = []
-    kind = _check(expr, reads, errors)
-    return kind, reads, errors[0] if errors else None
-
-
-def _check(expr: Expr, reads: list, errors: list[str]) -> str | None:
-    if isinstance(expr, Lit):
-        return type_name(expr.value)
-    if isinstance(expr, FeatureRef):
-        reads.append(expr.feature)
-        return None
-    if isinstance(expr, SceneRef):
-        reads.append((expr.element, expr.prop))
-        return READABLE_PROPS.get(expr.prop)
-    if isinstance(expr, Compare):
-        lt, rt = _check(expr.left, reads, errors), _check(expr.right, reads, errors)
-        if lt is not None and rt is not None and lt != rt:
-            errors.append(f"cannot compare {lt} with {rt}")
-        if expr.op in _ORDERING_OPS:
-            for t in (lt, rt):
-                if t not in (None, "int", "float"):
-                    errors.append(f"ordering comparison needs numbers, got {t}")
-        return "bool"
-    # each operand in turn, checked against the type the node needs
-    if isinstance(expr, BoolOp):
-        sides, want, kind, message = (expr.left, expr.right), "bool", "bool", f"{expr.op} needs bool operands"
-    elif isinstance(expr, Not):
-        sides, want, kind, message = (expr.operand,), "bool", "bool", "! needs a bool operand"
-    elif isinstance(expr, Dist):
-        sides, want, kind, message = (expr.a, expr.b), "vec3", "float", "dist() needs two vec3 arguments"
-    else:
-        raise AssertionError(f"unhandled expr node {expr!r}")
-    for side in sides:
-        t = _check(side, reads, errors)
-        if t not in (None, want):
-            errors.append(f"{message}, got {t}")
-    return kind
+    """An expression's static type (None where only the run-time value
+    tells), its reads (a FeatureId per feature reference and an (element,
+    property) pair per scene reference, in reading order, with repeats) and
+    its first type error or None, as the parser finds them in its printed
+    text (render_expr). So a tree no rules file can hold, such as one with a
+    non-finite Lit, raises what parsing that text raises."""
+    reads, errors = [], []
+    cur = Cursor(tokenize(render_expr(expr), 0), 0)
+    _, _, expr_type = _parse_expr(cur, {}, reads, errors)
+    cur.expect_end("after expression")
+    return expr_type, reads, errors[0] if errors else None
 
 
 # ---------------------------------------------------------------------------

@@ -54,16 +54,16 @@ one entry per step, target, rule, element, condition value or cycle count
 reached, so none grows with the length of a run.
 
 Conditions are compiled once, at construction, by dsl.compile_expr, which
-lists the inputs each operand reads with the parser's walk,
-dsl.check_expr. A comparison of a feature, a scene property or a
-distance with a number is an atom with its type check hoisted, and every
-other node is a closure around what it holds, so no evaluation walks the
-tree. A compiled condition evaluates every operand, left first, before a
-node checks their types, and raises the first error met; the tests check
-it against tests/reference_eval.py, a tree walk. Scene elements are bound
-when compiling, which holds because elements are never removed or
-replaced. An engine is never built over a missing element: every element
-a condition or rule names must exist (dsl.unresolved).
+lists the inputs each operand reads as it compiles it. A comparison of a
+feature, a scene property or a distance with a number is an atom with its
+type check hoisted, and every other node is a closure around what it
+holds, so no evaluation walks the tree. A compiled condition evaluates
+every operand, left first, before a node checks their types, and raises
+the first error met; the tests check it against tests/reference_eval.py,
+a tree walk. Scene elements are bound when compiling, which holds
+because elements are never removed or replaced. An engine is never built
+over a missing element: every element a condition or rule names must
+exist (dsl.unresolved).
 
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
@@ -161,9 +161,9 @@ _FIRST_LINE = itemgetter(0)  # a cycle record's first line
 
 def line_kind(body: str) -> str:
     """A trace line's kind: its body's first word, lowercased, except that a
-    RULE line is rule_exec or rule_unexec by its third word."""
+    RULE line with a third word is rule_exec or rule_unexec by it."""
     words = body.split(" ", 3)
-    if words[0] == "RULE":
+    if words[0] == "RULE" and len(words) > 2:
         return "rule_exec" if words[2] == "EXECUTED" else "rule_unexec"
     return words[0].lower()
 

@@ -1153,6 +1153,9 @@ class TestLineKind:
             ("WORKFLOW step s0 -> s1", "workflow"),
             ("QUIESCENT cycles=2", "quiescent"),
             ("NONQUIESCENT depth=16", "nonquiescent"),
+            ("RULE", "rule"),
+            ("RULE R", "rule"),
+            ("", ""),
         ],
     )
     def test_each_body_form(self, body, kind):
