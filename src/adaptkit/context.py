@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import string
-from dataclasses import dataclass, field
 
 from .errors import MalformedStateFile, TypeMismatch, UnknownFeature
 from .values import Value, check_value, parse_value, render_value, type_name, values_equal
@@ -77,12 +76,12 @@ class FeatureId(str):
         return str.__new__(FeatureId, text)
 
 
-@dataclass
 class ContextStore:
     """Mutable map of features with type stability and change tracking."""
 
-    _values: dict[FeatureId, Value] = field(default_factory=dict)
-    _dirty: set[FeatureId] = field(default_factory=set)
+    def __init__(self):
+        self._values: dict[FeatureId, Value] = {}
+        self._dirty: set[FeatureId] = set()  # features changed since the last drain
 
     def set_feature(self, feature: FeatureId, value: Value) -> ChangeFlag:
         """Write a feature; the value type is fixed at the first write.

@@ -23,13 +23,15 @@ Feature writes made through set_feature are traced but never reverted.
 
 Rules run from plans. The first time a rule executes, its actions are
 resolved into a plan: each scene property it writes, as the SceneElement
-and attribute that hold it, in first-write order and in restore order
-(sorted by ``element.property``), and every constant it writes, as the
-property's check stores it. A constant the check refuses is kept as
-written, so its write raises the same error at the same point whenever it
-runs. What a rule leaves in a target is the checked constant of its last
-write there, so the plan holds that too, and unexecuting compares each
-target against it. Executing snapshots by reading those attributes.
+and attribute that hold it, in restore order (sorted by
+``element.property``), and every constant it writes, as the property's
+check stores it. A constant the check refuses is kept as written, so its
+write raises the same error at the same point whenever it runs. What a
+rule leaves in a target is the checked constant of its last write there,
+so the plan holds that too, and unexecuting compares each target against
+it. Executing snapshots by reading those attributes. A rule is active
+while the engine holds its snapshot, from after its last action to after
+its restores, and nothing is kept for a rule until its first execute.
 Every write still goes through SceneModel.write_property or
 ContextStore.set_feature, whose change logs drive the evaluation below; an
 applied scene write costs that one call and one append of its line's body
@@ -46,12 +48,13 @@ its constant once, a billboard's old yaw is its last new yaw, and a
 restore or workflow line renders only what changed. Reuse goes by
 identity, never by equality: equal values can render apart (``-0.0`` and
 ``0.0``), while one object, held by the cache, renders one way. A rule's
-``skipped_restore`` body is kept with the targets it skipped and reused
-while an unexecute skips the same ones. A condition's COND body for each
-value is made at its first change after its first evaluation and reused
-after that, and a QUIESCENT body once per cycle count. Each cache holds
-one entry per step, target, rule, element, condition value or cycle count
-reached, so none grows with the length of a run.
+``skipped_restore`` body is kept on its plan with the targets it skipped
+and reused while an unexecute skips the same ones. A condition's COND
+body for each value is made at its first change after its first
+evaluation and reused after that, and a QUIESCENT body once per cycle
+count. Each cache holds one entry per step, target, rule, element,
+condition value or cycle count reached, so none grows with the length of
+a run.
 
 Conditions are compiled once, at construction, by dsl.compile_expr, which
 lists the inputs each operand reads as it compiles it. A comparison of a
@@ -330,23 +333,15 @@ class _Step:
     line: _Line
 
 
-class _Plan(NamedTuple):
-    """How a rule executes and unexecutes, built the first time it executes."""
+@dataclass(slots=True)
+class _Plan:
+    """How a rule executes and unexecutes, built the first time it executes.
+    The rule's snapshot, while it is active, is aligned with ``targets``."""
 
     steps: tuple[_Step, ...]
-    targets: tuple[_Target, ...]  # in first-write order
-    restore: tuple[int, ...]  # indices into targets, by label
+    targets: tuple[_Target, ...]  # in restore order: by label
     executed: str  # the RULE line bodies
     unexecuted: str
-
-
-@dataclass(slots=True)
-class _RuleState:
-    active: bool = False
-    plan: _Plan | None = None
-    # aligned with plan.targets: the values before the rule executed; empty
-    # while inactive
-    snapshot: tuple = ()
     # the target indices whose restore the last skipping unexecute skipped,
     # and that unexecute's RULE line body
     skipped: list[int] | None = None
@@ -376,7 +371,10 @@ class Engine:
         self.max_cascade_depth = max_cascade_depth
         self.trace = Trace()
         self.cond_last: dict[str, bool | None] = {c.id: None for c in rules.conditions}
-        self._rule_states: dict[str, _RuleState] = {r.id: _RuleState() for r in rules.rules}
+        # rule id -> the values its plan's targets held before it executed,
+        # aligned with them: a rule is active iff it has an entry
+        self._active: dict[str, tuple] = {}
+        self._plans: dict[str, _Plan] = {}  # rule id -> its plan, made when it first executes
         odometers: dict[FeatureId, Odometer] = {}  # one per feature, shared by its dist() atoms
         compiled = [compile_expr(c.expr, store, scene, odometers) for c in rules.conditions]
         self._evaluators = {c.id: k.evaluate for c, k in zip(rules.conditions, compiled)}
@@ -434,14 +432,17 @@ class Engine:
     # -- conditions ----------------------------------------------------------
 
     def rule_active(self, rule_id: str) -> bool:
-        return self._rule_states[rule_id].active
+        """Whether the rule is active; KeyError for an id the rules do not define."""
+        if rule_id not in self.rules.rule_by_id:
+            raise KeyError(rule_id)
+        return rule_id in self._active
 
     def rule_snapshot(self, rule_id: str) -> dict:
         """Copy of the (element, property) -> prior value map; empty when inactive."""
-        state = self._rule_states[rule_id]
-        if not state.active:
+        if not self.rule_active(rule_id):
             return {}
-        return {(t.element_id, t.prop): v for t, v in zip(state.plan.targets, state.snapshot)}
+        targets = self._plans[rule_id].targets
+        return {(t.element_id, t.prop): v for t, v in zip(targets, self._active[rule_id])}
 
     def evaluate_condition(self, cond_id: str) -> tuple[bool, bool]:
         """Evaluate one condition; returns (value, changed).
@@ -477,11 +478,10 @@ class Engine:
         """Snapshot, apply actions in order, mark active. RULE then PROP lines."""
         if not self._busy:
             self._full_cycle = True
-        state = self._rule_states[rule_id]
-        assert not state.active, f"rule {rule_id} is already active"
-        plan = state.plan
+        assert rule_id not in self._active, f"rule {rule_id} is already active"
+        plan = self._plans.get(rule_id)
         if plan is None:
-            plan = state.plan = self._plan(rule_id)
+            plan = self._plans[rule_id] = self._plan(rule_id)
         append = self.trace.append
         snapshot = tuple([getattr(t.element, t.attr) for t in plan.targets])
         append(plan.executed)
@@ -507,8 +507,7 @@ class Engine:
                     continue
             line = step.line
             append(line.body if old is line.old and value is line.new else _prop_body(line, old, value))
-        state.active = True
-        state.snapshot = snapshot
+        self._active[rule_id] = snapshot
 
     def _plan(self, rule_id: str) -> _Plan:
         """Resolve a rule's targets and check its constant values once."""
@@ -531,22 +530,20 @@ class Engine:
             target.written = _checked_constant(spec.check, action.value)
             steps.append(_Step(None, action.element, prop, target.written,
                                _Line(label, spec.render, rule_id)))
-        order = tuple(targets.values())
-        restore = tuple(sorted(range(len(order)), key=lambda i: order[i].line.label))
-        return _Plan(tuple(steps), order, restore, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
+        order = tuple(sorted(targets.values(), key=lambda t: t.line.label))
+        return _Plan(tuple(steps), order, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
 
     def unexecute_rule(self, rule_id: str) -> None:
         """Restore snapshotted properties this rule still owns; mark inactive."""
         if not self._busy:
             self._full_cycle = True
-        state = self._rule_states[rule_id]
-        assert state.active, f"rule {rule_id} is not active"
-        plan, snapshot = state.plan, state.snapshot
+        snapshot = self._active.get(rule_id)
+        assert snapshot is not None, f"rule {rule_id} is not active"
+        plan = self._plans[rule_id]
         targets = plan.targets
         restores = []
         skipped = []
-        for i in plan.restore:
-            t = targets[i]
+        for i, t in enumerate(targets):
             current = getattr(t.element, t.attr)
             if current is t.written or prop_values_equal(current, t.written):
                 restores.append(i)
@@ -554,11 +551,11 @@ class Engine:
                 skipped.append(i)
         body = plan.unexecuted
         if skipped:
-            if skipped != state.skipped:
-                state.skipped = skipped
+            if skipped != plan.skipped:
+                plan.skipped = skipped
                 labels = ",".join([targets[i].line.label for i in skipped])
-                state.skipped_body = f"{body} skipped_restore={labels}"
-            body = state.skipped_body
+                plan.skipped_body = f"{body} skipped_restore={labels}"
+            body = plan.skipped_body
         append = self.trace.append
         append(body)
         write_property = self.scene.write_property
@@ -569,8 +566,7 @@ class Engine:
                 continue
             old, new, line = write.old, write.new, t.line
             append(line.body if old is line.old and new is line.new else _prop_body(line, old, new))
-        state.active = False
-        state.snapshot = ()
+        del self._active[rule_id]
 
     # -- the loop --------------------------------------------------------------
 
@@ -635,13 +631,14 @@ class Engine:
                 rule_ids = sorted({j for cid in flipped for j in listed_by.get(cid, ())})
             deactivate = []
             activate = []
+            active_rules = self._active
             for j in rule_ids:
                 rule = rules[j]
-                state = self._rule_states[rule.id]
                 all_true = all(self.cond_last[c] for c in rule.conditions)
-                if state.active and not all_true:
-                    deactivate.append(j)
-                elif not state.active and all_true:
+                if rule.id in active_rules:
+                    if not all_true:
+                        deactivate.append(j)
+                elif all_true:
                     activate.append(j)
             order = lambda j: (rules[j].priority, j)
             for j in sorted(deactivate, key=order, reverse=True):

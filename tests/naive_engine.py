@@ -9,7 +9,8 @@ cannot have crossed them, checks only the rules of conditions that
 flipped, runs rules from plans built once, and re-aims billboards only
 when something moved; the differential tests compare the two on whole
 traces. Everything but condition evaluation, the loop, the rule
-transitions, the billboard pass, the trace and every PROP line is
+transitions and the rule states they keep (``rule_active``,
+``rule_snapshot``), the billboard pass, the trace and every PROP line is
 inherited. PROP lines render scene values with the copies in
 reference_props.py, not with the renderers of scene.WRITABLE that the
 engine uses. The trace is a list of TraceEvents numbered here, each line's
@@ -82,6 +83,9 @@ class NaiveEngine(Engine):
     def _emit_props(self, writes) -> None:  # the workflow's writes
         for write in writes:
             self._emit_prop(write)
+
+    def rule_active(self, rule_id: str) -> bool:
+        return self._rule_states[rule_id].active
 
     def rule_snapshot(self, rule_id: str) -> dict:
         return dict(self._rule_states[rule_id].snapshot)

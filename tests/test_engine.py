@@ -218,6 +218,21 @@ class TestExecuteUnexecute:
         assert "RULE R EXECUTED" in render
         assert "PROP panel.visible" not in render
 
+    def test_an_unknown_rule_id_raises(self):
+        engine = basic_engine(
+            {"env.x": True},
+            "condition c: env.x == true\n"
+            "condition d: env.x == false\n"
+            "rule R when c do set_visible(hints, true) category Style\n"
+            "rule Q when d do set_visible(panel, false) category Style\n",
+        )
+        assert engine.rule_active("R") and not engine.rule_active("Q")
+        assert engine.rule_snapshot("Q") == {}
+        with pytest.raises(KeyError):
+            engine.rule_active("nope")
+        with pytest.raises(KeyError):
+            engine.rule_snapshot("nope")
+
     def test_two_action_rule_props_in_action_order(self):
         engine = basic_engine(
             {"env.x": True},
