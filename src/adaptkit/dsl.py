@@ -24,6 +24,9 @@ atom, and lists what each operand reads.
 
 Actions come from a closed effector vocabulary; ``set_feature`` writes a
 context feature and is what lets one rule's effects trigger another rule.
+They are read by token position, and each distinct effector and argument
+text is bound once per parse: equal constants written alike share one
+object (_read_actions).
 """
 
 from __future__ import annotations
@@ -235,18 +238,21 @@ def _leaf(tok: str, leaves: dict, lineno: int) -> tuple:
 # ---------------------------------------------------------------------------
 # actions
 
-@dataclass(frozen=True)
-class ActionCall:
+class ActionCall(NamedTuple):
     """A bound effector invocation.
 
     ``element`` is set for scene effectors, ``feature`` for set_feature;
-    ``value`` is the payload (None for clear_highlight).
+    ``value`` is the payload (None for clear_highlight). The action reader
+    builds it with ``tuple.__new__``, which skips the generated ``__new__``.
     """
 
     effector: str
     element: str | None = None
     feature: FeatureId | None = None
     value: object = None
+
+
+_tuple_new = tuple.__new__
 
 
 # effector -> scene property it writes (None: writes a context feature)
@@ -263,22 +269,21 @@ EFFECTOR_PROPERTY = {
 }
 
 
-def _parse_action_arg(cur: Cursor, leaves: dict):
-    """A bare identifier (an element id or an enum name) as its text; a
-    literal as its value, but a vector as a tuple, so highlight can insist
-    on ints, and a text as a Lit, so it is no bare identifier; or a feature
-    id as a FeatureRef (a bare FeatureId is a str, which a text check would
-    take)."""
-    tok = cur.next()
-    value = literal(tok, cur.lineno)
+def _action_arg(tok: str, lineno: int, leaves: dict):
+    """What an action argument's token reads as: a bare identifier (an
+    element id or an enum name) as its text; a literal as its value, but a
+    vector as a tuple, so highlight can insist on ints, and a text as a Lit,
+    so it is no bare identifier; or a feature id as a FeatureRef (a bare
+    FeatureId is a str, which a text check would take)."""
+    value = literal(tok, lineno)
     if value is not None:
         return Lit(value) if type(value) is str else value
     if tok.isidentifier():
         return tok
     parts = tok.split(".")
     if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
-        return (leaves.get(tok) or _leaf(tok, leaves, cur.lineno))[0][0]
-    raise DslSyntaxError(cur.lineno, f"unexpected action argument {tok!r}")
+        return (leaves.get(tok) or _leaf(tok, leaves, lineno))[0][0]
+    raise DslSyntaxError(lineno, f"unexpected action argument {tok!r}")
 
 
 def _need_element(arg, lineno: int) -> str:
@@ -288,7 +293,7 @@ def _need_element(arg, lineno: int) -> str:
 
 
 def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
-    """Bind an effector's arguments, as _parse_action_arg gives them. A
+    """Bind an effector's arguments, as _action_arg reads them. A
     scene effector's constant is what the property's WRITABLE check
     accepts, as it returns it; set_detail and set_modality map names to
     their enums."""
@@ -337,6 +342,50 @@ def _bind_action(effector: str, args: list, lineno: int) -> ActionCall:
     return ActionCall(effector, element=elem, value=value)
 
 
+def _read_actions(tokens: list, i: int, lineno: int, leaves: dict, bound: dict) -> tuple[list, int]:
+    """The actions ``name ( arg {, arg} ) {; ...}`` from ``tokens[i]`` on, an
+    argument a token, read by position, and the index after them. ``bound``
+    maps an effector and its texts after the element (all of set_feature's)
+    to their binding, so a repeated constant is read and checked once per
+    parse. An action it lacks, or whose element is no bare identifier, reads
+    each argument, then its ``)``, then binds, raising in that order."""
+    n = len(tokens)
+    actions = []
+    while True:
+        if i >= n:
+            raise DslSyntaxError(lineno, "unexpected end of line")
+        name = tokens[i]
+        if name not in EFFECTOR_PROPERTY:
+            if not name.isidentifier():
+                raise DslSyntaxError(lineno, f"expected an effector name, got {name!r}")
+            raise UnknownEffector(lineno, f"unknown effector {name!r}")
+        paren = tokens[i + 1] if i + 1 < n else None
+        if paren != "(":
+            raise DslSyntaxError(lineno, f"expected '(', got {paren!r}" if paren else "unexpected end of line")
+        first = end = i + 2  # the element, set_feature's feature, or ')'; end: where ')' belongs
+        if end >= n or tokens[end] != ")":
+            end += 1
+            while end < n and tokens[end] == ",":
+                end += 2
+        closed = end < n and tokens[end] == ")"
+        key = (name, *tokens[first if name == "set_feature" else first + 1:end])
+        action = bound.get(key) if closed else None
+        if action is not None and name != "set_feature":
+            elem = tokens[first]  # ')' if there is no argument, and no action in bound has none
+            bare = elem.isidentifier() and elem != "true" and elem != "false"
+            action = _tuple_new(ActionCall, (name, elem, None, action[3])) if bare else None
+        if action is None:
+            args = [_action_arg(tok, lineno, leaves) for tok in tokens[first:end:2]]
+            if not closed:
+                raise DslSyntaxError(lineno, f"expected ')', got {tokens[end]!r}" if end < n else "unexpected end of line")
+            action = bound[key] = _bind_action(name, args, lineno)
+        actions.append(action)
+        i = end + 1
+        if i >= n or tokens[i] != ";":
+            return actions, i
+        i += 1
+
+
 # ---------------------------------------------------------------------------
 # rule set
 
@@ -382,6 +431,7 @@ def parse_rules(text: str) -> RuleSet:
     rule_ids: dict[str, int] = {}
     pending_refs: list[tuple[str, int]] = []  # (condition id, rule line)
     leaves: dict[str, tuple] = {}  # token text -> its leaf, one per distinct text (_leaf)
+    bound: dict[tuple, ActionCall] = {}  # an action's constant texts -> its binding (_read_actions)
 
     for lineno, tokens in lines(text):
         cur = Cursor(tokens, lineno)
@@ -418,10 +468,7 @@ def parse_rules(text: str) -> RuleSet:
             if not cur.at("do"):
                 raise DslSyntaxError(lineno, "expected 'do'")
             cur.next()
-            actions = [_parse_one_action(cur, leaves)]
-            while cur.at(";"):
-                cur.next()
-                actions.append(_parse_one_action(cur, leaves))
+            actions, cur.i = _read_actions(tokens, cur.i, lineno, leaves, bound)
             if not cur.at("category"):
                 raise DslSyntaxError(lineno, "expected 'category'")
             cur.next()
@@ -447,21 +494,6 @@ def parse_rules(text: str) -> RuleSet:
         if ref not in cond_ids:
             raise UnknownConditionRef(rline, f"rule references unknown condition {ref!r}")
     return RuleSet(conditions, rules)
-
-
-def _parse_one_action(cur: Cursor, leaves: dict) -> ActionCall:
-    name = cur.ident("an effector name")
-    if name not in EFFECTOR_PROPERTY:
-        raise UnknownEffector(cur.lineno, f"unknown effector {name!r}")
-    cur.expect("(")
-    args = []
-    if not cur.at(")"):
-        args.append(_parse_action_arg(cur, leaves))
-        while cur.at(","):
-            cur.next()
-            args.append(_parse_action_arg(cur, leaves))
-    cur.expect(")")
-    return _bind_action(name, args, cur.lineno)
 
 
 # ---------------------------------------------------------------------------
@@ -857,23 +889,13 @@ def unresolved(rules: RuleSet, scene: SceneModel | None, workflow=None) -> list[
         for cond in rules.conditions:
             for ref in cond.reads:
                 if isinstance(ref, tuple) and not scene.has_element(ref[0]):
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            f"condition {cond.id!r} references unknown element {ref[0]!r}",
-                            cond.line,
-                        )
-                    )
+                    diags.append(Diagnostic(
+                        "error", f"condition {cond.id!r} references unknown element {ref[0]!r}", cond.line))
         for rule in rules.rules:
             for action in rule.actions:
                 if action.element is not None and not scene.has_element(action.element):
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            f"rule {rule.id!r} targets unknown element {action.element!r}",
-                            rule.line,
-                        )
-                    )
+                    diags.append(Diagnostic(
+                        "error", f"rule {rule.id!r} targets unknown element {action.element!r}", rule.line))
     if workflow is None:
         return diags
     for step in workflow.steps:
@@ -883,32 +905,15 @@ def unresolved(rules: RuleSet, scene: SceneModel | None, workflow=None) -> list[
         cond_ids.extend(g for g, _ in step.transitions if g is not None)
         for cid in cond_ids:
             if cid not in rules.condition_by_id:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"step {step.id!r} references unknown condition {cid!r}",
-                        step.line,
-                        source="workflow",
-                    )
-                )
+                diags.append(Diagnostic(
+                    "error", f"step {step.id!r} references unknown condition {cid!r}", step.line, "workflow"))
         if scene is not None and step.target is not None and not scene.has_element(step.target):
-            diags.append(
-                Diagnostic(
-                    "error",
-                    f"step {step.id!r} targets unknown element {step.target!r}",
-                    step.line,
-                    source="workflow",
-                )
-            )
+            diags.append(Diagnostic(
+                "error", f"step {step.id!r} targets unknown element {step.target!r}", step.line, "workflow"))
     if scene is not None and not scene.has_element(workflow.INSTRUCTION_ELEMENT):
-        diags.append(
-            Diagnostic(
-                "error",
-                f"workflow needs an {workflow.INSTRUCTION_ELEMENT!r} element in the scene",
-                workflow.line,
-                source="workflow",
-            )
-        )
+        diags.append(Diagnostic(
+            "error", f"workflow needs an {workflow.INSTRUCTION_ELEMENT!r} element in the scene", workflow.line,
+            "workflow"))
     return diags
 
 
@@ -936,14 +941,8 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
             kind = type_name(action.value)
             first_kind, first = feature_types.setdefault(action.feature, (kind, rule))
             if kind != first_kind:
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        f"set_feature writes {action.feature} as {first_kind} in rule {first.id!r}"
-                        f" and as {kind} in rule {rule.id!r}",
-                        rule.line,
-                    )
-                )
+                diags.append(Diagnostic("error", f"set_feature writes {action.feature} as {first_kind} in rule"
+                                                 f" {first.id!r} and as {kind} in rule {rule.id!r}", rule.line))
         for key in sorted(targets):
             writers.setdefault(key, []).append(rule)
     # one warning per property: its writers in the order they execute
@@ -956,14 +955,8 @@ def validate(rules: RuleSet, scene: SceneModel | None = None, workflow=None) -> 
     diags.extend(d for d in found if d.source == "workflow")
     if workflow is not None:
         for step in workflow.unreachable_steps():
-            diags.append(
-                Diagnostic(
-                    "warning",
-                    f"step {step.id!r} is unreachable from the initial step",
-                    step.line,
-                    source="workflow",
-                )
-            )
+            diags.append(Diagnostic(
+                "warning", f"step {step.id!r} is unreachable from the initial step", step.line, "workflow"))
     return diags
 
 

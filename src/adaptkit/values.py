@@ -33,7 +33,10 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        for c in (self.x, self.y, self.z):
+        x, y, z = self.x, self.y, self.z
+        if type(x) is type(y) is type(z) is float and math.isfinite(x + y + z):
+            return  # three exact finite floats: stored as given
+        for c in (x, y, z):
             if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
                 raise TypeMismatch(f"Vec3 components must be finite numbers, got {c!r}")
         # normalize ints handed in by literals

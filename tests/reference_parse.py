@@ -10,6 +10,11 @@ one operand on each side, so comparisons do not chain. Both raise the
 errors the package raises, with the same messages and line numbers, and
 the parser builds the package's expression nodes (``adaptkit.dsl``'s
 ``Lit`` ... ``Dist``), so test_parse.py compares the two sides whole.
+
+``parse_actions_line`` reads a rule line's actions as ``parse_rules`` did
+before its action reader worked by token position: a Cursor call per
+token, ``_parse_one_action`` per action and ``_parse_action_arg`` per
+argument, each argument bound afresh by ``adaptkit.dsl._bind_action``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,26 @@ from __future__ import annotations
 import math
 import re
 
+from adaptkit import _lexer
+from adaptkit._lexer import Cursor, literal
 from adaptkit.context import FeatureId
-from adaptkit.dsl import MAX_DEPTH, MAX_HEIGHT, BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef
-from adaptkit.errors import DslSyntaxError, ExprTypeError
+from adaptkit.dsl import (
+    _CATEGORIES,
+    EFFECTOR_PROPERTY,
+    MAX_DEPTH,
+    MAX_HEIGHT,
+    ActionCall,
+    BoolOp,
+    Compare,
+    Dist,
+    FeatureRef,
+    Lit,
+    Not,
+    SceneRef,
+    _bind_action,
+    _leaf,
+)
+from adaptkit.errors import DslSyntaxError, ExprTypeError, UnknownCategory, UnknownEffector
 from adaptkit.scene import READABLE_PROPS
 from adaptkit.values import Vec3
 
@@ -211,3 +233,64 @@ def _parse_primary(cur: _Cursor, depth: int):
             return SceneRef(parts[1], parts[2]), 0
         raise DslSyntaxError(cur.lineno, f"unexpected identifier {text!r} in expression")
     raise DslSyntaxError(cur.lineno, f"unexpected token {text_of(tok)!r}")
+
+
+def parse_actions_line(line: str, lineno: int) -> tuple[ActionCall, ...]:
+    """The actions of a rule line ``rule <id> when <cond> do ...``: every
+    action after ``do``, then the category and the end of the line, checked
+    as ``parse_rules`` checks them."""
+    tokens = _lexer.tokenize(line, lineno)
+    if tokens and tokens[-1][0] == "#":
+        tokens.pop()
+    cur = Cursor(tokens, lineno)
+    for head in ("rule", None, "when", None, "do"):
+        tok = cur.next()
+        assert head is None or tok == head, "the line's head is the test's own"
+    leaves: dict = {}
+    actions = [_parse_one_action(cur, leaves)]
+    while cur.at(";"):
+        cur.next()
+        actions.append(_parse_one_action(cur, leaves))
+    if not cur.at("category"):
+        raise DslSyntaxError(lineno, "expected 'category'")
+    cur.next()
+    name = cur.next()
+    if name not in _CATEGORIES:
+        if _lexer.kind(name) != "ref":
+            raise DslSyntaxError(lineno, "expected a category name")
+        raise UnknownCategory(lineno, f"unknown category {name!r}")
+    cur.expect_end("after category")
+    return tuple(actions)
+
+
+def _parse_action_arg(cur: Cursor, leaves: dict):
+    """A bare identifier (an element id or an enum name) as its text; a
+    literal as its value, but a vector as a tuple, so highlight can insist
+    on ints, and a text as a Lit, so it is no bare identifier; or a feature
+    id as a FeatureRef (a bare FeatureId is a str, which a text check would
+    take)."""
+    tok = cur.next()
+    value = literal(tok, cur.lineno)
+    if value is not None:
+        return Lit(value) if type(value) is str else value
+    if tok.isidentifier():
+        return tok
+    parts = tok.split(".")
+    if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
+        return (leaves.get(tok) or _leaf(tok, leaves, cur.lineno))[0][0]
+    raise DslSyntaxError(cur.lineno, f"unexpected action argument {tok!r}")
+
+
+def _parse_one_action(cur: Cursor, leaves: dict) -> ActionCall:
+    name = cur.ident("an effector name")
+    if name not in EFFECTOR_PROPERTY:
+        raise UnknownEffector(cur.lineno, f"unknown effector {name!r}")
+    cur.expect("(")
+    args = []
+    if not cur.at(")"):
+        args.append(_parse_action_arg(cur, leaves))
+        while cur.at(","):
+            cur.next()
+            args.append(_parse_action_arg(cur, leaves))
+    cur.expect(")")
+    return _bind_action(name, args, cur.lineno)

@@ -19,6 +19,17 @@ parser must find the reference's type, reads and first error; and
 ``check_expr`` must agree with the reference on every tree the reference
 parser builds. A table pins each kind of type error, errors on both sides
 of one node, and a type error before a syntax error on one line.
+
+Actions draw rule lines from action fragments: effector names valid,
+unknown or no identifiers; elements that are no bare identifier; values
+of every effector, in range or not, and names of detail levels and
+modalities, known or not; then a ``(``, ``,``, ``)`` or ``;`` dropped or
+doubled, and a category missing or wrong. ``parse_rules`` must read the
+same actions as the reference's cursor reader, values of the same type,
+or raise the same error class, message and line. A table pins the
+element check after a bound action, constants that differ after their
+second argument, and every error after a bound action; equal constants of
+one parse share an object, and an error carries its own line.
 """
 
 from __future__ import annotations
@@ -330,3 +341,197 @@ def test_the_typing_table_meets_every_outcome():
     assert len(set(messages)) >= 10
     assert _outcome(lambda: _rule_reads('1 && (2 < "a")')) == (
         "ExprTypeError", "&& needs bool operands, got int", LINE)
+
+
+# actions: rule lines drawn from action fragments, valid or not, read by
+# parse_rules and by the reference's cursor reader (parse_actions_line)
+EFFECTOR_VALUES = {
+    "set_visible": ["true", "false"],
+    "set_billboard": ["true", "false"],
+    "set_text": ['"hi"', '"a\\"b"', '""'],
+    "set_text_size": ["20", "1.5", "12.0"],
+    "set_detail": ["full", "reduced"],
+    "set_modality": ["visual", "audio", "voice_input"],
+    "highlight": ["(255,0,0)", "(0, 0, 255)"],
+    "clear_highlight": [],
+    "set_feature": ["1", "2.5", "true", '"on"', "(1,2,3)", "(1.0,0,-2.5)"],
+}
+ACTION_NAMES = list(EFFECTOR_VALUES) + ["show", "set_color", "env.x", "1", '"a"', "("]
+ELEMENTS = ["e", "f", "panel_1", "true", "false", "1", "2.5", "env.x", "a.b", '"e"', "(1,2,3)", "1e999"]
+FEATURES = ["env.x", "user.mode", "platform.p", "env.X", "envx.a", "e"]
+ANY_VALUES = [
+    "true", "false", "0", "20", "-1", "1.5", "-0.0", "1e999", "(255,0,0)", "(256,0,0)", "(1.0,0,0)",
+    "(1,2,3)", '"hi"', '"a\\"b"', '""', "full", "reduced", "partial", "visual", "audio", "voice_input",
+    "smell", "none", "env.x", "user.position", "a.b", "e",
+]
+STRUCTURE = ("(", ",", ")", ";")
+RULE_HEAD = "rule r when c do "
+RULE_TAILS = [" category Style", " category Style", " category Nope", " category 1", "", " Style", " category"]
+
+
+@st.composite
+def action_texts(draw):
+    """One to four actions, most of them well formed and well typed, some
+    repeating an earlier one's effector and constants with any element, one
+    constant more or one less, and the rest of any fragments; then now and
+    then a structural token dropped or doubled, joined with or without
+    spaces."""
+    tokens = []
+    drawn = []
+    for k in range(draw(st.integers(1, 4))):
+        if drawn and draw(st.sampled_from([True, False, False])):
+            name, values = draw(st.sampled_from(drawn))
+            first = draw(st.sampled_from(FEATURES if name == "set_feature" else ELEMENTS))
+            values = draw(st.sampled_from([values, values[:-1], values + [draw(st.sampled_from(
+                EFFECTOR_VALUES.get(name, []) + ANY_VALUES))]]))
+        elif draw(st.sampled_from([True] * 5 + [False])):
+            name = draw(st.sampled_from(list(EFFECTOR_VALUES)))
+            good = EFFECTOR_VALUES[name]
+            first = draw(st.sampled_from(FEATURES[:3] if name == "set_feature" else ELEMENTS[:3]))
+            count = draw(st.integers(1, 3)) if name == "set_modality" else 0 if not good else 1
+            values = draw(st.lists(st.sampled_from(good or ["e"]), min_size=count, max_size=count))
+        else:
+            name = draw(st.sampled_from(ACTION_NAMES))
+            first = draw(st.sampled_from(FEATURES + ELEMENTS))
+            values = draw(st.lists(st.sampled_from(EFFECTOR_VALUES.get(name, []) + ANY_VALUES), max_size=3))
+        drawn.append((name, values))
+        args = [first] + values if draw(st.sampled_from([True] * 9 + [False])) else []
+        tokens += [";"] if k else []
+        tokens += [name, "("] + [t for a in args for t in (a, ",")][:-1] + [")"]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        marks = [j for j, t in enumerate(tokens) if t in STRUCTURE]
+        j = draw(st.sampled_from(marks))
+        tokens[j:j + 1] = [] if draw(st.booleans()) else [tokens[j]] * 2
+    return draw(st.sampled_from([" ", ""])).join(tokens)
+
+
+def _rule_line(actions: str, tail: str = " category Style") -> str:
+    return RULE_HEAD + actions + tail
+
+
+def _actions(line: str):
+    """The actions of a rule line on line LINE, as parse_rules reads them,
+    with the type of each value, which equality between numbers hides."""
+    rules = dsl.parse_rules("\n" * (LINE - 1) + line + "\ncondition c: true\n")
+    actions = rules.rules[0].actions
+    return actions, [type(a.value) for a in actions]
+
+
+def _reference_actions(line: str):
+    actions = reference_parse.parse_actions_line(line, LINE)
+    return actions, [type(a.value) for a in actions]
+
+
+def _agree_on_actions(line: str) -> None:
+    assert _outcome(lambda: _actions(line)) == _outcome(lambda: _reference_actions(line))
+
+
+@settings(max_examples=600, deadline=None)
+@given(action_texts(), st.sampled_from(RULE_TAILS))
+def test_the_action_readers_agree(actions, tail):
+    _agree_on_actions(_rule_line(actions, tail))
+
+
+ACTION_CASES = [
+    # a bound action, then the same constants after an element that is no
+    # bare identifier, or after none
+    "set_visible(e, true); set_visible(true, true)",
+    "set_visible(e, true); set_visible(false, true)",
+    "set_visible(e, true); set_visible(1, true)",
+    "set_visible(e, true); set_visible(env.x, true)",
+    "set_visible(e, true); set_visible(a.b, true)",
+    'set_visible(e, true); set_visible("e", true)',
+    "set_visible(e, true); set_visible(1e999, true)",
+    "set_visible(e, true); set_visible((1,2,3), true)",
+    "clear_highlight(e); clear_highlight()",
+    "set_detail(e, full); set_detail(true, full)",
+    # constants that differ after their second argument, or only in type
+    "set_modality(e, visual); set_modality(f, visual, audio)",
+    "set_modality(e, visual, audio); set_modality(f, visual)",
+    "set_modality(e, visual, audio); set_modality(f, audio, visual)",
+    "set_modality(e, visual); set_modality(f, visual, smell)",
+    "set_text_size(e, 20); set_text_size(f, 20.0); set_text_size(g, 20)",
+    "set_feature(env.x, 1); set_feature(env.x, 1.0); set_feature(env.y, 1)",
+    "set_feature(env.x, 1); set_feature(env.x, 1)",
+    "set_feature(env.x, (1,2,3)); set_feature(env.x, (1,2,3))",
+    "highlight(e, (255,0,0)); highlight(f, (255,0,0)); highlight(g, (256,0,0))",
+    'set_text(e, "a\\"b"); set_text(f, "a\\"b")',
+    # errors after a bound action: each argument, then ')', then binding
+    "set_visible(e, true); set_visible(f, 1e999)",
+    "set_visible(1e999, 1e999)",
+    "set_visible(e, true); set_visible(f, true",
+    "set_visible(e, true); set_visible(f, true,",
+    "set_visible(e, true); set_visible(f, true,)",
+    "set_visible(e, true); set_visible(f true)",
+    "set_visible(e, true); set_visible(f, true))",
+    "set_visible(e, true);; set_visible(f, true)",
+    "set_visible(e, true) set_visible(f, true)",
+    "set_visible(e, true); set_visible(f, 1 2)",
+    "set_visible((e, true)",
+    "set_visible e, true)",
+    "set_visible(e,, true)",
+    "set_visible(, true)",
+    "set_visible()",
+    "set_visible(",
+    "set_visible",
+    "",
+    "show(e)",
+    "1(e)",
+    "set_detail(e, full); set_detail(f, partial)",
+    "set_feature(env.x, e)",
+    "set_feature(e, 1)",
+    "set_feature(env.X, 1)",
+    "set_feature(env.x)",
+    "set_text_size(e, -1)",
+]
+
+
+@pytest.mark.parametrize("actions", ACTION_CASES, ids=ACTION_CASES)
+def test_the_action_readers_agree_on_the_table(actions):
+    _agree_on_actions(_rule_line(actions))
+
+
+@pytest.mark.parametrize("tail", RULE_TAILS[1:])
+def test_the_action_readers_agree_on_the_line_after_the_actions(tail):
+    _agree_on_actions(_rule_line("set_visible(e, true); set_visible(f, true)", tail))
+
+
+def test_the_action_table_meets_both_outcomes():
+    """The table holds lines both sides read and lines both refuse, among
+    them the element check after a bound action."""
+    outcomes = [_outcome(lambda: _actions(_rule_line(text))) for text in ACTION_CASES]
+    assert sum(o[0] == "ok" for o in outcomes) >= 8
+    assert sum(o[0] == "DslSyntaxError" for o in outcomes) >= 10
+    assert sum(o[0] == "ExprTypeError" for o in outcomes) >= 8
+    assert _outcome(lambda: _actions(_rule_line(ACTION_CASES[0]))) == (
+        "ExprTypeError", "expected an element id", LINE)
+
+
+def test_equal_constants_of_one_parse_share_an_object():
+    text = (
+        "condition c: true\n"
+        "rule a when c do highlight(e, (255,0,0)); set_modality(e, visual, audio) category Style\n"
+        "rule b when c do highlight(f, (255,0,0)); set_modality(g, visual, audio) category Style\n"
+    )
+    a, b = dsl.parse_rules(text).rules
+    assert a.actions[0].value == (255, 0, 0) and a.actions[0].value is b.actions[0].value
+    assert a.actions[1].value is b.actions[1].value
+    assert b.actions[0] == ("highlight", "f", None, (255, 0, 0))
+    # another parse binds its own
+    assert dsl.parse_rules(text).rules[0].actions[0].value is not a.actions[0].value
+
+
+def test_an_action_error_carries_its_own_line_in_every_parse():
+    """A constant refused on one line is refused at the line it is on in
+    the next parse, and after the same constants bound on an earlier line."""
+    bad = "rule r when c do set_text_size(e, -1) category Style\n"
+    good = "rule s when c do set_text_size(e, 1) category Style\n"
+    for text, line in ((bad, 1), ("\n" + bad, 2), (good + "\n" + bad, 3)):
+        with pytest.raises(ExprTypeError) as exc:
+            dsl.parse_rules(text + "condition c: true\n")
+        assert exc.value.line == line
+    late = "".join(f"rule r{k} when c do set_visible({elem}, true) category Style\n"
+                   for k, elem in enumerate(["e", "f", "true"]))
+    with pytest.raises(ExprTypeError) as exc:
+        dsl.parse_rules(late)
+    assert (exc.value.message, exc.value.line) == ("expected an element id", 3)

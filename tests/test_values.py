@@ -77,3 +77,46 @@ class TestValuesEqual:
     def test_cross_type_never_equal(self):
         assert not values_equal(1, 1.0)
         assert not values_equal(True, 1)
+
+
+class TestVec3Components:
+    """Three exact finite floats are stored as given; anything else is
+    checked one component at a time."""
+
+    def test_exact_floats_are_kept_as_given(self):
+        v = Vec3(1.5, -0.0, 1e308)
+        assert (v.x, v.y, v.z) == (1.5, 0.0, 1e308)
+        assert math.copysign(1.0, v.y) == -1.0  # -0.0 stays -0.0
+        assert all(type(c) is float for c in (v.x, v.y, v.z))
+
+    def test_a_sum_that_overflows_takes_the_general_path(self):
+        v = Vec3(1e308, 1e308, -0.0)
+        assert (v.x, v.y) == (1e308, 1e308) and math.copysign(1.0, v.z) == -1.0
+
+    def test_ints_become_floats(self):
+        v = Vec3(1, 2.5, -3)
+        assert (v.x, v.y, v.z) == (1.0, 2.5, -3.0)
+        assert all(type(c) is float for c in (v.x, v.y, v.z))
+
+    def test_a_float_subclass_becomes_a_float(self):
+        class F(float):
+            pass
+
+        v = Vec3(F(1.5), 2.0, 3.0)
+        assert type(v.x) is float and v.x == 1.5
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, math.nan, math.inf, -math.inf, "1", None, (1.0,)],
+        ids=["true", "false", "nan", "inf", "-inf", "text", "none", "tuple"],
+    )
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_each_bad_component_raises_at_any_position(self, bad, at):
+        args = [1.0, 2.0, 3.0]
+        args[at] = bad
+        with pytest.raises(TypeMismatch) as exc:
+            Vec3(*args)
+        assert str(exc.value) == f"Vec3 components must be finite numbers, got {bad!r}"
+
+    def test_opposite_infinities_raise_for_the_first(self):
+        with pytest.raises(TypeMismatch, match="got inf"):
+            Vec3(math.inf, -math.inf, 0.0)
