@@ -199,7 +199,7 @@ def parse_workflow(text: str) -> Workflow:
         )
 
     if wf_id is None or not steps:
-        raise DslSyntaxError(1, "a workflow needs a header and at least one step")
+        raise DslSyntaxError(wf_line or 1, "a workflow needs a header and at least one step")
     for ref, lineno in pending_refs:
         if ref not in step_lines:
             raise UnknownStepRef(lineno, f"goto references unknown step {ref!r}")

@@ -241,7 +241,7 @@ def parse_workflow(text: str) -> tuple:
             raise DuplicateStep(lineno, f"duplicate step id {sid!r}")
         steps[sid] = (sid, instruction, target, completion, tuple(transitions), terminal, lineno)
     if header is None or not steps:
-        raise DslSyntaxError(1, "a workflow needs a header and at least one step")
+        raise DslSyntaxError(header[1] if header else 1, "a workflow needs a header and at least one step")
     for _, _, _, _, transitions, _, lineno in steps.values():
         for _, nxt in transitions:
             if nxt not in steps:

@@ -96,6 +96,14 @@ class TestParseWorkflow:
         with pytest.raises(DslSyntaxError):
             parse_workflow('step a "x" terminal\n')
 
+    @pytest.mark.parametrize("text, line", [("# c\n\nworkflow w\n", 3), ("workflow w  # no steps\n\n", 1),
+                                            ("", 1), ("# c\n\n", 1)])
+    def test_a_workflow_without_steps_is_refused_at_its_header(self, text, line):
+        """At the header's line once a header was read, else at line 1."""
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_workflow(text)
+        assert (exc.value.message, exc.value.line) == ("a workflow needs a header and at least one step", line)
+
 
 def test_missing_instruction_panel_blocks_init():
     from adaptkit import ValidationFailed
