@@ -24,6 +24,11 @@ same text, so ``tok == "rule"`` asks for the identifier ``rule`` and
 :func:`literal` is the one reader of literal values: integers and
 floats (each must be finite as a float), ``true``/``false``, strings, and
 ``(x, y, z)`` vectors of three numbers.
+
+Every format reads a line's tokens by index, and shares three checks of
+``tokens[i]``, each raising at the line's number: :func:`expect` a given
+text, :func:`ident` an identifier, and :func:`expect_end` that the line
+ends before ``i``.
 """
 
 from __future__ import annotations
@@ -121,55 +126,27 @@ def literal(tok: str, lineno: int):
     return None
 
 
-class Cursor:
-    """One line's tokens with one token of lookahead; every error it raises
-    carries the line number."""
+def expect(tokens: list[str], i: int, lineno: int, text: str) -> int:
+    """The index after ``tokens[i]``, which must be ``text``."""
+    if i >= len(tokens):
+        raise DslSyntaxError(lineno, "unexpected end of line")
+    if tokens[i] != text:
+        raise DslSyntaxError(lineno, f"expected {text!r}, got {tokens[i]!r}")
+    return i + 1
 
-    __slots__ = ("tokens", "lineno", "i")
 
-    def __init__(self, tokens: list[str], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.i = 0
+def ident(tokens: list[str], i: int, lineno: int, what: str) -> str:
+    """``tokens[i]``, which must be an identifier without dots; ``what``
+    names it in the error."""
+    if i >= len(tokens):
+        raise DslSyntaxError(lineno, "unexpected end of line")
+    tok = tokens[i]
+    if not tok.isidentifier():  # ASCII, so just [A-Za-z_][A-Za-z0-9_]*
+        raise DslSyntaxError(lineno, f"expected {what}, got {tok!r}")
+    return tok
 
-    def peek(self) -> str | None:
-        i = self.i
-        return self.tokens[i] if i < len(self.tokens) else None
 
-    def next(self) -> str:
-        i = self.i
-        if i >= len(self.tokens):
-            raise DslSyntaxError(self.lineno, "unexpected end of line")
-        self.i = i + 1
-        return self.tokens[i]
-
-    def at(self, text: str) -> bool:
-        """Whether the next token is ``text``."""
-        i = self.i
-        return i < len(self.tokens) and self.tokens[i] == text
-
-    def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok != text:
-            raise DslSyntaxError(self.lineno, f"expected {text!r}, got {tok!r}")
-
-    def expect_end(self, where: str) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise DslSyntaxError(self.lineno, f"trailing input {where}: {tok!r}")
-
-    def ident(self, what: str) -> str:
-        """Read an identifier without dots; ``what`` names it in the error."""
-        tok = self.next()
-        if not tok.isidentifier():  # ASCII, so just [A-Za-z_][A-Za-z0-9_]*
-            raise DslSyntaxError(self.lineno, f"expected {what}, got {tok!r}")
-        return tok
-
-    def literal(self):
-        """Read a literal token (see :func:`literal`); None, consuming
-        nothing, when the next token is no literal."""
-        i = self.i
-        value = literal(self.tokens[i], self.lineno) if i < len(self.tokens) else None
-        if value is not None:
-            self.i = i + 1
-        return value
+def expect_end(tokens: list[str], i: int, lineno: int, where: str) -> None:
+    """Refuse any token at ``i``: the line must end before it."""
+    if i < len(tokens):
+        raise DslSyntaxError(lineno, f"trailing input {where}: {tokens[i]!r}")

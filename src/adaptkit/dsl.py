@@ -24,9 +24,12 @@ atom, and lists what each operand reads.
 
 Actions come from a closed effector vocabulary; ``set_feature`` writes a
 context feature and is what lets one rule's effects trigger another rule.
-They are read by token position, and each distinct effector and argument
-text is bound once per parse: equal constants written alike share one
-object (_read_actions).
+Each distinct effector and argument text is bound once per parse: equal
+constants written alike share one object (_read_actions).
+
+Every line is read by token position: a line's heads, its expression and
+its actions each take the line's tokens and an index, and the expression
+and action readers return the index after what they read.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ._lexer import Cursor, kind, lines, literal, tokenize
+from ._lexer import expect, expect_end, ident, kind, lines, literal, tokenize
 from .context import ContextStore, FeatureId
 from .errors import (
     DslSyntaxError,
@@ -125,15 +128,15 @@ MAX_DEPTH = 100  # parentheses, '!' and 'dist(' around any part
 MAX_HEIGHT = 300  # the tree's height; a '&&' or '||' chain is one level per operator
 
 
-def _nested(cur: Cursor, level: int, limit: int = MAX_DEPTH) -> int:
+def _nested(lineno: int, level: int, limit: int = MAX_DEPTH) -> int:
     if level > limit:
-        raise DslSyntaxError(cur.lineno, f"expression nested deeper than {limit} levels")
+        raise DslSyntaxError(lineno, f"expression nested deeper than {limit} levels")
     return level
 
 
-def _higher(cur: Cursor, *heights: int) -> int:
+def _higher(lineno: int, *heights: int) -> int:
     """The height of a node over subtrees of these heights."""
-    return _nested(cur, max(heights) + 1, MAX_HEIGHT)
+    return _nested(lineno, max(heights) + 1, MAX_HEIGHT)
 
 
 def _want(errors: list, t: str | None, want: str, message: str) -> None:
@@ -142,27 +145,28 @@ def _want(errors: list, t: str | None, want: str, message: str) -> None:
         errors.append(f"{message}, got {t}")
 
 
-# The parser types what it builds. Each parse function takes ``leaves`` (see
-# _leaf), lists to append the expression's reads and type errors to, in
+# The parser types what it builds. Each parse function reads a line's
+# ``tokens`` from index ``i`` on, and takes the line's number, ``leaves``
+# (see _leaf), lists to append the expression's reads and type errors to, in
 # reading order, and the nesting ``depth`` around it. It returns the
-# expression, its height (0 for a leaf) and its static type, None where only
-# the run-time value tells.
+# expression, its height (0 for a leaf), its static type, None where only
+# the run-time value tells, and the index after the expression.
 
-def _parse_expr(cur: Cursor, leaves: dict, reads: list, errors: list, depth: int = 0,
-                lowest: int = 1) -> tuple[Expr, int, str | None]:
+def _parse_expr(tokens: list, i: int, lineno: int, leaves: dict, reads: list, errors: list, depth: int = 0,
+                lowest: int = 1) -> tuple[Expr, int, str | None, int]:
     """An expression of binary operators of precedence ``lowest`` or more,
     by precedence climbing: ``&&`` and ``||`` group to the left, and a
     comparison takes no comparison as its operand."""
-    left, height, lt = _parse_operand(cur, leaves, reads, errors, depth)
+    left, height, lt, i = _parse_operand(tokens, i, lineno, leaves, reads, errors, depth)
     highest = 3
-    while True:
-        op = cur.peek()
+    n = len(tokens)
+    while i < n:
+        op = tokens[i]
         prec = _PREC.get(op, 0)
         if prec < lowest or prec > highest:
-            return left, height, lt
-        cur.next()
+            break
         if prec == 3:
-            right, rh, rt = _parse_operand(cur, leaves, reads, errors, depth)
+            right, rh, rt, i = _parse_operand(tokens, i + 1, lineno, leaves, reads, errors, depth)
             left = Compare(op, left, right)
             if lt is not None and rt is not None and lt != rt:
                 errors.append(f"cannot compare {lt} with {rt}")
@@ -172,51 +176,56 @@ def _parse_expr(cur: Cursor, leaves: dict, reads: list, errors: list, depth: int
                         errors.append(f"ordering comparison needs numbers, got {t}")
         else:
             _want(errors, lt, "bool", f"{op} needs bool operands")
-            right, rh, rt = _parse_expr(cur, leaves, reads, errors, depth, prec + 1)
+            right, rh, rt, i = _parse_expr(tokens, i + 1, lineno, leaves, reads, errors, depth, prec + 1)
             _want(errors, rt, "bool", f"{op} needs bool operands")
             left = BoolOp(op, left, right)
-        height = _higher(cur, height, rh)
+        height = _higher(lineno, height, rh)
         lt = "bool"
         highest = min(prec, 2)  # no comparison follows, nor anything tighter than this node
+    return left, height, lt, i
 
 
-def _parse_operand(cur: Cursor, leaves: dict, reads: list, errors: list, depth: int) -> tuple[Expr, int, str | None]:
+def _parse_operand(tokens: list, i: int, lineno: int, leaves: dict, reads: list, errors: list,
+                   depth: int) -> tuple[Expr, int, str | None, int]:
     """A leaf, ``dist(a, b)``, or an expression in parentheses or after ``!``."""
-    tok = cur.next()
+    if i >= len(tokens):
+        raise DslSyntaxError(lineno, "unexpected end of line")
+    tok = tokens[i]
     hit = leaves.get(tok)
     if hit is None:
         if tok == "!":
-            operand, height, t = _parse_operand(cur, leaves, reads, errors, _nested(cur, depth + 1))
+            operand, height, t, i = _parse_operand(tokens, i + 1, lineno, leaves, reads, errors,
+                                                   _nested(lineno, depth + 1))
             _want(errors, t, "bool", "! needs a bool operand")
-            return Not(operand), _higher(cur, height), "bool"
+            return Not(operand), _higher(lineno, height), "bool", i
         if tok == "(":
-            inner = _parse_expr(cur, leaves, reads, errors, _nested(cur, depth + 1))
-            cur.expect(")")
-            return inner
+            inner, height, t, i = _parse_expr(tokens, i + 1, lineno, leaves, reads, errors, _nested(lineno, depth + 1))
+            return inner, height, t, expect(tokens, i, lineno, ")")
         if tok == "dist":
-            cur.expect("(")
-            a, ah, t = _parse_expr(cur, leaves, reads, errors, _nested(cur, depth + 1))
+            i = expect(tokens, i + 1, lineno, "(")
+            a, ah, t, i = _parse_expr(tokens, i, lineno, leaves, reads, errors, _nested(lineno, depth + 1))
             _want(errors, t, "vec3", "dist() needs two vec3 arguments")
-            cur.expect(",")
-            b, bh, t = _parse_expr(cur, leaves, reads, errors, depth + 1)
+            i = expect(tokens, i, lineno, ",")
+            b, bh, t, i = _parse_expr(tokens, i, lineno, leaves, reads, errors, depth + 1)
             _want(errors, t, "vec3", "dist() needs two vec3 arguments")
-            cur.expect(")")
-            return Dist(a, b), _higher(cur, ah, bh), "float"
-        hit = _leaf(tok, leaves, cur.lineno)
-    triple, read = hit
+            i = expect(tokens, i, lineno, ")")
+            return Dist(a, b), _higher(lineno, ah, bh), "float", i
+        hit = _leaf(tok, leaves, lineno)
+    node, t, read = hit
     if read is not None:
         reads.append(read)
-    return triple
+    return node, 0, t, i + 1
 
 
 def _leaf(tok: str, leaves: dict, lineno: int) -> tuple:
-    """What a token makes, as ``leaves`` keeps it: the parser's triple for its
-    leaf, a literal or a reference, and what it reads (None for a literal)."""
+    """What a token makes, as ``leaves`` keeps it: its leaf, a literal or a
+    reference, the leaf's static type, and what it reads (None for a
+    literal)."""
     value = literal(tok, lineno)
     parts = tok.split(".")
     if value is not None:
         leaf = Lit(Vec3(*value) if type(value) is tuple else value)
-        hit = (leaf, 0, type_name(leaf.value)), None
+        hit = leaf, type_name(leaf.value), None
     elif kind(tok) != "ref":
         raise DslSyntaxError(lineno, f"unexpected token {tok!r}")
     elif len(parts) == 2 and parts[0] in ("env", "user", "platform"):
@@ -224,9 +233,9 @@ def _leaf(tok: str, leaves: dict, lineno: int) -> tuple:
             feature = FeatureId.parse(tok)
         except ValueError as e:
             raise DslSyntaxError(lineno, str(e)) from None
-        hit = (FeatureRef(feature), 0, None), feature
+        hit = FeatureRef(feature), None, feature
     elif len(parts) == 3 and parts[0] == "scene" and parts[2] in READABLE_PROPS:
-        hit = (SceneRef(parts[1], parts[2]), 0, READABLE_PROPS[parts[2]]), (parts[1], parts[2])
+        hit = SceneRef(parts[1], parts[2]), READABLE_PROPS[parts[2]], (parts[1], parts[2])
     elif len(parts) == 3 and parts[0] == "scene":
         raise ExprTypeError(lineno, f"scene property {parts[2]!r} is not readable in expressions")
     else:
@@ -282,7 +291,7 @@ def _action_arg(tok: str, lineno: int, leaves: dict):
         return tok
     parts = tok.split(".")
     if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
-        return (leaves.get(tok) or _leaf(tok, leaves, lineno))[0][0]
+        return (leaves.get(tok) or _leaf(tok, leaves, lineno))[0]
     raise DslSyntaxError(lineno, f"unexpected action argument {tok!r}")
 
 
@@ -434,14 +443,13 @@ def parse_rules(text: str) -> RuleSet:
     bound: dict[tuple, ActionCall] = {}  # an action's constant texts -> its binding (_read_actions)
 
     for lineno, tokens in lines(text):
-        cur = Cursor(tokens, lineno)
-        head = cur.next()
+        head = tokens[0]
+        n = len(tokens)
         if head == "condition":
-            cid = cur.ident("a condition id")
-            cur.expect(":")
+            cid = ident(tokens, 1, lineno, "a condition id")
             reads, errors = [], []
-            expr, _, expr_type = _parse_expr(cur, leaves, reads, errors)
-            cur.expect_end("after expression")
+            expr, _, expr_type, i = _parse_expr(tokens, expect(tokens, 2, lineno, ":"), lineno, leaves, reads, errors)
+            expect_end(tokens, i, lineno, "after expression")
             if errors:
                 raise ExprTypeError(lineno, errors[0])
             if expr_type not in (None, "bool"):
@@ -451,34 +459,35 @@ def parse_rules(text: str) -> RuleSet:
             cond_ids[cid] = lineno
             conditions.append(ConditionDef(cid, expr, line=lineno, reads=tuple(reads)))
         elif head == "rule":
-            rid = cur.ident("a rule id")
+            rid = ident(tokens, 1, lineno, "a rule id")
+            i = 2
             priority = 0
-            if cur.at("priority"):
-                cur.next()
-                priority = cur.literal()
+            if i < n and tokens[i] == "priority":
+                priority = literal(tokens[i + 1], lineno) if i + 1 < n else None
                 if type(priority) is not int:
                     raise DslSyntaxError(lineno, "priority needs an integer")
-            if not cur.at("when"):
+                i += 2
+            if i >= n or tokens[i] != "when":
                 raise DslSyntaxError(lineno, "expected 'when'")
-            cur.next()
-            cond_refs = [cur.ident("a condition id")]
-            while cur.at(","):
-                cur.next()
-                cond_refs.append(cur.ident("a condition id"))
-            if not cur.at("do"):
+            cond_refs = [ident(tokens, i + 1, lineno, "a condition id")]
+            i += 2
+            while i < n and tokens[i] == ",":
+                cond_refs.append(ident(tokens, i + 1, lineno, "a condition id"))
+                i += 2
+            if i >= n or tokens[i] != "do":
                 raise DslSyntaxError(lineno, "expected 'do'")
-            cur.next()
-            actions, cur.i = _read_actions(tokens, cur.i, lineno, leaves, bound)
-            if not cur.at("category"):
+            actions, i = _read_actions(tokens, i + 1, lineno, leaves, bound)
+            if i >= n or tokens[i] != "category":
                 raise DslSyntaxError(lineno, "expected 'category'")
-            cur.next()
-            name = cur.next()
+            if i + 1 == n:
+                raise DslSyntaxError(lineno, "unexpected end of line")
+            name = tokens[i + 1]
             category = _CATEGORIES.get(name)
             if category is None:
                 if kind(name) != "ref":
                     raise DslSyntaxError(lineno, "expected a category name")
                 raise UnknownCategory(lineno, f"unknown category {name!r}")
-            cur.expect_end("after category")
+            expect_end(tokens, i + 2, lineno, "after category")
             if rid in rule_ids:
                 raise DuplicateId(lineno, f"duplicate rule id {rid!r}")
             rule_ids[rid] = lineno
@@ -544,9 +553,9 @@ def check_expr(expr: Expr) -> tuple[str | None, list, str | None]:
     text (render_expr). So a tree no rules file can hold, such as one with a
     non-finite Lit, raises what parsing that text raises."""
     reads, errors = [], []
-    cur = Cursor(tokenize(render_expr(expr), 0), 0)
-    _, _, expr_type = _parse_expr(cur, {}, reads, errors)
-    cur.expect_end("after expression")
+    tokens = tokenize(render_expr(expr), 0)
+    _, _, expr_type, i = _parse_expr(tokens, 0, 0, {}, reads, errors)
+    expect_end(tokens, i, 0, "after expression")
     return expr_type, reads, errors[0] if errors else None
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 
-from ._lexer import Cursor, kind, lines, literal
+from ._lexer import expect_end, ident, kind, lines, literal
 from .context import ContextStore, FeatureId
 from .dsl import RuleSet
 from .engine import DEFAULT_MAX_CASCADE_DEPTH, Trace, init_engine
@@ -58,12 +58,10 @@ def parse_scenario(text: str) -> Scenario:
 
     for lineno, tokens in lines(text):
         if scenario_id is None:
-            cur = Cursor(tokens, lineno)
-            if not cur.at("scenario"):
+            if tokens[0] != "scenario":
                 raise DslSyntaxError(lineno, "expected 'scenario <id>' header")
-            cur.next()
-            scenario_id = cur.ident("a scenario id")
-            cur.expect_end("after the scenario id")
+            scenario_id = ident(tokens, 1, lineno, "a scenario id")
+            expect_end(tokens, 2, lineno, "after the scenario id")
             continue
         if len(tokens) != 6:
             raise DslSyntaxError(lineno, _SET_SYNTAX)

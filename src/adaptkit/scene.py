@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ._lexer import Cursor, lines
+from ._lexer import ident, lines, literal
 from .errors import DslSyntaxError, DuplicateId, TypeMismatch, UnknownElement, UnknownProperty
 from .values import TAU, Vec3, float_bits, format_float, normalize_yaw, quote_text
 
@@ -377,43 +377,45 @@ def parse_scene(text: str) -> SceneModel:
     """
     scene = SceneModel()
     for lineno, tokens in lines(text):
-        cur = Cursor(tokens, lineno)
-        head = cur.next()
-        if head != "element":
-            raise DslSyntaxError(lineno, f"expected 'element', got {head!r}")
-        elem_id = cur.ident("an element id")
-        if not cur.at("at"):
+        n = len(tokens)
+        if tokens[0] != "element":
+            raise DslSyntaxError(lineno, f"expected 'element', got {tokens[0]!r}")
+        elem_id = ident(tokens, 1, lineno, "an element id")
+        if n < 3 or tokens[2] != "at":
             raise DslSyntaxError(lineno, "expected: element <id> at (x,y,z) ...")
-        cur.next()
-        position = cur.literal()
+        position = literal(tokens[3], lineno) if n > 3 else None
         if not isinstance(position, tuple):
             raise DslSyntaxError(lineno, "expected position (x,y,z)")
         kwargs = {"position": Vec3(*position)}
         seen = set()
-        while cur.peek() is not None:
-            attr = cur.next()
+        i = 4
+        while i < n:
+            attr = tokens[i]
             if attr in seen:
                 raise DslSyntaxError(lineno, f"duplicate attribute {attr!r}")
             seen.add(attr)
-            if cur.peek() is None:
+            if i + 1 == n:
                 raise DslSyntaxError(lineno, f"attribute {attr!r} needs a value")
+            value = tokens[i + 1]
+            i += 2
             if attr == "detail":
-                level = cur.next()
-                if level not in DETAIL_LEVELS:
-                    raise DslSyntaxError(lineno, f"unknown detail level {level!r}")
-                kwargs["detail"] = DETAIL_LEVELS[level]
+                if value not in DETAIL_LEVELS:
+                    raise DslSyntaxError(lineno, f"unknown detail level {value!r}")
+                kwargs["detail"] = DETAIL_LEVELS[value]
             elif attr == "modality":
-                names = [cur.next()]
-                while cur.at(","):
-                    cur.next()
-                    names.append(cur.next())
-                modalities = [MODALITIES.get(n) for n in names]
+                names = [value]
+                while i < n and tokens[i] == ",":
+                    if i + 1 == n:
+                        raise DslSyntaxError(lineno, "unexpected end of line")
+                    names.append(tokens[i + 1])
+                    i += 2
+                modalities = [MODALITIES.get(name) for name in names]
                 if None in modalities:
                     raise DslSyntaxError(lineno, f"unknown modality in {','.join(names)!r}")
                 kwargs["modalities"] = frozenset(modalities)
             elif attr in _LITERAL_ATTRS:
                 try:
-                    kwargs[attr] = WRITABLE[attr].check(cur.literal())
+                    kwargs[attr] = WRITABLE[attr].check(literal(value, lineno))
                 except TypeMismatch as e:
                     raise DslSyntaxError(lineno, f"attribute {attr!r}: {e}") from None
             else:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._lexer import Cursor, lines
+from ._lexer import expect_end, ident, lines, literal
 from .errors import DslSyntaxError, DuplicateStep, EvaluationError, UnknownStepRef
 from .scene import PropertyWrite, SceneModel
 
@@ -139,49 +139,46 @@ def parse_workflow(text: str) -> Workflow:
     pending_refs: list[tuple[str, int]] = []
 
     for lineno, tokens in lines(text):
-        cur = Cursor(tokens, lineno)
-        head = cur.next()
+        head = tokens[0]
+        n = len(tokens)
         if head == "workflow":
             if wf_id is not None:
                 raise DslSyntaxError(lineno, "duplicate 'workflow' header")
-            wf_id = cur.ident("a workflow id")
+            wf_id = ident(tokens, 1, lineno, "a workflow id")
             wf_line = lineno
-            cur.expect_end("after workflow id")
+            expect_end(tokens, 2, lineno, "after workflow id")
             continue
         if head != "step":
             raise DslSyntaxError(lineno, f"expected 'workflow' or 'step', got {head!r}")
         if wf_id is None:
             raise DslSyntaxError(lineno, "'workflow <id>' header must come first")
 
-        sid = cur.ident("a step id")
-        instruction = cur.literal()
+        sid = ident(tokens, 1, lineno, "a step id")
+        instruction = literal(tokens[2], lineno) if n > 2 else None
         if not isinstance(instruction, str):
             raise DslSyntaxError(lineno, "step needs a quoted instruction")
+        i = 3
         target = None
-        if cur.at("target"):
-            cur.next()
-            target = cur.ident("an element id")
+        if i < n and tokens[i] == "target":
+            target = ident(tokens, i + 1, lineno, "an element id")
+            i += 2
         completion = None
-        if cur.at("until"):
-            cur.next()
-            completion = cur.ident("a condition id")
+        if i < n and tokens[i] == "until":
+            completion = ident(tokens, i + 1, lineno, "a condition id")
+            i += 2
         transitions: list[tuple[str | None, str]] = []
-        while cur.at("on"):
-            cur.next()
-            guard = cur.ident("a condition id")
-            if not cur.at("goto"):
+        while i < n and tokens[i] == "on":
+            guard = ident(tokens, i + 1, lineno, "a condition id")
+            if i + 2 == n or tokens[i + 2] != "goto":
                 raise DslSyntaxError(lineno, "expected 'goto' after the guard")
-            cur.next()
-            transitions.append((guard, cur.ident("a step id")))
+            transitions.append((guard, ident(tokens, i + 3, lineno, "a step id")))
+            i += 4
         # the unguarded default branch, if any, comes last by construction
-        if cur.at("goto"):
-            cur.next()
-            transitions.append((None, cur.ident("a step id")))
-        terminal = False
-        if cur.at("terminal"):
-            cur.next()
-            terminal = True
-        cur.expect_end("after the step")
+        if i < n and tokens[i] == "goto":
+            transitions.append((None, ident(tokens, i + 1, lineno, "a step id")))
+            i += 2
+        terminal = i < n and tokens[i] == "terminal"
+        expect_end(tokens, i + terminal, lineno, "after the step")
 
         if terminal and transitions:
             raise DslSyntaxError(lineno, "terminal steps cannot declare transitions")

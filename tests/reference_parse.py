@@ -12,9 +12,10 @@ the parser builds the package's expression nodes (``adaptkit.dsl``'s
 ``Lit`` ... ``Dist``), so test_parse.py compares the two sides whole.
 
 ``parse_actions_line`` reads a rule line's actions as ``parse_rules`` did
-before its action reader worked by token position: a Cursor call per
+before its action reader worked by token position: a cursor call per
 token, ``_parse_one_action`` per action and ``_parse_action_arg`` per
-argument, each argument bound afresh by ``adaptkit.dsl._bind_action``.
+argument, each argument bound afresh by ``adaptkit.dsl._bind_action``. It
+reads the seven-group tokens with this module's own cursor.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import math
 import re
 
-from adaptkit import _lexer
-from adaptkit._lexer import Cursor, literal
 from adaptkit.context import FeatureId
 from adaptkit.dsl import (
     _CATEGORIES,
@@ -39,7 +38,6 @@ from adaptkit.dsl import (
     Not,
     SceneRef,
     _bind_action,
-    _leaf,
 )
 from adaptkit.errors import DslSyntaxError, ExprTypeError, UnknownCategory, UnknownEffector
 from adaptkit.scene import READABLE_PROPS
@@ -135,6 +133,18 @@ class _Cursor:
         if tok[OP] != text:
             raise DslSyntaxError(self.lineno, f"expected {text!r}, got {text_of(tok)!r}")
 
+    def ident(self, what: str) -> str:
+        """An identifier without dots; ``what`` names it in the error."""
+        tok = self.next()
+        if not tok[REF] or "." in tok[REF]:
+            raise DslSyntaxError(self.lineno, f"expected {what}, got {text_of(tok)!r}")
+        return tok[REF]
+
+    def expect_end(self, where: str) -> None:
+        tok = self.peek()
+        if tok is not None:
+            raise DslSyntaxError(self.lineno, f"trailing input {where}: {text_of(tok)!r}")
+
     def literal(self):
         tok = self.peek()
         value = _literal(tok, self.lineno) if tok is not None else None
@@ -151,9 +161,7 @@ def parse_expr_line(text: str, lineno: int = 1) -> tuple[object, int]:
         tokens.pop()
     cur = _Cursor(tokens, lineno)
     result = _parse_or(cur, 0)
-    tok = cur.peek()
-    if tok is not None:
-        raise DslSyntaxError(lineno, f"trailing input after expression: {text_of(tok)!r}")
+    cur.expect_end("after expression")
     return result
 
 
@@ -239,58 +247,62 @@ def parse_actions_line(line: str, lineno: int) -> tuple[ActionCall, ...]:
     """The actions of a rule line ``rule <id> when <cond> do ...``: every
     action after ``do``, then the category and the end of the line, checked
     as ``parse_rules`` checks them."""
-    tokens = _lexer.tokenize(line, lineno)
-    if tokens and tokens[-1][0] == "#":
+    tokens = tokenize(line, lineno)
+    if tokens and tokens[-1][COMMENT]:
         tokens.pop()
-    cur = Cursor(tokens, lineno)
+    cur = _Cursor(tokens, lineno)
     for head in ("rule", None, "when", None, "do"):
         tok = cur.next()
-        assert head is None or tok == head, "the line's head is the test's own"
-    leaves: dict = {}
-    actions = [_parse_one_action(cur, leaves)]
-    while cur.at(";"):
+        assert head is None or tok[REF] == head, "the line's head is the test's own"
+    actions = [_parse_one_action(cur)]
+    while cur.at_op(";"):
         cur.next()
-        actions.append(_parse_one_action(cur, leaves))
-    if not cur.at("category"):
+        actions.append(_parse_one_action(cur))
+    tok = cur.peek()
+    if tok is None or tok[REF] != "category":
         raise DslSyntaxError(lineno, "expected 'category'")
     cur.next()
-    name = cur.next()
-    if name not in _CATEGORIES:
-        if _lexer.kind(name) != "ref":
+    tok = cur.next()
+    if tok[REF] not in _CATEGORIES:
+        if not tok[REF]:
             raise DslSyntaxError(lineno, "expected a category name")
-        raise UnknownCategory(lineno, f"unknown category {name!r}")
+        raise UnknownCategory(lineno, f"unknown category {tok[REF]!r}")
     cur.expect_end("after category")
     return tuple(actions)
 
 
-def _parse_action_arg(cur: Cursor, leaves: dict):
+def _parse_action_arg(cur: _Cursor):
     """A bare identifier (an element id or an enum name) as its text; a
     literal as its value, but a vector as a tuple, so highlight can insist
     on ints, and a text as a Lit, so it is no bare identifier; or a feature
     id as a FeatureRef (a bare FeatureId is a str, which a text check would
     take)."""
     tok = cur.next()
-    value = literal(tok, cur.lineno)
+    value = _literal(tok, cur.lineno)
     if value is not None:
         return Lit(value) if type(value) is str else value
-    if tok.isidentifier():
-        return tok
-    parts = tok.split(".")
+    text = tok[REF]
+    if text and "." not in text:
+        return text
+    parts = text.split(".")
     if len(parts) == 2 and parts[0] in ("env", "user", "platform"):
-        return (leaves.get(tok) or _leaf(tok, leaves, cur.lineno))[0][0]
-    raise DslSyntaxError(cur.lineno, f"unexpected action argument {tok!r}")
+        try:
+            return FeatureRef(FeatureId.parse(text))
+        except ValueError as e:
+            raise DslSyntaxError(cur.lineno, str(e)) from None
+    raise DslSyntaxError(cur.lineno, f"unexpected action argument {text_of(tok)!r}")
 
 
-def _parse_one_action(cur: Cursor, leaves: dict) -> ActionCall:
+def _parse_one_action(cur: _Cursor) -> ActionCall:
     name = cur.ident("an effector name")
     if name not in EFFECTOR_PROPERTY:
         raise UnknownEffector(cur.lineno, f"unknown effector {name!r}")
-    cur.expect("(")
+    cur.expect_op("(")
     args = []
-    if not cur.at(")"):
-        args.append(_parse_action_arg(cur, leaves))
-        while cur.at(","):
+    if not cur.at_op(")"):
+        args.append(_parse_action_arg(cur))
+        while cur.at_op(","):
             cur.next()
-            args.append(_parse_action_arg(cur, leaves))
-    cur.expect(")")
+            args.append(_parse_action_arg(cur))
+    cur.expect_op(")")
     return _bind_action(name, args, cur.lineno)

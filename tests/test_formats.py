@@ -316,7 +316,8 @@ TABLES = {
         'workflow w\nstep s "Go" until c goto t\nstep u "Done" terminal',
     ],
     "scenario": [
-        "scenario s\nat 0 set env.a = 1\nat 0 set user.position = (1,2,3)\nat 10 set env.a = 2\nat 10 set env.b = \"x\"",
+        "scenario s\nat 0 set env.a = 1\nat 0 set user.position = (1,2,3)\nat 10 set env.a = 2\n"
+        'at 10 set env.b = "x"',
         "# c\nscenario s  # run\n\nat 5 set env.a = -0.0\nat 007 set env.a = 2.5",
         "scenario s",
         "scenario s\nat 0 set env.a = @",

@@ -97,10 +97,9 @@ def _parse(text: str):
     tokens = _lexer.tokenize(text, LINE)
     if tokens and _lexer.kind(tokens[-1]) == "comment":
         tokens.pop()
-    cur = _lexer.Cursor(tokens, LINE)
     reads, errors = [], []
-    tree, height, expr_type = dsl._parse_expr(cur, {}, reads, errors)
-    cur.expect_end("after expression")
+    tree, height, expr_type, i = dsl._parse_expr(tokens, 0, LINE, {}, reads, errors)
+    _lexer.expect_end(tokens, i, LINE, "after expression")
     return tree, height, expr_type, reads, errors[0] if errors else None
 
 
