@@ -1,11 +1,12 @@
 """CLI fuzz: mutated fixture texts never make ``main()`` raise.
 
-The printer and warehouse fixtures are mutated a few edits at a time:
-characters dropped, tokens and lines inserted or repeated, numbers
-swapped for huge, tiny or signed-zero ones, and ``user.position`` set to
-points far enough out for squared distances to overflow. ``check`` and
-``run`` must then return 0, 2 or 3, as the README documents for them,
-and let no exception escape.
+The printer, warehouse and cascade chain fixtures are mutated a few edits
+at a time: characters dropped, tokens and lines inserted or repeated,
+numbers swapped for huge, tiny or signed-zero ones, and ``user.position``
+set to points far enough out for squared distances to overflow. ``check``
+and ``run`` must then return 0, 2 or 3, as the README documents for them,
+and let no exception escape; mutated ``set_feature`` chains go through
+both.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ BUNDLES = (
      "scenario": "printer/face_user.scenario"},
     {"rules": "warehouse/warehouse.rules", "scene": "warehouse/warehouse.scene",
      "scenario": "warehouse/multi_order_exception.scenario", "workflow": "warehouse/multi_order.workflow"},
+    {"rules": "cascade/chain.rules", "scene": "cascade/chain.scene", "scenario": "cascade/chain.scenario"},
 )
 TEXTS = {rel: (FIXTURES / rel).read_text(encoding="utf-8") for b in BUNDLES for rel in b.values()}
 
