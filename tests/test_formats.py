@@ -128,13 +128,13 @@ def _mutated(draw, tokens: list) -> str:
 
 
 @st.composite
-def _texts(draw, first, lines, first_rate: float):
-    """Lines drawn by ``lines``, after one drawn by ``first`` at the top, at
-    the bottom or nowhere; blank and comment lines and trailing comments
-    among them."""
+def _texts(draw, lines, header=None):
+    """Lines drawn by ``lines``, and a line drawn by ``header``, if given,
+    mostly put first, now and then last or left out; blank and comment
+    lines and trailing comments among them."""
     lines = draw(lines)
-    if draw(st.floats(0, 1)) < first_rate:
-        lines.insert(draw(st.sampled_from([0] * 19 + [len(lines)])), draw(first))
+    if header is not None and draw(_mostly([True], [False])):
+        lines.insert(draw(_mostly([0], [len(lines)])), draw(header))
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# note", "  ", "\t# x"])))
     if lines and draw(st.booleans()):
@@ -173,7 +173,7 @@ def _element_line(draw) -> str:
     return draw(_mutated(tokens))
 
 
-scenes = _texts(st.nothing(), st.lists(_element_line(), max_size=4), 0.0)
+scenes = _texts(st.lists(_element_line(), max_size=4))
 
 
 # workflow
@@ -215,7 +215,7 @@ def _step_lines(draw) -> list:
     return lines
 
 
-workflows = _texts(_header("workflow", _mostly(["w", "flow_1"], ["1", "w.x"])), _step_lines(), 0.95)
+workflows = _texts(_step_lines(), _header("workflow", _mostly(["w", "flow_1"], ["1", "w.x"])))
 
 
 # scenario
@@ -235,7 +235,7 @@ def _set_lines(draw) -> list:
     return [draw(_mutated(["at", str(t), "set", draw(FEATURES), "=", draw(VALUES)])) for t in times]
 
 
-scenarios = _texts(_header("scenario", _mostly(["s", "run_1"], ["1", "s.x"])), _set_lines(), 0.95)
+scenarios = _texts(_set_lines(), _header("scenario", _mostly(["s", "run_1"], ["1", "s.x"])))
 
 
 @settings(max_examples=200, deadline=None)
