@@ -444,7 +444,6 @@ def parse_rules(text: str) -> RuleSet:
 
     for lineno, tokens in lines(text):
         head = tokens[0]
-        n = len(tokens)
         if head == "condition":
             cid = ident(tokens, 1, lineno, "a condition id")
             reads, errors = [], []
@@ -460,6 +459,7 @@ def parse_rules(text: str) -> RuleSet:
             conditions.append(ConditionDef(cid, expr, line=lineno, reads=tuple(reads)))
         elif head == "rule":
             rid = ident(tokens, 1, lineno, "a rule id")
+            n = len(tokens)
             i = 2
             priority = 0
             if i < n and tokens[i] == "priority":
