@@ -114,14 +114,12 @@ class ContextStore:
     def keys(self) -> list[FeatureId]:
         return sorted(self._values)
 
-    def drain_dirty(self) -> list[FeatureId]:
-        """Return the features changed since the last drain and clear the set.
-
-        Order is lexicographic by rendered id regardless of write order.
-        """
-        out = sorted(self._dirty)
-        self._dirty.clear()
-        return out
+    def drain_dirty(self) -> set[FeatureId]:
+        """Return the features changed since the last drain: the log itself,
+        swapped for an empty one."""
+        dirty = self._dirty
+        self._dirty = set()
+        return dirty
 
 
 def save_state(store: ContextStore, keys: list[FeatureId]) -> str:

@@ -52,7 +52,7 @@ from .errors import (
     UnknownConditionRef,
     UnknownEffector,
 )
-from .scene import DETAIL_LEVELS, MODALITIES, READABLE_PROPS, WRITABLE, Modality, SceneElement, SceneModel, distance
+from .scene import DETAIL_LEVELS, MODALITIES, READABLE_PROPS, WRITABLE, SceneElement, SceneModel, distance
 from .values import Value, Vec3, quote_text, type_name, values_equal
 
 
@@ -1017,7 +1017,7 @@ def _render_action(action: ActionCall) -> str:
     if e == "set_detail":
         return f"set_detail({action.element}, {action.value.value})"
     if e == "set_modality":
-        names = [m.value for m in (Modality.VISUAL, Modality.AUDIO, Modality.VOICE_INPUT) if m in action.value]
+        names = [name for name, m in MODALITIES.items() if m in action.value]
         return f"set_modality({action.element}, {', '.join(names)})"
     if e == "highlight":
         r, g, b = action.value

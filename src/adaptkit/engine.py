@@ -75,8 +75,7 @@ Evaluation is dependency-driven. Each condition's inputs (features and
 scene properties) are indexed at construction. A cycle re-evaluates
 only the conditions that read an input written since their last
 evaluation -- context writes as the store's dirty set reports them, scene
-writes as SceneModel.write_property logs them, taken unsorted since they
-only name the conditions due -- and checks only the rules
+writes as SceneModel.write_property logs them -- and checks only the rules
 that list a condition whose value changed. Features are never unset and
 never change type, elements are never removed, and evaluation is pure and
 evaluates both sides of ``&&``/``||``, so every other condition would
@@ -401,7 +400,6 @@ class Engine:
         # condition id -> the indices of the rules listing it
         self._listed_by = {cid: tuple(js) for cid, js in listed_by.items()}
         self._full_cycle = True  # the next cycle evaluates everything
-        self._busy = False  # inside process_event
         self._next_event = 0
         # line bodies made once and shared by every line that repeats them:
         # COND bodies by value (False, True), then condition id; QUIESCENT
@@ -450,8 +448,7 @@ class Engine:
         The first evaluation always counts as changed. A COND trace line
         is emitted only on change.
         """
-        if not self._busy:
-            self._full_cycle = True
+        self._full_cycle = True
         evaluate = self._evaluators[cond_id]
         try:
             value = evaluate()
@@ -476,8 +473,7 @@ class Engine:
 
     def execute_rule(self, rule_id: str) -> None:
         """Snapshot, apply actions in order, mark active. RULE then PROP lines."""
-        if not self._busy:
-            self._full_cycle = True
+        self._full_cycle = True
         assert rule_id not in self._active, f"rule {rule_id} is already active"
         plan = self._plans.get(rule_id)
         if plan is None:
@@ -535,8 +531,7 @@ class Engine:
 
     def unexecute_rule(self, rule_id: str) -> None:
         """Restore snapshotted properties this rule still owns; mark inactive."""
-        if not self._busy:
-            self._full_cycle = True
+        self._full_cycle = True
         snapshot = self._active.get(rule_id)
         assert snapshot is not None, f"rule {rule_id} is not active"
         plan = self._plans[rule_id]
@@ -572,7 +567,6 @@ class Engine:
 
     def process_event(self, sets: list[tuple[FeatureId, Value]]) -> CycleReport:
         """Apply one batch of context writes and run cycles to quiescence."""
-        self._busy = True
         try:
             return self._process_event(sets)
         except BaseException as e:
@@ -580,8 +574,6 @@ class Engine:
             if isinstance(e, AdaptError) and getattr(e, "trace", None) is None:
                 e.trace = self.trace
             raise
-        finally:
-            self._busy = False
 
     def _process_event(self, sets) -> CycleReport:
         e = self._next_event
@@ -598,8 +590,8 @@ class Engine:
         rules = self.rules.rules
         for k in range(1, self.max_cascade_depth + 1):
             trace.begin_cycle(e, k)
-            full, self._full_cycle = self._full_cycle, False
-            props = self.scene._take_dirty()  # only read into a set: no sort
+            full = self._full_cycle
+            props = self.scene.drain_dirty()
 
             if full:
                 cond_ids = range(len(conditions))
@@ -647,6 +639,8 @@ class Engine:
             for j in sorted(activate, key=order):
                 self.execute_rule(rules[j].id)
                 activity = True
+            # the calls above set it too: only a call from outside process_event outlives its cycle
+            self._full_cycle = False
 
             if self.store.has_feature(USER_POSITION):
                 user_pos = self.store.get_feature(USER_POSITION)

@@ -308,13 +308,9 @@ class SceneModel:
                 self._billboards = None
         return _tuple_new(PropertyWrite, (element_id, prop, old, value, writer))
 
-    def drain_dirty(self) -> list[tuple[str, str]]:
-        """Return the (element, property) pairs written since the last drain
-        and clear the log; lexicographic order, like ContextStore.drain_dirty."""
-        return sorted(self._take_dirty())
-
-    def _take_dirty(self) -> set[tuple[str, str]]:
-        """drain_dirty's pairs, unsorted: the log itself, swapped for an empty one."""
+    def drain_dirty(self) -> set[tuple[str, str]]:
+        """Return the (element, property) pairs written since the last drain:
+        the log itself, swapped for an empty one."""
         dirty = self._dirty
         self._dirty = set()
         return dirty

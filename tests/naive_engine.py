@@ -96,8 +96,6 @@ class NaiveEngine(Engine):
         self.trace.append(f"PROP {write.element_id}.{write.prop} {old} -> {new}  writer={write.writer}")
 
     def evaluate_condition(self, cond_id: str) -> tuple[bool, bool]:
-        if not self._busy:
-            self._full_cycle = True
         cond = self.rules.condition_by_id[cond_id]
         try:
             value = eval_expr(cond.expr, self.store, self.scene)
@@ -112,8 +110,6 @@ class NaiveEngine(Engine):
         return value, changed
 
     def execute_rule(self, rule_id: str):
-        if not self._busy:
-            self._full_cycle = True
         rule = self.rules.rule_by_id[rule_id]
         state = self._rule_states[rule_id]
         assert not state.active, f"rule {rule_id} is already active"
@@ -160,8 +156,6 @@ class NaiveEngine(Engine):
             self._emit_prop(write)
 
     def unexecute_rule(self, rule_id: str):
-        if not self._busy:
-            self._full_cycle = True
         state = self._rule_states[rule_id]
         assert state.active, f"rule {rule_id} is not active"
         restores = []

@@ -122,26 +122,32 @@ class TestFeatureId:
 
 class TestDrainDirty:
     def test_empty_without_sets(self):
-        assert ContextStore().drain_dirty() == []
+        assert ContextStore().drain_dirty() == set()
 
-    def test_lexicographic_order(self):
+    def test_returns_the_changed_features_and_no_later_write(self):
+        a, b, c = (FeatureId(ENV, name) for name in "abc")
         store = ContextStore()
-        store.set_feature(FeatureId(ENV, "b"), 1)
-        store.set_feature(FeatureId(ENV, "a"), 1)
-        assert [str(f) for f in store.drain_dirty()] == ["env.a", "env.b"]
+        store.set_feature(b, 1)
+        store.set_feature(a, 1)
+        store.set_feature(a, 1)  # unchanged
+        drained = store.drain_dirty()
+        assert drained == {a, b}
+        store.set_feature(c, 1)
+        assert drained == {a, b}
+        assert store.drain_dirty() == {c}
 
     def test_drain_clears(self):
         store = ContextStore()
         store.set_feature(LUM, 0.5)
-        assert store.drain_dirty() == [LUM]
-        assert store.drain_dirty() == []
+        assert store.drain_dirty() == {LUM}
+        assert store.drain_dirty() == set()
 
     def test_unchanged_set_does_not_mark_dirty(self):
         store = ContextStore()
         store.set_feature(LUM, 0.5)
         store.drain_dirty()
         store.set_feature(LUM, 0.5)
-        assert store.drain_dirty() == []
+        assert store.drain_dirty() == set()
 
 
 class TestPersistence:
@@ -235,6 +241,4 @@ def test_change_soundness_property(writes):
     for fid, value in writes:
         if store.set_feature(fid, value) is ChangeFlag.CHANGED:
             changed.add(fid)
-    drained = store.drain_dirty()
-    assert set(drained) == changed
-    assert [str(f) for f in drained] == sorted(str(f) for f in changed)
+    assert store.drain_dirty() == changed

@@ -284,9 +284,9 @@ class TestEvalExpr:
         store = store_from({"env.luminance": 0.5})
         store.drain_dirty()
         eval_expr(rs.conditions[0].expr, store, SceneModel())
-        assert store.drain_dirty() == []
+        assert store.drain_dirty() == set()
         compile_expr(rs.conditions[0].expr, store, SceneModel()).evaluate()
-        assert store.drain_dirty() == []
+        assert store.drain_dirty() == set()
 
 
 def test_expr_inputs_in_reading_order():

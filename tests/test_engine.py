@@ -753,8 +753,10 @@ def test_determinism_double_run_byte_equality():
     assert run() == run()
 
 
-# A subprocess replay of a fixture and of the benchmark's head-tracking
-# walk, cut to its first 60 events; it prints the SHA-256 of both traces.
+# A subprocess replay of two fixtures, of the benchmark's head-tracking
+# walk cut to its first 60 events and of its cascade churn cut to its
+# first 10, which drain the most features and scene properties per cycle;
+# it prints the SHA-256 of the four traces.
 REPLAY = """
 import dataclasses, hashlib, importlib.util, sys
 from pathlib import Path
@@ -763,17 +765,20 @@ root = Path(sys.argv[1])
 spec = importlib.util.spec_from_file_location("bench_gen", root / "bench" / "gen.py")
 gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
 spec.loader.exec_module(gen)
-walk = gen.gen_tracking_stream(1)
-read = lambda name: (root / "fixtures" / "warehouse" / name).read_text(encoding="utf-8")
+walk, churn = gen.gen_tracking_stream(1), gen.gen_cascade_churn(1)
+read = lambda name: (root / "fixtures" / name).read_text(encoding="utf-8")
 digest = hashlib.sha256()
 for rules, scene, workflow, scenario, events in (
-    (read("warehouse.rules"), read("warehouse.scene"), read("multi_order.workflow"),
-     read("multi_order_exception.scenario"), None),
+    (read("warehouse/warehouse.rules"), read("warehouse/warehouse.scene"), read("warehouse/multi_order.workflow"),
+     read("warehouse/multi_order_exception.scenario"), None),
+    (read("cascade/chain.rules"), read("cascade/chain.scene"), None, read("cascade/chain.scenario"), None),
     (walk.rules, walk.scene, walk.workflow, walk.scenario, 60),
+    (churn.rules, churn.scene, churn.workflow, churn.scenario, 10),
 ):
     parsed = parse_scenario(scenario)
     parsed = dataclasses.replace(parsed, events=parsed.events[:events])
-    trace = run_scenario(parse_rules(rules), parse_scene(scene), parsed, workflow=parse_workflow(workflow))
+    workflow = workflow and parse_workflow(workflow)
+    trace = run_scenario(parse_rules(rules), parse_scene(scene), parsed, workflow=workflow)
     digest.update(trace.render().encode())
 print(digest.hexdigest())
 """

@@ -174,7 +174,7 @@ class TestWriteProperty:
         scene = small_scene()
         with pytest.raises(TypeMismatch, match="yaw must be a finite number"):
             scene.write_property("panel", "yaw", yaw, writer="r")
-        assert scene.element("panel").yaw == 0.0 and scene.drain_dirty() == []
+        assert scene.element("panel").yaw == 0.0 and scene.drain_dirty() == set()
 
     def test_yaw_write_normalizes(self):
         scene = small_scene()
@@ -210,8 +210,8 @@ class TestWriteProperty:
         scene.write_property("marker", "visible", True, writer="r")
         scene.write_property("panel", "visible", True, writer="r")  # no-op
         scene.write_property("panel", "text", "b", writer="r")
-        assert scene.drain_dirty() == [("marker", "visible"), ("panel", "text")]
-        assert scene.drain_dirty() == []
+        assert scene.drain_dirty() == {("marker", "visible"), ("panel", "text")}
+        assert scene.drain_dirty() == set()
 
 
 class TestRefreshBillboards:
