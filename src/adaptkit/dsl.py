@@ -571,16 +571,19 @@ class Operand(NamedTuple):
     gates: tuple["_DistAtom", ...]  # its dist() atoms on features it reads only through them
 
 
+_ONE_OPERAND = (None,)  # the first_false of every one-operand expression: it has no false operand to keep
+
+
 class Compiled(NamedTuple):
     """An expression compiled against a store and a scene."""
 
     evaluate: Callable[[], Value]  # the expression's value now; raises what evaluating it raises
     # the operands of the && chain at its top, left to right, or the
-    # expression alone, and a one-item list that evaluate keeps the index of
-    # the first of them that returned false in (None if none did, before the
-    # first evaluation, and always for one operand)
+    # expression alone, and where the index of the first that returned false
+    # is kept: a chain's own one-item list, which evaluate writes (None if
+    # none did, or before the first evaluation), or _ONE_OPERAND for one
     operands: tuple[Operand, ...]
-    first_false: list
+    first_false: list | tuple
 
 
 def compile_expr(
@@ -614,7 +617,8 @@ def compile_expr(
     (_conjuncts), or the expression alone, each as an Operand: a feature
     it reads only through dist() atoms is gated by them, and every other
     input is a key. A chain's ``evaluate`` keeps the index of its first
-    operand that returned false in ``first_false[0]``.
+    operand that returned false in ``first_false[0]``, a list of its own;
+    one operand's ``first_false`` is the shared, immutable ``(None,)``.
     """
     if odometers is None:
         odometers = {}
@@ -630,8 +634,8 @@ def compile_expr(
             reads = [r for r in reads if r not in gated]
             atoms = [a for a in atoms if a.feature in gated]
         operands.append(Operand(tuple(dict.fromkeys(reads)), tuple(atoms)))
-    first_false: list = [None]
-    evaluate = parts[0] if len(parts) == 1 else _chain(tuple(parts), first_false)
+    first_false = [None] if len(parts) > 1 else _ONE_OPERAND
+    evaluate = _chain(tuple(parts), first_false) if len(parts) > 1 else parts[0]
     return Compiled(evaluate, tuple(operands), first_false)
 
 
@@ -659,7 +663,7 @@ def _build(
         if atom is not None:
             if isinstance(atom, _DistAtom):
                 dist_atoms.append(atom)
-            return atom.evaluate
+            return atom
     # two operands, both evaluated, left first, before the node checks them
     first, second = (node.a, node.b) if isinstance(node, Dist) else (node.left, node.right)
     left = _build(first, store, scene, odometers, dist_atoms, reads)
@@ -746,7 +750,7 @@ def _atom(expr: Compare, store: ContextStore, scene: SceneModel, odometers: dict
 class _Atom:
     """``source op constant``, the type check hoisted: a source value of the
     constant's exact type is compared in place, and any other goes through
-    _compare."""
+    _compare. An atom is its own evaluator: calling it returns its value."""
 
     __slots__ = ("op", "test", "const", "kind")
 
@@ -769,7 +773,7 @@ class _FeatureAtom(_Atom):
         self.store = store
         self.feature = feature
 
-    def evaluate(self) -> bool:
+    def __call__(self) -> bool:
         try:
             value = self.values[self.feature]
         except KeyError:
@@ -787,7 +791,7 @@ class _SceneAtom(_Atom):
         self.element = element
         self.attr = WRITABLE[prop].attr
 
-    def evaluate(self) -> bool:
+    def __call__(self) -> bool:
         value = getattr(self.element, self.attr)
         if type(value) is self.kind:
             return self.test(value, self.const)
@@ -857,7 +861,7 @@ class _DistAtom(_Atom):
         self.deadline = -math.inf  # due: nothing cached
         self.value = False
 
-    def evaluate(self) -> bool:
+    def __call__(self) -> bool:
         try:
             a = self.values[self.feature]
         except KeyError:

@@ -38,10 +38,11 @@ applied scene write costs that one call and one append of its line's body
 to the trace. Elements are never removed or replaced, so a plan's element objects stay
 the scene's.
 
-Repeated lines share their text. Each PROP write site -- a plan step, a
-target's restores, and each (element, property) the billboard pass or the
-workflow writes -- keeps its last line's values, new-value text and body
-(_Line). A line whose values are the same objects as its site's last
+Repeated lines share their text. Each PROP write site keeps its last
+line's values, new-value text and body (_Line). A plan step is its own
+site, as is a plan target for its restores (_Step and _Target extend
+_Line), and each (element, property) the billboard pass or the workflow
+writes has one. A line whose values are the same objects as its site's last
 reuses the body; otherwise each value is rendered, unless it is the last
 line's new value, whose text is reused (_prop_body). So a step renders
 its constant once, a billboard's old yaw is its last new yaw, and a
@@ -58,15 +59,15 @@ a run.
 
 Conditions are compiled once, at construction, by dsl.compile_expr, which
 lists the inputs each operand reads as it compiles it. A comparison of a
-feature, a scene property or a distance with a number is an atom with its
-type check hoisted, and every other node is a closure around what it
-holds, so no evaluation walks the tree. A compiled condition evaluates
-every operand, left first, before a node checks their types, and raises
-the first error met; the tests check it against tests/reference_eval.py,
-a tree walk. Scene elements are bound when compiling, which holds
-because elements are never removed or replaced. An engine is never built
-over a missing element: every element a condition or rule names must
-exist (dsl.unresolved).
+feature, a scene property or a distance with a number is an atom, an
+object called as it is, with its type check hoisted; every other node is
+a closure around what it holds, so no evaluation walks the tree. A
+compiled condition evaluates every operand, left first, before a node
+checks their types, and raises the first error met; the tests check it
+against tests/reference_eval.py, a tree walk. Scene elements are bound
+when compiling, which holds because elements are never removed or
+replaced. An engine is never built over a missing element: every element
+a condition or rule names must exist (dsl.unresolved).
 
 If an event is still active after ``max_cascade_depth`` cycles the trace
 is terminated with NONQUIESCENT and the run fails.
@@ -101,12 +102,13 @@ deadline. So on a head-tracking stream a position step re-tests only the
 thresholds it may have crossed. The index of inputs to conditions is
 built once, at construction, with an entry for every operand of every
 condition; a chain's evaluation keeps the index of its first false
-operand (Compiled.first_false). A hit counts only while that is None or
-is the operand whose entry was hit, so a chain that was false at its last
-evaluation waits for its first false operand alone: the watched literal
-of Chaff (Moskewicz et al., DAC 2001). The chain stays false until that
-operand is due. No error hides there: every operand evaluated then
-without one, features keep their type and stay set
+operand in its own cell (Compiled.first_false), and every one-operand
+condition shares one immutable (None,). A hit counts only while that is
+None or is the operand whose entry was hit, so a chain that was false at
+its last evaluation waits for its first false operand alone: the watched
+literal of Chaff (Moskewicz et al., DAC 2001). The chain stays false
+until that operand is due. No error hides there: every operand evaluated
+then without one, features keep their type and stay set
 (ContextStore.set_feature), WRITABLE fixes scene property types and
 positions are fixed. A condition never evaluated, or whose evaluation
 raised, is evaluated in a full cycle first.
@@ -309,27 +311,25 @@ class _Line:
     body: str = ""
 
 
-@dataclass(slots=True)
-class _Target:
-    """A scene property a rule writes, resolved for direct reads."""
+@dataclass(slots=True, kw_only=True)
+class _Target(_Line):
+    """A scene property a rule writes, resolved for direct reads, and the site of its restores."""
 
     element_id: str
     prop: str
     element: SceneElement
     attr: str  # the property's SceneElement attribute
-    line: _Line  # its restores; label element.property
     written: object = None  # the checked constant of the rule's last write to it
 
 
-@dataclass(slots=True)
-class _Step:
-    """A rule action, ready to run: a scene write (feature None) or a feature write."""
+@dataclass(slots=True, kw_only=True)
+class _Step(_Line):
+    """A rule action, ready to run, and its PROP site: a scene write (feature None) or a feature write."""
 
-    feature: FeatureId | None
-    element_id: str | None
-    prop: str | None
+    feature: FeatureId | None = None
+    element_id: str | None = None
+    prop: str | None = None
     value: object  # for a scene write, as its check stores it (unless the check refuses it)
-    line: _Line
 
 
 @dataclass(slots=True)
@@ -485,24 +485,19 @@ class Engine:
         store = self.store
         for step in plan.steps:
             feature, value = step.feature, step.value
-            if feature is None:
-                try:
+            try:
+                if feature is None:
                     write = write_property(step.element_id, step.prop, value, rule_id)
-                except (UnknownElement, UnknownProperty, TypeMismatch) as err:
-                    raise ActionError(f"rule {rule_id!r}: {err}") from err
-                if write is None:
-                    continue
-                old = write.old
-            else:
-                old = store._values.get(feature)
-                try:
-                    flag = store.set_feature(feature, value)
-                except TypeMismatch as err:
-                    raise ActionError(f"rule {rule_id!r}: {err}") from err
-                if flag is not ChangeFlag.CHANGED:
-                    continue
-            line = step.line
-            append(line.body if old is line.old and value is line.new else _prop_body(line, old, value))
+                    if write is None:
+                        continue
+                    old = write.old
+                else:
+                    old = store._values.get(feature)
+                    if store.set_feature(feature, value) is not ChangeFlag.CHANGED:
+                        continue
+            except (UnknownElement, UnknownProperty, TypeMismatch) as err:
+                raise ActionError(f"rule {rule_id!r}: {err}") from err
+            append(step.body if old is step.old and value is step.new else _prop_body(step, old, value))
         self._active[rule_id] = snapshot
 
     def _plan(self, rule_id: str) -> _Plan:
@@ -513,20 +508,19 @@ class Engine:
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
-                line = _Line(action.feature, _render_prior, rule_id)
-                steps.append(_Step(action.feature, None, None, action.value, line))
+                steps.append(_Step(action.feature, _render_prior, rule_id, feature=action.feature, value=action.value))
                 continue
             spec = WRITABLE[prop]
             label = f"{action.element}.{prop}"
             target = targets.get((action.element, prop))
             if target is None:
-                element = self.scene.element(action.element)
                 target = targets[action.element, prop] = _Target(
-                    action.element, prop, element, spec.attr, _Line(label, spec.render, rule_id))
+                    label, spec.render, rule_id, element_id=action.element, prop=prop,
+                    element=self.scene.element(action.element), attr=spec.attr)
             target.written = _checked_constant(spec.check, action.value)
-            steps.append(_Step(None, action.element, prop, target.written,
-                               _Line(label, spec.render, rule_id)))
-        order = tuple(sorted(targets.values(), key=lambda t: t.line.label))
+            steps.append(_Step(label, spec.render, rule_id, element_id=action.element, prop=prop,
+                               value=target.written))
+        order = tuple(sorted(targets.values(), key=lambda t: t.label))
         return _Plan(tuple(steps), order, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
 
     def unexecute_rule(self, rule_id: str) -> None:
@@ -548,7 +542,7 @@ class Engine:
         if skipped:
             if skipped != plan.skipped:
                 plan.skipped = skipped
-                labels = ",".join([targets[i].line.label for i in skipped])
+                labels = ",".join([targets[i].label for i in skipped])
                 plan.skipped_body = f"{body} skipped_restore={labels}"
             body = plan.skipped_body
         append = self.trace.append
@@ -559,8 +553,8 @@ class Engine:
             write = write_property(t.element_id, t.prop, snapshot[i], rule_id)
             if write is None:
                 continue
-            old, new, line = write.old, write.new, t.line
-            append(line.body if old is line.old and new is line.new else _prop_body(line, old, new))
+            old, new = write.old, write.new
+            append(t.body if old is t.old and new is t.new else _prop_body(t, old, new))
         del self._active[rule_id]
 
     # -- the loop --------------------------------------------------------------

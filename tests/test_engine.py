@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -1117,6 +1118,32 @@ def test_render_grows_the_text_in_place():
         tracemalloc.stop()
     assert lines > 5000 and size / lines < 40
     assert len(engine.trace) > 10 * engine_module.RENDER_CHUNK and peak <= 1.2 * len(text)
+
+
+def _tracked_objects() -> int:
+    gc.collect()
+    return len(gc.get_objects())
+
+
+def test_the_engine_keeps_few_objects_for_the_collector():
+    """The guard on what set-up leaves the collector to scan, on wide_rules
+    seed 1 (1000 conditions and rules). Engine(...) keeps at most 4 tracked
+    objects per condition: an atom is its own evaluator, and only an ``&&``
+    chain has a first_false list. E0 keeps at most 7.5 per plan it builds:
+    a plan's steps and targets are their own PROP sites."""
+    w = bench_gen().gen_wide_rules(1)
+    rules, scene, workflow = parse_rules(w.rules), parse_scene(w.scene), parse_workflow(w.workflow)
+    scenario = parse_scenario(w.scenario)
+    store = ContextStore()
+    for feature, value in scenario.initial:
+        store.set_feature(feature, value)
+    before = _tracked_objects()
+    engine = Engine(rules, scene, store, workflow)
+    built = _tracked_objects()
+    engine.process_event([])
+    after = _tracked_objects()
+    assert built - before <= 4 * len(rules.conditions)
+    assert len(engine._plans) > 100 and after - built <= 7.5 * len(engine._plans)
 
 
 KINDS = {"event", "cond", "rule_exec", "rule_unexec", "prop", "workflow", "quiescent", "nonquiescent"}
