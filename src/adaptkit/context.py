@@ -15,10 +15,11 @@ are immutable, so reads handed to other threads stay safe.
 from __future__ import annotations
 
 import enum
+import math
 import string
 
 from .errors import MalformedStateFile, TypeMismatch, UnknownFeature
-from .values import Value, check_value, parse_value, render_value, type_name, values_equal
+from .values import Value, parse_value, render_value, type_name, values_equal
 
 
 class ContextCategory(enum.Enum):
@@ -89,14 +90,18 @@ class ContextStore:
         Returns CHANGED iff the value differs from the prior one (bitwise
         for floats); only changed writes mark the feature dirty.
         """
-        check_value(value)
-        if feature in self._values:
-            prior = self._values[feature]
-            if type_name(prior) != type_name(value):
-                raise TypeMismatch(
-                    f"{feature} holds {type_name(prior)}, cannot set {type_name(value)}"
-                )
-            if values_equal(prior, value):
+        name = type_name(value)
+        if name == "float" and not math.isfinite(value):
+            raise TypeMismatch("float values must be finite")
+        if name == "text" and ("\n" in value or "\r" in value):
+            raise TypeMismatch("text values must not contain newlines")
+        prior = self._values.get(feature)  # no value is None
+        if prior is not None:
+            prior_name = type_name(prior)
+            if prior_name != name:
+                raise TypeMismatch(f"{feature} holds {prior_name}, cannot set {name}")
+            # values_equal compares floats and vec3s by bits; for the rest it is ==
+            if values_equal(prior, value) if name in ("float", "vec3") else prior == value:
                 return ChangeFlag.UNCHANGED
         self._values[feature] = value
         self._dirty.add(feature)

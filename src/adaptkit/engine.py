@@ -35,8 +35,9 @@ its restores, and nothing is kept for a rule until its first execute.
 Every write still goes through SceneModel.write_property or
 ContextStore.set_feature, whose change logs drive the evaluation below; an
 applied scene write costs that one call and one append of its line's body
-to the trace. Elements are never removed or replaced, so a plan's element objects stay
-the scene's.
+to the trace. A restore of the very object a target holds makes no call:
+it would change nothing. Elements are never removed or replaced, so a
+plan's element objects stay the scene's.
 
 Repeated lines share their text. Each PROP write site keeps its last
 line's values, new-value text and body (_Line). A plan step is its own
@@ -76,7 +77,8 @@ Evaluation is dependency-driven. Each condition's inputs (features and
 scene properties) are indexed at construction. A cycle re-evaluates
 only the conditions that read an input written since their last
 evaluation -- context writes as the store's dirty set reports them, scene
-writes as SceneModel.write_property logs them -- and checks only the rules
+writes as SceneModel.write_property logs them, looked up only if some
+condition reads a writable scene property -- and checks only the rules
 that list a condition whose value changed. Features are never unset and
 never change type, elements are never removed, and evaluation is pure and
 evaluates both sides of ``&&``/``||``, so every other condition would
@@ -392,6 +394,8 @@ class Engine:
                 for gate in operand.gates:
                     guarded.setdefault(gate.feature, (gate.odometer, []))[1].append((gate, i, cell, j))
         self._readers = {key: tuple(entries) for key, entries in readers.items()}
+        # whether a scene write can make a condition due: positions are never written
+        self._reads_scene = any(isinstance(key, tuple) and key[1] in WRITABLE for key in readers)
         self._guarded = {f: (odometer, tuple(gates)) for f, (odometer, gates) in guarded.items()}
         listed_by: dict[str, list[int]] = {}
         for j, r in enumerate(rules.rules):
@@ -535,7 +539,8 @@ class Engine:
         for i, t in enumerate(targets):
             current = getattr(t.element, t.attr)
             if current is t.written or prop_values_equal(current, t.written):
-                restores.append(i)
+                if current is not snapshot[i]:  # the write of the object it holds would be a no-op
+                    restores.append(i)
             else:
                 skipped.append(i)
         body = plan.unexecuted
@@ -585,7 +590,7 @@ class Engine:
         for k in range(1, self.max_cascade_depth + 1):
             trace.begin_cycle(e, k)
             full = self._full_cycle
-            props = self.scene.drain_dirty()
+            props = self.scene.drain_dirty()  # drained every cycle, read only if a condition can see it
 
             if full:
                 cond_ids = range(len(conditions))
@@ -593,7 +598,8 @@ class Engine:
                 # a hit counts while its chain has no false operand or it
                 # is the first false one; only gates past their deadline can flip
                 readers = self._readers
-                due = {i for key in (*features, *props) for i, cell, j in readers.get(key, ())
+                keys = (*features, *props) if self._reads_scene else features
+                due = {i for key in keys for i, cell, j in readers.get(key, ())
                        if cell[0] is None or cell[0] == j}
                 for feature in features:
                     guard = self._guarded.get(feature)
@@ -618,9 +624,10 @@ class Engine:
             deactivate = []
             activate = []
             active_rules = self._active
+            cond_value = self.cond_last.__getitem__
             for j in rule_ids:
                 rule = rules[j]
-                all_true = all(self.cond_last[c] for c in rule.conditions)
+                all_true = all(map(cond_value, rule.conditions))
                 if rule.id in active_rules:
                     if not all_true:
                         deactivate.append(j)
@@ -636,13 +643,12 @@ class Engine:
             # the calls above set it too: only a call from outside process_event outlives its cycle
             self._full_cycle = False
 
-            if self.store.has_feature(USER_POSITION):
-                user_pos = self.store.get_feature(USER_POSITION)
-                if isinstance(user_pos, Vec3):  # a non-vec position cannot aim anything
-                    writes = self.scene.refresh_billboards(user_pos)
-                    if writes:
-                        self._emit_props(writes)
-                        activity = True
+            user_pos = self.store._values.get(USER_POSITION)
+            if isinstance(user_pos, Vec3):  # an unset or non-vec position cannot aim anything
+                writes = self.scene.refresh_billboards(user_pos)
+                if writes:
+                    self._emit_props(writes)
+                    activity = True
 
             if self.workflow is not None:
                 activity = self._workflow_phase(self.cond_last) or activity

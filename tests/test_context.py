@@ -6,7 +6,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from adaptkit import (
@@ -22,6 +22,8 @@ from adaptkit import (
     save_state,
 )
 from adaptkit.values import type_name
+
+from reference_context import ReferenceStore
 
 ENV = ContextCategory.ENVIRONMENT
 USER = ContextCategory.USER
@@ -242,3 +244,48 @@ def test_change_soundness_property(writes):
         if store.set_feature(fid, value) is ChangeFlag.CHANGED:
             changed.add(fid)
     assert store.drain_dirty() == changed
+
+
+class _Count(int):
+    """An int subclass: type_name names it through isinstance."""
+
+
+_any_values = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-2, max_value=2).map(_Count),
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.sampled_from(["", "a", "a\nb", "\r", "x\r\n"]),
+    st.text(max_size=3),
+    st.sampled_from(["env.a", "user.a"]).map(FeatureId.parse),  # a str subclass
+    st.builds(Vec3, *[st.sampled_from([0.0, -0.0, 1.0])] * 3),
+    st.sampled_from([None, b"a", [1]]),  # no value type at all
+)
+
+
+def _set_outcome(store: ContextStore, value):
+    try:
+        return store.set_feature(LUM, value)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@given(st.lists(_any_values, min_size=1, max_size=4))
+@example([1, True])  # a bool is not an int, though it is one to isinstance
+@example([0.0, -0.0])  # == holds, the bits differ
+@example(["a\nb"])
+@example([math.nan])
+@example([1, _Count(1)])
+@example([FeatureId.parse("env.a"), "env.a"])
+def test_set_feature_matches_the_reference(values):
+    """Each value is written in turn to one feature through a store and
+    through reference_context's copy of the old set_feature, the first a
+    first write and each later one over what the earlier ones left. Both
+    give the same flag or the same error class and message, then hold the
+    same object and drain the same dirty set."""
+    store, reference = ContextStore(), ReferenceStore()
+    for value in values:
+        assert _set_outcome(store, value) == _set_outcome(reference, value)
+        assert store._values.get(LUM) is reference._values.get(LUM)
+        assert store.drain_dirty() == reference.drain_dirty()

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -456,6 +457,80 @@ class TestSkippedRestore:
         assert bodies[1] is bodies[0] and bodies[3] is not bodies[0]
 
 
+class TestRestoreOfTheHeldObject:
+    """An unexecute makes no write_property call for an owned target that
+    holds the very object its snapshot does: the write would be a no-op.
+    Every other restore is still a call, and the trace is NaiveEngine's,
+    which restores every owned target."""
+
+    RULES = (
+        "condition a: env.a == true\n"
+        "condition b: env.b == true\n"
+        "condition c: env.c == true\n"
+        'rule A when a do set_text(panel, "ab"); set_visible(hints, false) category Style\n'
+        'rule B when b do set_text(panel, "x") category Style\n'
+        'rule C when c do set_text(panel, "ab") category Style\n'
+    )
+    INITIAL = {"env.a": False, "env.b": False, "env.c": False}
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """(scene, element, property, writer) of every write_property call."""
+        seen = []
+        write = SceneModel.write_property
+
+        def spy(self, element_id, prop, value, writer):
+            seen.append((self, element_id, prop, writer))
+            return write(self, element_id, prop, value, writer)
+
+        monkeypatch.setattr(SceneModel, "write_property", spy)
+        return seen
+
+    @staticmethod
+    def calls(writes, engine) -> list:
+        return [call[1:] for call in writes if call[0] is engine.scene]
+
+    def test_a_target_holding_its_snapshot_is_not_written(self, writes):
+        engines = engine_pair(self.RULES, BASIC_SCENE, self.INITIAL)
+        A = FeatureId.parse("env.a")
+        for engine in engines:  # hints is already invisible: A's write there is a no-op
+            engine.process_event([(A, True)])
+        writes.clear()
+        for engine in engines:
+            engine.process_event([(A, False)])
+        assert self.calls(writes, engines[0]) == [("panel", "text", "A")]
+        assert self.calls(writes, engines[1]) == [("hints", "visible", "A"), ("panel", "text", "A")]
+        assert_same_lines(engines[0].trace.render(), engines[1].trace.render())
+        assert engines[0].scene.element("panel").text == ""
+
+    def test_three_writers_trace_as_the_reference(self, writes):
+        engines = engine_pair(self.RULES, BASIC_SCENE, self.INITIAL)
+        a, b, c = (FeatureId.parse(f"env.{x}") for x in "abc")
+        steps = [
+            [(a, True)],
+            [(b, True)],
+            [(b, False)],  # B restores A's own "ab" object
+            [(c, True)],  # a no-op write: C's snapshot is the object the panel holds
+            [(c, False)],  # so C's restore makes no call
+            "caller",  # another writer sets the text away, then back to an equal other object
+            [(a, False)],  # A still owns it: restored with a call; hints holds its snapshot
+        ]
+        for step in steps:
+            for engine in engines:
+                if step == "caller":
+                    engine.scene.write_property("panel", "text", "x", writer="caller")
+                    engine.scene.write_property("panel", "text", "".join(["a", "b"]), writer="caller")
+                    engine.process_event([])
+                else:
+                    engine.process_event(step)
+        assert_same_lines(engines[0].trace.render(), engines[1].trace.render())
+        assert scene_states_equal(scene_state(engines[0].scene), scene_state(engines[1].scene))
+        made = Counter(self.calls(writes, engines[0]))
+        assert Counter(self.calls(writes, engines[1])) - made == Counter(
+            [("panel", "text", "C"), ("hints", "visible", "A")])
+        assert not made - Counter(self.calls(writes, engines[1]))
+
+
 class TestBillboardPass:
     """The billboard list the scene keeps and the yaw text the engine
     reuses, against NaiveEngine (every element checked, every value
@@ -619,6 +694,25 @@ class TestDependencyDriven:
         assert engine.rule_active("R") and engine.cond_last["d"] is False
         assert report.cycles == 3
         assert calls == [(1, "b"), (1, "c"), (2, "d")]
+
+    def test_a_scene_write_no_condition_reads_evaluates_nothing(self, calls):
+        engine = basic_engine(
+            {"env.x": 2.0, "user.position": Vec3(0.0, 0.0, 5.0)},
+            "condition a: env.x > 1.0\n"
+            "condition near: dist(user.position, scene.panel.position) < 2.0\n",
+        )
+        calls.clear()
+        engine.scene.write_property("panel", "visible", False, writer="caller")
+        engine.process_event([])
+        assert calls == []
+
+    def test_a_library_scene_write_evaluates_its_readers(self, calls):
+        engine = basic_engine({"env.x": 2.0}, "condition v: scene.panel.visible == true\n")
+        calls.clear()
+        engine.scene.write_property("panel", "visible", False, writer="caller")
+        engine.process_event([])
+        assert calls == [(1, "v")]
+        assert engine.cond_last["v"] is False and engine.trace.events[-2].body == "COND v -> false"
 
     def test_call_outside_the_loop_makes_the_next_cycle_full(self, calls):
         engine = basic_engine({"env.x": 2.0, "env.y": 0.5}, self.RULES)
