@@ -32,7 +32,7 @@ so the plan holds that too, and unexecuting compares each target against
 it. Executing snapshots by reading those attributes. A rule is active
 while the engine holds its snapshot, from after its last action to after
 its restores, and nothing is kept for a rule until its first execute.
-Every write still goes through SceneModel.write_property or
+Every rule write still goes through SceneModel.write_property or
 ContextStore.set_feature, whose change logs drive the evaluation below; an
 applied scene write costs that one call and one append of its line's body
 to the trace. A restore of the very object a target holds makes no call:
@@ -77,7 +77,7 @@ Evaluation is dependency-driven. Each condition's inputs (features and
 scene properties) are indexed at construction. A cycle re-evaluates
 only the conditions that read an input written since their last
 evaluation -- context writes as the store's dirty set reports them, scene
-writes as SceneModel.write_property logs them, looked up only if some
+writes as the scene's change log holds them, looked up only if some
 condition reads a writable scene property -- and checks only the rules
 that list a condition whose value changed. Features are never unset and
 never change type, elements are never removed, and evaluation is pure and
@@ -87,8 +87,8 @@ state: the trace is the one a loop over all conditions and rules writes.
 The first cycle after construction, after an exception escaped
 process_event, or after evaluate_condition, execute_rule or unexecute_rule
 was called from outside process_event evaluates every condition and checks
-every rule. Scene state must change through SceneModel.write_property: an
-attribute assigned directly on a SceneElement is not seen.
+every rule. A library caller must change scene state through
+SceneModel.write_property: an attribute set on a SceneElement is not seen.
 
 Distance thresholds have safe regions. Each feature a
 ``dist(feature, scene.X.position) op r`` atom reads has one Odometer,
@@ -118,7 +118,9 @@ raised, is evaluated in a full cycle first.
 Billboards are re-aimed only when the user's position is another object
 than at the last complete re-aim, or a yaw or billboard property was
 written since (SceneModel.refresh_billboards); the engine still calls the
-re-aim in every cycle.
+re-aim in every cycle. The pass writes each yaw itself, into the change log
+write_property keeps, and returns the PropertyWrites write_property would:
+its yaws lie in [0, TAU) and are never -0.0, so the yaw check keeps them.
 
 Trace lines are byte-stable: ``E<event> C<cycle> S<seq> <body>`` with the
 sequence number restarting at 0 in each cycle. The engine writes a line

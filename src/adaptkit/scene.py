@@ -238,9 +238,9 @@ def prop_values_equal(a, b) -> bool:
 class SceneModel:
     """Elements keyed by id; iteration is always lexicographic by id.
 
-    Every applied write_property is logged as an (element, property) pair
-    until the next drain_dirty; assigning to a SceneElement's attributes
-    directly bypasses the log.
+    Every applied write_property, and every yaw refresh_billboards writes,
+    is logged as an (element, property) pair until the next drain_dirty;
+    assigning to a SceneElement's attributes directly bypasses the log.
     """
 
     def __init__(self, elements: list[SceneElement] | None = None):
@@ -328,7 +328,10 @@ class SceneModel:
         The billboards are kept as a list in id order, made again after an
         add_element or an applied write to a billboard property; like every
         other attribute, a ``billboard`` assigned directly on a SceneElement
-        is not seen. Each yaw is face_user_yaw's, computed inline.
+        is not seen. Each yaw is face_user_yaw's, computed inline, and the
+        pass writes it itself: it skips, sets, logs in the change log and
+        returns each write as write_property would, whose yaw check keeps a
+        yaw in [0, TAU) that is not -0.0. Library callers use write_property.
         """
         elements = self.elements()
         if user_pos is self._aimed_at:
@@ -337,7 +340,7 @@ class SceneModel:
         if billboards is None:
             billboards = self._billboards = [el for el in elements if el.billboard]
         writes = []
-        write_property = self.write_property
+        dirty = self._dirty
         ux, uz = user_pos.x, user_pos.z
         sqrt, atan2 = math.sqrt, math.atan2
         for el in billboards:
@@ -349,9 +352,12 @@ class SceneModel:
             yaw = atan2(dx, dz) % TAU  # normalize_yaw; % never returns -0.0
             if yaw >= TAU:
                 yaw = 0.0
-            w = write_property(el.id, "yaw", yaw, "billboard")
-            if w is not None:
-                writes.append(w)
+            old = el.yaw  # write_property's no-op test and write; _check_yaw keeps this yaw
+            if old == yaw and (yaw or float_bits(old) == float_bits(yaw)):
+                continue
+            el.yaw = yaw
+            dirty.add((el.id, "yaw"))
+            writes.append(_tuple_new(PropertyWrite, (el.id, "yaw", old, yaw, "billboard")))
         self._aimed_at = user_pos
         return writes
 

@@ -1,5 +1,6 @@
 """Differential tests: every check and renderer of scene.WRITABLE, and
-values.format_float, against the reference copies in reference_props.py.
+values.format_float, against the reference copies in reference_props.py,
+and the billboard pass against the one in reference_billboards.py.
 
 The checks accept the exact types the engine writes in one test and send
 every other value down the general path, so they must agree with the
@@ -13,13 +14,14 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_props as ref
 from adaptkit import SceneElement, SceneModel, TypeMismatch, Vec3, face_user_yaw
-from adaptkit.scene import WRITABLE, DetailLevel, Modality, prop_values_equal
+from adaptkit.scene import WRITABLE, DetailLevel, Modality, PropertyWrite, prop_values_equal
 from adaptkit.values import TAU, float_bits, format_float
+from reference_billboards import ReferenceScene
 
 
 class MyInt(int):
@@ -151,7 +153,10 @@ coords = st.sampled_from((0.0, -0.0, 1e-10, -1e-10, 1.0, -2.5, 1e154, -1e300)) |
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(coords, coords, coords), st.tuples(coords, coords, coords), st.floats(0.0, 6.0))
+@given(
+    st.tuples(coords, coords, coords), st.tuples(coords, coords, coords),
+    st.floats(0.0, 6.0) | st.sampled_from((-0.0, math.nan, math.inf, TAU)),
+)
 def test_refresh_billboards_aims_as_face_user_yaw(element_at, user_at, start_yaw):
     """The billboard pass computes its yaw inline; it must be face_user_yaw's,
     to the bit, and write nothing where that is None."""
@@ -161,6 +166,62 @@ def test_refresh_billboards_aims_as_face_user_yaw(element_at, user_at, start_yaw
     want = face_user_yaw(element_pos, user_pos)
     got = scene.element("b").yaw
     assert float_bits(got) == float_bits(start_yaw if want is None else want)
+
+
+AIMED = object()  # stands for a held yaw of the very bits the pass computes there
+held_yaws = st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf, 0, 3, TAU, AIMED, AIMED)) | st.floats()
+
+
+@st.composite
+def _billboard_scenes(draw):
+    """(id, position, held yaw) for 1-4 billboards, then one other element,
+    in a drawn id order, and a user position straight above an element, in
+    line with one along z, far from every element, or anywhere."""
+    n = draw(st.integers(1, 4)) + 1
+    ids = draw(st.permutations([f"e{i}" for i in range(n)]))
+    spec = [(i, draw(st.tuples(coords, coords, coords)), draw(held_yaws)) for i in ids]
+    x, y, z = draw(st.sampled_from(spec))[1]
+    where = draw(st.sampled_from(("above", "along z", "far", "anywhere")))
+    if where == "above":
+        user = (x, draw(coords), z)
+    elif where == "along z":
+        user = (x, y, z + draw(st.sampled_from((1.0, -1.0, 1e-10, 1e300))))
+    elif where == "far":
+        user = draw(st.tuples(*[st.sampled_from((1e300, -1e300, 1e154, -1e154))] * 3))
+    else:
+        user = draw(st.tuples(coords, coords, coords))
+    return spec, user
+
+
+@settings(max_examples=300, deadline=None)
+@given(_billboard_scenes())
+@example(([("b", (0.0, 0.0, 0.0), -0.0), ("p", (1.0, 0.0, 0.0), 0.0)], (0.0, 5.0, 2.0)))
+@example(([("b", (0.0, 0.0, 0.0), AIMED), ("c", (0.0, 0.0, 1.0), 0), ("p", (1.0, 0.0, 0.0), 0.0)], (0.0, 0.0, 2.0)))
+def test_refresh_billboards_matches_the_reference(case):
+    """The billboard pass writes its yaws itself: it must return the writes
+    the reference's write_property calls return, in the same order, and
+    leave the same yaws and change log. A held -0.0 or NaN is overwritten,
+    an equal held value (an int among them) is not."""
+    spec, user_at = case
+    user = Vec3(*user_at)
+    elements = []
+    for k, (element_id, at, held) in enumerate(spec):
+        pos = Vec3(*at)
+        if held is AIMED:
+            held = face_user_yaw(pos, user)
+            held = 0.0 if held is None else held
+        elements.append((element_id, pos, held, k < len(spec) - 1))
+    scene, reference = (
+        cls([SceneElement(id=i, position=pos, yaw=held, billboard=b) for i, pos, held, b in elements])
+        for cls in (SceneModel, ReferenceScene)
+    )
+    got, want = scene.refresh_billboards(user), reference.refresh_billboards(user)
+    assert [(w.element_id, w.prop, w.writer) for w in got] == [(w.element_id, w.prop, w.writer) for w in want]
+    for g, w in zip(got, want):
+        assert type(g) is PropertyWrite and g.old is w.old and _key(g.new) == _key(w.new)
+    assert [_key(el.yaw) for el in scene.elements()] == [_key(el.yaw) for el in reference.elements()]
+    assert scene.drain_dirty() == reference.drain_dirty()
+    assert scene.refresh_billboards(user) == [] == reference.refresh_billboards(user)
 
 
 # write_property decides a no-op without packing floats: equal non-zero
