@@ -27,6 +27,11 @@ context feature and is what lets one rule's effects trigger another rule.
 Each distinct effector and argument text is bound once per parse: equal
 constants written alike share one object (_read_actions).
 
+A rule set's records, ConditionDef, RuleDef and ActionCall, are NamedTuples
+that parse_rules builds with ``tuple.__new__``, past their constructors. A
+ConditionDef or RuleDef compares and hashes without its line and reads,
+and equals no plain tuple.
+
 Every line is read by token position: a line's heads, its expression and
 its actions each take the line's tokens and an index, and the expression
 and action readers return the index after what they read.
@@ -37,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -398,27 +403,50 @@ def _read_actions(tokens: list, i: int, lineno: int, leaves: dict, bound: dict) 
 # ---------------------------------------------------------------------------
 # rule set
 
-@dataclass(frozen=True)
-class ConditionDef:
+def _compared(n: int) -> tuple:
+    """``__eq__``, ``__ne__`` and ``__hash__`` of a record that compares and
+    hashes by its first ``n`` fields and equals only a record of its class."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self[:n] == other[:n]
+        return False if isinstance(other, tuple) else NotImplemented  # tuple's == would compare every field
+
+    def __ne__(self, other):  # tuple's own would compare every field
+        eq = __eq__(self, other)
+        return eq if eq is NotImplemented else not eq
+
+    return __eq__, __ne__, lambda self: hash(self[:n])
+
+
+class _ConditionFields(NamedTuple):
     id: str
     expr: Expr
-    line: int = field(default=0, compare=False)
-    # what the expression reads, as check_expr lists it; found when not given
-    reads: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.reads is None:
-            object.__setattr__(self, "reads", tuple(check_expr(self.expr)[1]))
+    line: int = 0
+    reads: tuple = None  # what the expression reads, as check_expr lists it
 
 
-@dataclass(frozen=True)
-class RuleDef:
+class ConditionDef(_ConditionFields):
+    """A named condition; ``reads`` is found when not given. Equal by id and expression."""
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _compared(2)
+
+    def __new__(cls, id: str, expr: Expr, line: int = 0, reads: tuple | None = None):
+        return _tuple_new(cls, (id, expr, line, tuple(check_expr(expr)[1]) if reads is None else reads))
+
+
+class RuleDef(NamedTuple):
+    """A rule, equal by every field but its line."""
+
     id: str
     priority: int
     conditions: tuple[str, ...]
     actions: tuple[ActionCall, ...]
     category: AdaptationCategory
-    line: int = field(default=0, compare=False)
+    line: int = 0
+
+    __eq__, __ne__, __hash__ = _compared(5)
 
 
 @dataclass(eq=True)
@@ -456,7 +484,7 @@ def parse_rules(text: str) -> RuleSet:
             if cid in cond_ids:
                 raise DuplicateId(lineno, f"duplicate condition id {cid!r}")
             cond_ids[cid] = lineno
-            conditions.append(ConditionDef(cid, expr, line=lineno, reads=tuple(reads)))
+            conditions.append(_tuple_new(ConditionDef, (cid, expr, lineno, tuple(reads))))
         elif head == "rule":
             rid = ident(tokens, 1, lineno, "a rule id")
             n = len(tokens)
@@ -493,9 +521,7 @@ def parse_rules(text: str) -> RuleSet:
             rule_ids[rid] = lineno
             for ref in cond_refs:
                 pending_refs.append((ref, lineno))
-            rules.append(
-                RuleDef(rid, priority, tuple(cond_refs), tuple(actions), category, line=lineno)
-            )
+            rules.append(_tuple_new(RuleDef, (rid, priority, tuple(cond_refs), tuple(actions), category, lineno)))
         else:
             raise DslSyntaxError(lineno, f"expected 'condition' or 'rule', got {head!r}")
 
@@ -633,10 +659,10 @@ def compile_expr(
             gated = {f for f in features if reads.count(f) == features.count(f)}
             reads = [r for r in reads if r not in gated]
             atoms = [a for a in atoms if a.feature in gated]
-        operands.append(Operand(tuple(dict.fromkeys(reads)), tuple(atoms)))
+        operands.append(_tuple_new(Operand, (tuple(dict.fromkeys(reads)), tuple(atoms))))
     first_false = [None] if len(parts) > 1 else _ONE_OPERAND
     evaluate = _chain(tuple(parts), first_false) if len(parts) > 1 else parts[0]
-    return Compiled(evaluate, tuple(operands), first_false)
+    return _tuple_new(Compiled, (evaluate, tuple(operands), first_false))
 
 
 def _build(
@@ -750,15 +776,10 @@ def _atom(expr: Compare, store: ContextStore, scene: SceneModel, odometers: dict
 class _Atom:
     """``source op constant``, the type check hoisted: a source value of the
     constant's exact type is compared in place, and any other goes through
-    _compare. An atom is its own evaluator: calling it returns its value."""
+    _compare. An atom is its own evaluator: calling it returns its value.
+    Each subclass's __init__ sets these four fields itself."""
 
     __slots__ = ("op", "test", "const", "kind")
-
-    def __init__(self, op: str, const: int | float):
-        self.op = op
-        self.test = _TEST[op]
-        self.const = const
-        self.kind = type(const)
 
     def slow(self, value: Value) -> bool:
         return _compare(self.op, value, self.const)
@@ -768,7 +789,7 @@ class _FeatureAtom(_Atom):
     __slots__ = ("values", "store", "feature")
 
     def __init__(self, op, const, store: ContextStore, feature: FeatureId):
-        super().__init__(op, const)
+        self.op, self.test, self.const, self.kind = op, _TEST[op], const, type(const)
         self.values = store._values  # the store's own map
         self.store = store
         self.feature = feature
@@ -787,7 +808,7 @@ class _SceneAtom(_Atom):
     __slots__ = ("element", "attr")
 
     def __init__(self, op, const, element: SceneElement, prop: str):
-        super().__init__(op, const)
+        self.op, self.test, self.const, self.kind = op, _TEST[op], const, type(const)
         self.element = element
         self.attr = WRITABLE[prop].attr
 
@@ -851,7 +872,7 @@ class _DistAtom(_Atom):
     __slots__ = ("values", "store", "feature", "element", "odometer", "margin", "deadline", "value")
 
     def __init__(self, op, const, store: ContextStore, feature: FeatureId, element: SceneElement, odometer: Odometer):
-        super().__init__(op, const)
+        self.op, self.test, self.const, self.kind = op, _TEST[op], const, type(const)
         self.values = store._values
         self.store = store
         self.feature = feature
@@ -894,10 +915,20 @@ class Diagnostic:
 
 def unresolved(rules: RuleSet, scene: SceneModel | None, workflow=None) -> list[Diagnostic]:
     """An error for each element and condition the rules or the workflow
-    name that does not exist, and for a workflow without its instruction
-    element: the rules' errors, then the workflow's. Elements are checked
-    only with a scene. This is the one check an Engine makes."""
+    name that does not exist, for each repeat of a condition or rule id,
+    and for a workflow without its instruction element: the rules' errors,
+    then the workflow's, each repeat and unknown condition with the message
+    parse_rules raises for it. Elements are checked only with a scene. This
+    is the one check an Engine makes."""
     diags: list[Diagnostic] = []
+    for kind, defs, by_id in (("condition", rules.conditions, rules.condition_by_id),
+                              ("rule", rules.rules, rules.rule_by_id)):
+        if len(by_id) != len(defs):  # some id is repeated: an error at each repeat
+            first: dict[str, int] = {}
+            diags += [Diagnostic("error", f"duplicate {kind} id {d.id!r}", d.line)
+                      for i, d in enumerate(defs) if first.setdefault(d.id, i) != i]
+    diags += [Diagnostic("error", f"rule references unknown condition {ref!r}", rule.line)
+              for rule in rules.rules for ref in rule.conditions if ref not in rules.condition_by_id]
     if scene is not None:
         for cond in rules.conditions:
             for ref in cond.reads:

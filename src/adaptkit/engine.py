@@ -137,7 +137,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -304,18 +304,19 @@ _UNSEEN = object()  # the value a line cache holds before its first line
 
 @dataclass(slots=True)
 class _Line:
-    """A PROP write site and its last line, ``PROP label old -> new  writer=writer``."""
+    """A PROP write site and its last line, ``PROP label old -> new  writer=writer``.
+    Built positionally: label, render and writer, then a subclass's fields."""
 
     label: str  # the written target, as the trace names it
     render: Callable[[object], str]
     writer: str
-    old: object = _UNSEEN
-    new: object = _UNSEEN
-    new_text: str = ""
-    body: str = ""
+    old: object = field(default=_UNSEEN, init=False)
+    new: object = field(default=_UNSEEN, init=False)
+    new_text: str = field(default="", init=False)
+    body: str = field(default="", init=False)
 
 
-@dataclass(slots=True, kw_only=True)
+@dataclass(slots=True)
 class _Target(_Line):
     """A scene property a rule writes, resolved for direct reads, and the site of its restores."""
 
@@ -326,13 +327,13 @@ class _Target(_Line):
     written: object = None  # the checked constant of the rule's last write to it
 
 
-@dataclass(slots=True, kw_only=True)
+@dataclass(slots=True)
 class _Step(_Line):
     """A rule action, ready to run, and its PROP site: a scene write (feature None) or a feature write."""
 
-    feature: FeatureId | None = None
-    element_id: str | None = None
-    prop: str | None = None
+    feature: FeatureId | None
+    element_id: str | None
+    prop: str | None
     value: object  # for a scene write, as its check stores it (unless the check refuses it)
 
 
@@ -514,18 +515,16 @@ class Engine:
         for action in rule.actions:
             prop = EFFECTOR_PROPERTY[action.effector]
             if prop is None:
-                steps.append(_Step(action.feature, _render_prior, rule_id, feature=action.feature, value=action.value))
+                steps.append(_Step(action.feature, _render_prior, rule_id, action.feature, None, None, action.value))
                 continue
             spec = WRITABLE[prop]
             label = f"{action.element}.{prop}"
             target = targets.get((action.element, prop))
             if target is None:
                 target = targets[action.element, prop] = _Target(
-                    label, spec.render, rule_id, element_id=action.element, prop=prop,
-                    element=self.scene.element(action.element), attr=spec.attr)
+                    label, spec.render, rule_id, action.element, prop, self.scene.element(action.element), spec.attr)
             target.written = _checked_constant(spec.check, action.value)
-            steps.append(_Step(label, spec.render, rule_id, element_id=action.element, prop=prop,
-                               value=target.written))
+            steps.append(_Step(label, spec.render, rule_id, None, action.element, prop, target.written))
         order = tuple(sorted(targets.values(), key=lambda t: t.label))
         return _Plan(tuple(steps), order, f"RULE {rule_id} EXECUTED", f"RULE {rule_id} UNEXECUTED")
 

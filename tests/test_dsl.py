@@ -38,6 +38,7 @@ from adaptkit import (
 from adaptkit.cli import main
 from adaptkit.dsl import BoolOp, Compare, Dist, FeatureRef, Lit, Not, SceneRef, compile_expr
 
+import reference_records
 from conftest import store_from
 from reference_eval import eval_expr
 
@@ -316,6 +317,22 @@ class TestValidate:
         )
         assert validate(rs, parse_scene(self.SCENE)) == []
 
+    def test_repeats_and_undefined_conditions_are_errors_at_their_lines(self):
+        """What parse_rules refuses in a text, validate reports for a rule set
+        built in code, at each record's line, with the parser's messages."""
+        cond = parse_rules("condition c: env.x == true\n").conditions[0]
+        show = (ActionCall("set_visible", element="panel", value=True),)
+        write = (ActionCall("set_text", element="panel", value="y"),)
+        rs = RuleSet([cond, ConditionDef("c", cond.expr, line=4)], [
+            RuleDef("R", 0, ("c",), show, AdaptationCategory.STYLE, line=5),
+            RuleDef("R", 0, ("c", "nope"), write, AdaptationCategory.STYLE, line=6),
+        ])
+        assert [(d.severity, d.message, d.line) for d in validate(rs)] == [
+            ("error", "duplicate condition id 'c'", 4),
+            ("error", "duplicate rule id 'R'", 6),
+            ("error", "rule references unknown condition 'nope'", 6),
+        ]
+
     def test_action_on_missing_element_is_error(self):
         rs = parse_rules(
             "condition c: env.x == true\n"
@@ -518,6 +535,44 @@ def rule_sets(draw):
 @given(rule_sets())
 def test_pretty_print_round_trip(rs):
     assert parse_rules(pretty_print(rs)) == rs
+
+
+@settings(max_examples=100)
+@given(rule_sets(), st.integers(1, 9))
+def test_records_behave_as_the_dataclasses_they_replaced(rs, line):
+    """ConditionDef and RuleDef against the frozen dataclasses they replaced
+    (tests/reference_records.py), over every pair of records from a rule set
+    and its copies moved to another line or, for conditions, given other
+    reads: equality, inequality and hashing leave out line and reads, a
+    condition built without reads finds them, no attribute can be set, and
+    a record equals no plain tuple, not even of its own fields."""
+    records = [
+        *rs.conditions, *rs.rules,
+        *[ConditionDef(c.id, c.expr, line=line, reads=c.reads) for c in rs.conditions],
+        *[ConditionDef(c.id, c.expr, reads=()) for c in rs.conditions],
+        *[RuleDef(r.id, r.priority, r.conditions, r.actions, r.category, line=line) for r in rs.rules],
+    ]
+
+    def reference(record):
+        if isinstance(record, ConditionDef):
+            return reference_records.ConditionDef(record.id, record.expr, line=record.line, reads=record.reads)
+        return reference_records.RuleDef(*record)
+
+    for a in records:
+        ra = reference(a)
+        assert hash(a) == hash(ra)
+        assert a != tuple(a) and not tuple(a) == a and not a == tuple(a)
+        for name in (*a._fields, "other"):
+            for record in (a, ra):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        for b in records:
+            rb = reference(b)
+            assert (a == b, a != b) == (ra == rb, ra != rb)
+    for c in rs.conditions:
+        built = ConditionDef(expr=c.expr, id=c.id, line=line)
+        ref = reference_records.ConditionDef(expr=c.expr, id=c.id, line=line)
+        assert tuple(built) == (ref.id, ref.expr, ref.line, ref.reads) == (c.id, c.expr, line, c.reads)
 
 
 def test_round_trip_on_printer_fixture(fixtures_dir):

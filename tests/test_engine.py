@@ -15,12 +15,16 @@ import pytest
 import adaptkit
 
 from adaptkit import (
+    ActionCall,
     ActionError,
+    AdaptationCategory,
+    AdaptError,
     ContextStore,
     Engine,
     EvaluationError,
     FeatureId,
     NonQuiescent,
+    RuleDef,
     RuleSet,
     SceneModel,
     ValidationFailed,
@@ -30,6 +34,7 @@ from adaptkit import (
     parse_scenario,
     parse_scene,
     parse_workflow,
+    pretty_print,
     run_scenario,
 )
 
@@ -807,6 +812,30 @@ class TestDiagnostics:
             "workflow needs an 'instruction_panel' element in the scene"
         )
 
+    @pytest.mark.parametrize("fault", ["undefined-condition", "repeated-rule", "repeated-condition"])
+    def test_a_rule_set_the_parser_refuses_blocks_init(self, fault):
+        """A rule set built in code can name a condition it does not define or
+        repeat an id, which no rules file can. The engine refuses it with the
+        message parse_rules raises for the set's printed text, so a second
+        rule R can no longer run on the first one's condition."""
+        parsed = parse_rules("condition c: env.x == true\n")
+        show = ActionCall("set_visible", element="hints", value=True)
+        rules = {
+            "undefined-condition": RuleSet(
+                parsed.conditions, [RuleDef("R", 0, ("c", "nope"), (show,), AdaptationCategory.STYLE)]),
+            "repeated-rule": RuleSet(parsed.conditions, [
+                RuleDef("R", 0, ("c",), (show,), AdaptationCategory.STYLE),
+                RuleDef("R", 0, ("c",), (ActionCall("set_text", element="panel", value="y"),),
+                        AdaptationCategory.STYLE)]),
+            "repeated-condition": RuleSet(parsed.conditions * 2, []),
+        }[fault]
+        with pytest.raises(AdaptError) as refused:
+            parse_rules(pretty_print(rules))
+        message = str(refused.value).partition(": ")[2]
+        with pytest.raises(ValidationFailed) as info:
+            init_engine(rules, parse_scene(self.SCENE), store_from({"env.x": True}))
+        assert str(info.value) == message
+
     def test_feature_of_two_types_builds_and_fails_at_the_write(self):
         rules = parse_rules(
             "condition c: env.x == true\n"
@@ -1238,6 +1267,18 @@ def test_the_engine_keeps_few_objects_for_the_collector():
     after = _tracked_objects()
     assert built - before <= 4 * len(rules.conditions)
     assert len(engine._plans) > 100 and after - built <= 7.5 * len(engine._plans)
+
+
+def test_parsing_leaves_few_objects_for_the_collector():
+    """The guard on what parse_rules leaves the collector to scan, on
+    wide_rules seed 1 (1000 conditions and rules): at most 7.76 tracked
+    objects per rule, the figure when ConditionDef and RuleDef were frozen
+    dataclasses, so the records that replaced them add no collector work."""
+    text = bench_gen().gen_wide_rules(1).rules
+    before = _tracked_objects()
+    rules = parse_rules(text)
+    after = _tracked_objects()
+    assert len(rules.rules) == 1000 and after - before <= 7.76 * len(rules.rules)
 
 
 KINDS = {"event", "cond", "rule_exec", "rule_unexec", "prop", "workflow", "quiescent", "nonquiescent"}
